@@ -39,6 +39,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/controlplane"
 	"repro/internal/fleet"
+	"repro/internal/httpfront"
 )
 
 func main() {
@@ -198,6 +199,7 @@ func main() {
 	mux.HandleFunc("/admin/controlplane/status", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, plane.Status())
 	})
+	httpfront.MountPprof(mux)
 
 	srv := &http.Server{Addr: *addr, Handler: mux}
 	sigCh := make(chan os.Signal, 1)

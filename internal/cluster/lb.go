@@ -182,6 +182,13 @@ func (e *ShedError) Error() string {
 // Unwrap lets errors.Is(err, ErrServiceUnavailable) match.
 func (e *ShedError) Unwrap() error { return ErrServiceUnavailable }
 
+// RetryAfterSeconds renders a Retry-After hint for HTTP, whose
+// granularity is the whole second: rounded up, and never below 1 (a 0
+// would tell the client to retry at once, into the same overload).
+func RetryAfterSeconds(d time.Duration) int {
+	return max(1, int((d+time.Second-1)/time.Second))
+}
+
 // LoadBalancer is the client-side load balancer of Section 5.3, grown
 // into a fleet-controlled router: new sessions are placed by a pluggable
 // RoutingPolicy (static round-robin, queue-aware least-loaded, or

@@ -3,10 +3,11 @@ package fleet
 import (
 	"encoding/json"
 	"errors"
-	"fmt"
-	"io"
-	"net"
 	"net/http"
+	"net/url"
+	"os"
+	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -15,6 +16,8 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/controlplane"
 	"repro/internal/ebid"
+	"repro/internal/httpfront"
+	"repro/internal/store/session"
 	"repro/internal/workload"
 )
 
@@ -33,6 +36,10 @@ type Backend struct {
 	draining   atomic.Bool
 	completed  atomic.Int64
 	failed     atomic.Int64
+
+	addr   string // host:port the forwarder dials, from URL
+	poolMu sync.Mutex
+	idle   []*backendConn // most recently used last
 }
 
 // QueueDepth implements cluster.Endpoint.
@@ -75,11 +82,15 @@ type BackendStatus struct {
 type Router struct {
 	policy   cluster.RoutingPolicy
 	backends []*Backend
-	client   *http.Client
 	poll     *http.Client
 
-	mu       sync.Mutex
-	affinity map[string]*Backend
+	// The affinity table. A request of an established session takes only
+	// the shared lock and stamps its pin; logins, logouts, spills and the
+	// idle sweep take the exclusive one.
+	mu        sync.RWMutex
+	affinity  map[string]*pin
+	now       func() time.Time // the clock pins are stamped with
+	lastSweep time.Time        // poll loop only
 
 	lostSessions atomic.Int64 // sessions with no live backend to fail over to
 	spills       atomic.Int64 // established sessions re-pinned after a backend died
@@ -97,21 +108,20 @@ func NewRouter(policy cluster.RoutingPolicy, backends []*Backend, pollEvery time
 	if pollEvery <= 0 {
 		pollEvery = 250 * time.Millisecond
 	}
-	r := &Router{
-		policy:   policy,
-		backends: backends,
-		affinity: map[string]*Backend{},
-		client: &http.Client{
-			Timeout: 30 * time.Second,
-			// The proxy is the only client; keep plenty of idle conns
-			// per backend so forwarding does not reconnect per request.
-			Transport: &http.Transport{MaxIdleConnsPerHost: 256},
-		},
+	for _, b := range backends {
+		if u, err := url.Parse(b.URL); err == nil {
+			b.addr = u.Host // a URL that does not parse fails at the first dial
+		}
+	}
+	return &Router{
+		policy:    policy,
+		backends:  backends,
+		affinity:  map[string]*pin{},
+		now:       time.Now,
 		poll:      &http.Client{Timeout: 500 * time.Millisecond},
 		pollEvery: pollEvery,
 		stop:      make(chan struct{}),
 	}
-	return r
 }
 
 // Start launches the health/load poll loop. An initial synchronous
@@ -127,13 +137,19 @@ func (r *Router) Start() {
 				return
 			case <-tick.C:
 				r.pollOnce()
+				r.sweepAffinity()
 			}
 		}
 	}()
 }
 
-// Stop halts the poll loop.
-func (r *Router) Stop() { r.stopOnce.Do(func() { close(r.stop) }) }
+// Stop halts the poll loop and closes the idle backend connections.
+func (r *Router) Stop() {
+	r.stopOnce.Do(func() { close(r.stop) })
+	for _, b := range r.backends {
+		b.dropIdle()
+	}
+}
 
 // pollOnce refreshes every backend's health and load concurrently. One
 // failed poll marks a backend unhealthy — for process fleets behind a
@@ -147,19 +163,19 @@ func (r *Router) pollOnce() {
 			defer wg.Done()
 			resp, err := r.poll.Get(b.URL + "/admin/fleet/status")
 			if err != nil {
-				b.healthy.Store(false)
+				b.markDown()
 				return
 			}
 			defer resp.Body.Close()
 			if resp.StatusCode != http.StatusOK {
-				b.healthy.Store(false)
+				b.markDown()
 				return
 			}
 			var st struct {
 				InFlight int64 `json:"in_flight"`
 			}
 			if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-				b.healthy.Store(false)
+				b.markDown()
 				return
 			}
 			b.remoteBusy.Store(st.InFlight)
@@ -210,9 +226,9 @@ func (r *Router) Status() map[string]any {
 			Completed: b.completed.Load(), Failed: b.failed.Load(),
 		})
 	}
-	r.mu.Lock()
+	r.mu.RLock()
 	pinned := len(r.affinity)
-	r.mu.Unlock()
+	r.mu.RUnlock()
 	return map[string]any{
 		"policy":          r.policy.Name(),
 		"backends":        backends,
@@ -235,11 +251,10 @@ func (r *Router) AllHealthy() bool {
 	return true
 }
 
-// routable collects candidates for new-session routing: healthy and not
-// draining, falling back to all healthy (a draining fleet must still
-// serve), then to everything (fail honestly somewhere).
-func (r *Router) routable() []cluster.Endpoint {
-	cands := make([]cluster.Endpoint, 0, len(r.backends))
+// routable appends the candidates for new-session routing to cands:
+// healthy and not draining, falling back to all healthy (a draining fleet
+// must still serve), then to everything (fail honestly somewhere).
+func (r *Router) routable(cands []cluster.Endpoint) []cluster.Endpoint {
 	for _, b := range r.backends {
 		if b.Healthy() && !b.Draining() {
 			cands = append(cands, b)
@@ -260,14 +275,6 @@ func (r *Router) routable() []cluster.Endpoint {
 	return cands
 }
 
-// sessionID pulls the EBIDSESSION cookie (empty when absent).
-func sessionID(req *http.Request) string {
-	if c, err := req.Cookie("EBIDSESSION"); err == nil {
-		return c.Value
-	}
-	return ""
-}
-
 // opFromPath extracts the operation name from /ebid/<Op>.
 func opFromPath(path string) string {
 	if rest, ok := strings.CutPrefix(path, "/ebid/"); ok {
@@ -276,39 +283,105 @@ func opFromPath(path string) string {
 	return ""
 }
 
+// pin is one session's affinity: the backend that holds its state, and
+// when a request last used it (Router.now, Unix ns).
+type pin struct {
+	b    *Backend
+	used atomic.Int64
+}
+
+// pinned returns the backend sid is pinned to (nil when none), and
+// counts the lookup as a use.
+func (r *Router) pinned(sid string) *Backend {
+	r.mu.RLock()
+	p := r.affinity[sid]
+	r.mu.RUnlock()
+	if p == nil {
+		return nil
+	}
+	p.used.Store(r.now().UnixNano())
+	return p.b
+}
+
+func (r *Router) pin(sid string, b *Backend) {
+	p := &pin{b: b}
+	p.used.Store(r.now().UnixNano())
+	sid = strings.Clone(sid) // a cookie value is a slice of a whole header line
+	r.mu.Lock()
+	r.affinity[sid] = p
+	r.mu.Unlock()
+}
+
+func (r *Router) unpin(sid string) {
+	r.mu.Lock()
+	delete(r.affinity, sid)
+	r.mu.Unlock()
+}
+
+// affinitySweepEvery spaces the idle sweeps: each walks the whole table
+// under the exclusive lock.
+const affinitySweepEvery = session.DefaultLeaseTTL / 8
+
+// sweepAffinity forgets sessions idle for longer than the session lease.
+// The backend has dropped such a session's state by then, so its next
+// request is answered 401 wherever it lands; without the sweep a user who
+// just stops clicking stays in the table for the life of the proxy.
+func (r *Router) sweepAffinity() {
+	now := r.now()
+	if now.Sub(r.lastSweep) < affinitySweepEvery {
+		return
+	}
+	r.lastSweep = now
+	cutoff := now.Add(-session.DefaultLeaseTTL).UnixNano()
+	r.mu.Lock()
+	for sid, p := range r.affinity {
+		if p.used.Load() < cutoff {
+			delete(r.affinity, sid)
+		}
+	}
+	r.mu.Unlock()
+}
+
+// routeScratch is what one policy call needs on the heap — policies take
+// the request by pointer and the candidates as a slice, through an
+// interface, so both escape — pooled so that routing allocates nothing.
+type routeScratch struct {
+	req   workload.Request
+	cands []cluster.Endpoint
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(routeScratch) }}
+
 // pick chooses the backend for one request, applying affinity, spill
 // and the routing policy. It may return a ShedError via err.
 func (r *Router) pick(op, sid string) (*Backend, error) {
-	if sid != "" {
-		r.mu.Lock()
-		pinned := r.affinity[sid]
-		r.mu.Unlock()
-		if pinned != nil {
-			if pinned.Healthy() && !pinned.Draining() {
-				return pinned, nil
-			}
-			// Affinity target gone: spill the established session.
-			cands := r.routable()
-			if len(cands) == 0 || (len(cands) == 1 && cands[0].(*Backend) == pinned) {
-				r.lostSessions.Add(1)
-				r.unpin(sid)
-				return nil, fmt.Errorf("fleet: no live backend for session")
-			}
-			wreq := workload.Request{Op: op, SessionID: sid}
-			next := r.policy.RouteSpill(&wreq, cands).(*Backend)
-			r.mu.Lock()
-			r.affinity[sid] = next
-			r.mu.Unlock()
-			r.spills.Add(1)
-			return next, nil
+	pinned := r.pinned(sid)
+	if pinned != nil && pinned.Healthy() && !pinned.Draining() {
+		return pinned, nil
+	}
+	s := scratchPool.Get().(*routeScratch)
+	defer func() {
+		*s = routeScratch{cands: s.cands[:0]}
+		scratchPool.Put(s)
+	}()
+	s.req = workload.Request{Op: op, SessionID: sid}
+	s.cands = r.routable(s.cands)
+	if len(s.cands) == 0 {
+		return nil, errors.New("fleet: no backends")
+	}
+	if pinned != nil {
+		// Affinity target gone: spill the established session.
+		if len(s.cands) == 1 && s.cands[0].(*Backend) == pinned {
+			r.lostSessions.Add(1)
+			r.unpin(sid)
+			return nil, errors.New("fleet: no live backend for session")
 		}
+		next := r.policy.RouteSpill(&s.req, s.cands).(*Backend)
+		r.pin(sid, next)
+		r.spills.Add(1)
+		return next, nil
 	}
-	cands := r.routable()
-	if len(cands) == 0 {
-		return nil, fmt.Errorf("fleet: no backends")
-	}
-	wreq := workload.Request{Op: op, SessionID: sid}
-	picked, err := r.policy.RouteNew(&wreq, cands)
+	picked, err := r.policy.RouteNew(&s.req, s.cands)
 	if err != nil {
 		return nil, err
 	}
@@ -318,125 +391,115 @@ func (r *Router) pick(op, sid string) (*Backend, error) {
 		// in after a logout or lapse, so the backend re-uses the cookie
 		// without a fresh Set-Cookie): pin where we route it, or its
 		// follow-ups scatter across backends and lapse spuriously.
-		r.mu.Lock()
-		r.affinity[sid] = b
-		r.mu.Unlock()
+		r.pin(sid, b)
 	}
 	return b, nil
 }
 
-func (r *Router) unpin(sid string) {
-	r.mu.Lock()
-	delete(r.affinity, sid)
-	r.mu.Unlock()
-}
-
-// connLevel reports a connection-level failure (refused, reset, broken
-// pipe, truncated response) that happened before the backend could have
-// acted on the request — safe to retry on a peer, since every eBid
-// operation is an idempotent GET, and grounds to mark the backend
-// unhealthy without waiting for the next poll.
-func connLevel(err error) bool {
-	var nerr *net.OpError
-	return errors.As(err, &nerr) ||
-		errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF)
-}
-
 // ServeHTTP implements http.Handler for /ebid/* traffic.
 func (r *Router) ServeHTTP(w http.ResponseWriter, req *http.Request) {
+	if req.ContentLength != 0 {
+		// Every eBid operation is a GET; a body would have to be replayed
+		// on each retry, and nothing downstream reads one.
+		http.Error(w, "fleet: request bodies are not forwarded", http.StatusBadRequest)
+		return
+	}
 	op := opFromPath(req.URL.Path)
-	sid := sessionID(req)
+	sid := httpfront.SessionID(req.Header)
 
-	const maxAttempts = 3
-	tried := map[*Backend]bool{}
-	for attempt := 0; attempt < maxAttempts; attempt++ {
+	var tried [3]*Backend
+	for attempt := range tried {
 		b, err := r.pick(op, sid)
 		if err != nil {
 			var shed *cluster.ShedError
 			if errors.As(err, &shed) {
 				r.shed.Add(1)
-				w.Header().Set("Retry-After", fmt.Sprintf("%d", int(shed.After.Seconds())))
+				w.Header().Set("Retry-After", strconv.Itoa(cluster.RetryAfterSeconds(shed.After)))
 				http.Error(w, "fleet at capacity, retry later", http.StatusServiceUnavailable)
 				return
 			}
 			http.Error(w, err.Error(), http.StatusBadGateway)
 			return
 		}
-		if tried[b] {
+		if slices.Contains(tried[:attempt], b) {
 			// The policy keeps picking a backend we already failed on;
 			// mark and move on rather than hammering it.
-			b.healthy.Store(false)
+			b.markDown()
 			continue
 		}
-		tried[b] = true
+		tried[attempt] = b
 
-		done, _ := r.forward(w, req, b, op, sid)
-		if done {
+		if r.forward(w, req, b, op, sid) {
 			return
 		}
 		// Connection-level failure: the backend is gone. Mark it down
 		// now (the poll loop will confirm); pick() handles the spill on
 		// the retry.
-		b.healthy.Store(false)
+		b.markDown()
 		b.failed.Add(1)
 		r.retried.Add(1)
 	}
 	http.Error(w, "no backend reachable", http.StatusBadGateway)
 }
 
-// forward proxies one request to b. It returns done=true when a
-// response (any status) was relayed to the client, done=false when the
-// failure was connection-level and the caller should retry elsewhere.
-func (r *Router) forward(w http.ResponseWriter, req *http.Request, b *Backend, op, sid string) (bool, error) {
-	out, err := http.NewRequestWithContext(req.Context(), req.Method, b.URL+req.URL.RequestURI(), nil)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return true, err
-	}
-	out.Header = req.Header.Clone()
-
+// forward proxies one request to b over one of its pooled connections,
+// on the caller's goroutine. It returns true when the request is over —
+// a response of any status was relayed, or an error answered, or the
+// client went away — and false on a connection-level failure (refused,
+// reset, truncated or unparsable head) before anything reached the
+// client: safe to retry on a peer, since every eBid operation is an
+// idempotent GET, and grounds to mark the backend down without waiting
+// for the next poll.
+func (r *Router) forward(w http.ResponseWriter, req *http.Request, b *Backend, op, sid string) bool {
 	b.inflight.Add(1)
-	resp, err := r.client.Do(out)
-	b.inflight.Add(-1)
-	if err != nil {
-		if connLevel(err) {
-			return false, err
+	defer b.inflight.Add(-1)
+	ctx := req.Context()
+	c, err := b.getConn(ctx)
+	if err == nil {
+		var answered bool
+		answered, err = c.exchange(ctx, req, b.addr)
+		if err != nil && c.reused && !answered && ctx.Err() == nil {
+			// An idle connection the backend closed since its last exchange
+			// (every restart leaves the pool full of them) says nothing
+			// about the backend now: once more on a fresh connection.
+			if c, err = b.dial(ctx); err == nil {
+				_, err = c.exchange(ctx, req, b.addr)
+			}
 		}
-		http.Error(w, err.Error(), http.StatusBadGateway)
-		return true, err
 	}
-	defer resp.Body.Close()
+	switch {
+	case err == nil:
+	case ctx.Err() != nil:
+		return true // the client is gone; there is nobody to answer
+	case errors.Is(err, os.ErrDeadlineExceeded):
+		http.Error(w, "fleet: "+b.Name+" did not answer in time", http.StatusBadGateway)
+		return true
+	default:
+		return false
+	}
 
 	// Learn affinity from the session cookie the backend assigns, and
 	// retire it on logout or a session lapse (the 401 tells the client
 	// to log in again — it will get a fresh pin then).
-	for _, c := range resp.Cookies() {
-		if c.Name == "EBIDSESSION" && c.Value != "" {
-			r.mu.Lock()
-			r.affinity[c.Value] = b
-			r.mu.Unlock()
-		}
+	status := c.head.status
+	if c.head.session != "" {
+		r.pin(c.head.session, b)
 	}
-	if sid != "" {
-		if resp.StatusCode == http.StatusUnauthorized || (op == ebid.OpLogout && resp.StatusCode == http.StatusOK) {
-			r.unpin(sid)
-		}
+	if sid != "" && (status == http.StatusUnauthorized || (op == ebid.OpLogout && status == http.StatusOK)) {
+		r.unpin(sid)
 	}
-
-	hdr := w.Header()
-	for k, vv := range resp.Header {
-		for _, v := range vv {
-			hdr.Add(k, v)
-		}
+	reusable := c.relay(w, req.Method)
+	if c.stop() && reusable {
+		b.putConn(c)
+	} else {
+		c.nc.Close()
 	}
-	w.WriteHeader(resp.StatusCode)
-	_, _ = io.Copy(w, resp.Body)
-	if resp.StatusCode >= 500 {
+	if status >= 500 {
 		b.failed.Add(1)
 	} else {
 		b.completed.Add(1)
 	}
-	return true, nil
+	return true
 }
 
 // Actuator glues the Router and Supervisor into the control plane's

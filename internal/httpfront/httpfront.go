@@ -19,14 +19,17 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http"
+	"net/http/pprof"
 	"os"
+	"runtime"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/controlplane"
 	"repro/internal/core"
 	"repro/internal/detect"
@@ -122,9 +125,10 @@ func New(app *ebid.App) *Front {
 }
 
 // Handler returns the HTTP handler: /ebid/<Operation> for end-user
-// operations, /admin/microreboot, /admin/reboot, /admin/components, and
-// — when the store is the SSM brick cluster — the elastic-ring controls
-// /admin/ssm/addshard, /admin/ssm/removeshard and /admin/ssm/elastic.
+// operations, /admin/microreboot, /admin/reboot, /admin/components,
+// /debug/pprof/, and — when the store is the SSM brick cluster — the
+// elastic-ring controls /admin/ssm/addshard, /admin/ssm/removeshard and
+// /admin/ssm/elastic.
 func (f *Front) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/ebid/", f.serveOp)
@@ -137,7 +141,22 @@ func (f *Front) Handler() http.Handler {
 	mux.HandleFunc("/admin/ssm/elastic", f.serveElastic)
 	mux.HandleFunc("/admin/controlplane/status", f.serveControlPlane)
 	mux.HandleFunc("/admin/fleet/status", f.serveFleet)
+	MountPprof(mux)
 	return mux
+}
+
+// MountPprof serves the runtime's profiles (CPU, heap, mutex, goroutine,
+// ...) under /debug/pprof/ on an admin mux, for
+// go tool pprof http://<addr>/debug/pprof/profile against a live server,
+// and samples 1 in 100 lock-contention events so that the mutex profile
+// has something in it.
+func MountPprof(mux *http.ServeMux) {
+	runtime.SetMutexProfileFraction(100)
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 }
 
 // serveHealthz handles GET /healthz — the readiness/liveness probe a
@@ -317,27 +336,43 @@ func (f *Front) serveElastic(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// SessionCookie names the cookie a session id rides on.
+const SessionCookie = "EBIDSESSION"
+
+// SessionID returns the value of the first EBIDSESSION cookie in a
+// request's headers ("" when there is none), without allocating: the
+// value is a substring of the header line. The front end and the fleet
+// router both read the cookie through this one scanner, so they cannot
+// disagree about which session a request belongs to.
+func SessionID(h http.Header) string {
+	for _, line := range h["Cookie"] {
+		for line != "" {
+			var pair string
+			pair, line, _ = strings.Cut(line, ";")
+			v, ok := strings.CutPrefix(strings.TrimSpace(pair), SessionCookie+"=")
+			if !ok {
+				continue
+			}
+			if len(v) > 1 && v[0] == '"' && v[len(v)-1] == '"' {
+				v = v[1 : len(v)-1]
+			}
+			return v
+		}
+	}
+	return ""
+}
+
 // sessionID extracts (or assigns) the session cookie. Fresh IDs come from
 // crypto/rand so concurrent first requests can never collide.
 func (f *Front) sessionID(w http.ResponseWriter, r *http.Request) string {
-	if c, err := r.Cookie("EBIDSESSION"); err == nil && c.Value != "" {
-		return c.Value
+	if id := SessionID(r.Header); id != "" {
+		return id
 	}
 	var buf [16]byte
 	rand.Read(buf[:]) // never fails (aborts the program instead) since Go 1.24
 	id := "http-" + hex.EncodeToString(buf[:])
-	http.SetCookie(w, &http.Cookie{Name: "EBIDSESSION", Value: id, Path: "/"})
+	http.SetCookie(w, &http.Cookie{Name: SessionCookie, Value: id, Path: "/"})
 	return id
-}
-
-// retryAfterSeconds renders a Retry-After hint, rounding up to the
-// HTTP-granularity whole second.
-func retryAfterSeconds(d time.Duration) int {
-	secs := int((d + time.Second - 1) / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	return secs
 }
 
 // serveOp dispatches /ebid/<Op>?arg=value... into the application.
@@ -357,13 +392,13 @@ func (f *Front) serveOp(w http.ResponseWriter, r *http.Request) {
 		// point about overloaded servers without admission control).
 		// Established sessions — anything already carrying a cookie —
 		// are always served.
-		if c, err := r.Cookie("EBIDSESSION"); err != nil || c.Value == "" {
+		if SessionID(r.Header) == "" {
 			f.shedded.Add(1)
 			after := f.ShedRetryAfter
 			if after <= 0 {
 				after = 2 * time.Second
 			}
-			w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(after)))
+			w.Header().Set("Retry-After", strconv.Itoa(cluster.RetryAfterSeconds(after)))
 			http.Error(w, "overloaded: new sessions are being shed, retry shortly",
 				http.StatusServiceUnavailable)
 			return
@@ -457,10 +492,22 @@ func (f *Front) serveOp(w http.ResponseWriter, r *http.Request) {
 		f.writeOpError(w, err)
 		return
 	}
-	_ = info
-	w.Header().Set("Content-Type", "text/html; charset=utf-8")
-	fmt.Fprintln(w, body)
+	// An explicit length and one write: the response is length-framed
+	// whatever its size, which is the framing the fleet router's forwarder
+	// relays on its fast path.
+	buf := bodyPool.Get().(*[]byte)
+	*buf = append(append((*buf)[:0], body...), '\n')
+	hdr := w.Header()
+	hdr["Content-Type"] = contentTypeHTML
+	hdr["Content-Length"] = []string{strconv.Itoa(len(*buf))}
+	_, _ = w.Write(*buf) // a failed write means the client left; nothing to report it to
+	bodyPool.Put(buf)
 }
+
+var (
+	contentTypeHTML = []string{"text/html; charset=utf-8"}
+	bodyPool        = sync.Pool{New: func() any { return new([]byte) }}
+)
 
 // failureKind classifies an invocation failure for the control plane's
 // failure signals, mirroring the categories of writeOpError.
@@ -489,7 +536,7 @@ func (f *Front) writeOpError(w http.ResponseWriter, err error) {
 	case errors.As(err, &ra):
 		// The paper's transparent-retry machinery: idempotent requests
 		// may simply be reissued after this interval.
-		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(ra.After)))
+		w.Header().Set("Retry-After", strconv.Itoa(cluster.RetryAfterSeconds(ra.After)))
 		http.Error(w, "component recovering: "+ra.Component, http.StatusServiceUnavailable)
 	case errors.Is(err, core.ErrKilled):
 		// The shepherd was killed by a microreboot: the component is

@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -751,5 +752,63 @@ func TestDegradeStallsOps(t *testing.T) {
 	}
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d, want 200", resp.StatusCode)
+	}
+}
+
+// TestSessionIDScanner: the shared cookie scanner reads what net/http's
+// own parser reads from a well-formed Cookie header, and allocates
+// nothing doing it.
+func TestSessionIDScanner(t *testing.T) {
+	for _, tc := range []struct {
+		lines []string
+		want  string
+	}{
+		{nil, ""},
+		{[]string{"EBIDSESSION=http-0123abcd"}, "http-0123abcd"},
+		{[]string{"theme=dark; EBIDSESSION=s1; lang=en"}, "s1"},
+		{[]string{"theme=dark;EBIDSESSION=s1"}, "s1"},
+		{[]string{"theme=dark", "  EBIDSESSION=s2  "}, "s2"},
+		{[]string{`EBIDSESSION="quoted"`}, "quoted"},
+		{[]string{"EBIDSESSION=first; EBIDSESSION=second"}, "first"},
+		{[]string{"XEBIDSESSION=no; EBIDSESSIONX=no"}, ""},
+		{[]string{"EBIDSESSION="}, ""},
+		{[]string{"EBIDSESSION"}, ""},
+	} {
+		h := http.Header{}
+		for _, l := range tc.lines {
+			h.Add("Cookie", l)
+		}
+		if got := SessionID(h); got != tc.want {
+			t.Errorf("SessionID(%q) = %q, want %q", tc.lines, got, tc.want)
+		}
+		std := ""
+		if c, err := (&http.Request{Header: h}).Cookie(SessionCookie); err == nil {
+			std = c.Value
+		}
+		if std != tc.want {
+			t.Errorf("net/http reads %q from %q; the scanner's %q is out of step with it", std, tc.lines, tc.want)
+		}
+	}
+	h := http.Header{"Cookie": {"theme=dark; EBIDSESSION=http-0123abcd"}}
+	if n := testing.AllocsPerRun(100, func() { _ = SessionID(h) }); n != 0 {
+		t.Errorf("SessionID allocates %.0f times", n)
+	}
+}
+
+// TestOpResponseIsLengthFramed: an operation's body goes out as before —
+// the rendered page and a newline — under an explicit Content-Length.
+func TestOpResponseIsLengthFramed(t *testing.T) {
+	f := newFront(t)
+	rec := httptest.NewRecorder()
+	f.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/ebid/ViewItem?item=7", nil))
+	body := rec.Body.String()
+	if rec.Code != http.StatusOK || !strings.HasSuffix(body, "\n") || strings.Count(body, "\n") != 1 {
+		t.Fatalf("ViewItem: %d %q", rec.Code, body)
+	}
+	if got, want := rec.Header().Get("Content-Length"), strconv.Itoa(len(body)); got != want {
+		t.Errorf("Content-Length = %q, want %q", got, want)
+	}
+	if got := rec.Header().Get("Content-Type"); got != "text/html; charset=utf-8" {
+		t.Errorf("Content-Type = %q", got)
 	}
 }
