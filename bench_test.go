@@ -588,8 +588,7 @@ func benchAppSessions(b *testing.B, n int) *ebid.App {
 // benchReadHeavyOp issues the i-th op of the read-dominated mix —
 // roughly the eBid browse/view traffic shape: item views dominate, with
 // user views, bid histories, and the session-backed AboutMe mixed in.
-// exec is app.Execute, or the batching lane's Do wrapping it.
-func benchReadHeavyOp(ctx context.Context, b *testing.B, exec func(context.Context, *core.Call) (string, error), sid string, args *ebid.OpArgs, i int) bool {
+func benchReadHeavyOp(ctx context.Context, b *testing.B, app *ebid.App, sid string, args *ebid.OpArgs, i int) bool {
 	*args = ebid.OpArgs{}
 	var op string
 	switch i % 8 {
@@ -606,7 +605,7 @@ func benchReadHeavyOp(ctx context.Context, b *testing.B, exec func(context.Conte
 		op = ebid.AboutMe
 	}
 	call := core.NewCall(op, sid, args, 0)
-	_, err := exec(ctx, call)
+	_, err := app.Execute(ctx, call)
 	call.Release()
 	if err != nil {
 		b.Error(err)
@@ -633,7 +632,7 @@ func BenchmarkInvokeOpsPerSecParallel(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if !benchReadHeavyOp(ctx, b, app.Execute, "bench-p0", args, i) {
+			if !benchReadHeavyOp(ctx, b, app, "bench-p0", args, i) {
 				return
 			}
 		}
@@ -653,57 +652,12 @@ func BenchmarkInvokeOpsPerSecParallel(b *testing.B) {
 			i := int(g * 251)
 			for pb.Next() {
 				i++
-				if !benchReadHeavyOp(ctx, b, app.Execute, sid, args, i) {
+				if !benchReadHeavyOp(ctx, b, app, sid, args, i) {
 					return
 				}
 			}
 		})
 		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "ops/s")
-	})
-	// The Herd pair measures the micro-batching lane under its design
-	// load: waves of simultaneous same-session arrivals (a flash crowd on
-	// one hot auction — bid-sniping traffic). Closed-loop RunParallel
-	// can't produce this shape: the scheduler time-multiplexes the
-	// goroutines, so same-shard requests almost never overlap. Each
-	// iteration here releases one wave of herdSize concurrent requests on
-	// a single session and waits for all of them; ReadHeavyHerd is the
-	// lane-off control, and the ops/s delta to ReadHeavyHerdBatched is
-	// the lock-combining win.
-	const herdSize = 32
-	herdWaves := func(b *testing.B, mkExec func(*ebid.App) func(context.Context, *core.Call) (string, error)) {
-		app := benchAppSessions(b, sessions)
-		exec := mkExec(app)
-		argSlots := make([]ebid.OpArgs, herdSize)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for wave := 0; wave < b.N; wave++ {
-			var wg sync.WaitGroup
-			wg.Add(herdSize)
-			for k := 0; k < herdSize; k++ {
-				go func(k int) {
-					defer wg.Done()
-					benchReadHeavyOp(ctx, b, exec, "bench-p0", &argSlots[k], wave*herdSize+k)
-				}(k)
-			}
-			wg.Wait()
-		}
-		b.ReportMetric(float64(b.N*herdSize)/b.Elapsed().Seconds(), "ops/s")
-	}
-	b.Run("ReadHeavyHerd", func(b *testing.B) {
-		herdWaves(b, func(app *ebid.App) func(context.Context, *core.Call) (string, error) {
-			return app.Execute
-		})
-	})
-	b.Run("ReadHeavyHerdBatched", func(b *testing.B) {
-		var lane *workload.Batcher
-		herdWaves(b, func(app *ebid.App) func(context.Context, *core.Call) (string, error) {
-			lane = workload.NewBatcher(app.Execute, 8)
-			return lane.Do
-		})
-		direct, batched, bypassed := lane.Stats()
-		if total := direct + batched + bypassed; total > 0 {
-			b.ReportMetric(float64(batched)/float64(total), "batched-frac")
-		}
 	})
 	b.Run("Mixed90", func(b *testing.B) {
 		app := benchAppSessions(b, sessions)
@@ -719,7 +673,7 @@ func BenchmarkInvokeOpsPerSecParallel(b *testing.B) {
 			for pb.Next() {
 				i++
 				if i%10 != 9 {
-					if !benchReadHeavyOp(ctx, b, app.Execute, sid, args, i) {
+					if !benchReadHeavyOp(ctx, b, app, sid, args, i) {
 						return
 					}
 					continue
@@ -795,17 +749,4 @@ func BenchmarkStoreTxCommit(b *testing.B) {
 			}
 		})
 	})
-}
-
-// BenchmarkFigureFleet_Routing regenerates the fleet routing comparison
-// (round-robin collapse vs shedding + least-loaded) and reports the p99
-// gap as the domain metric.
-func BenchmarkFigureFleet_Routing(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		r := experiments.FigureFleet(benchOpts)
-		b.ReportMetric(float64(r.RoundRobin.P99.Milliseconds()), "rr-p99-ms")
-		b.ReportMetric(float64(r.Routed.P99.Milliseconds()), "routed-p99-ms")
-		b.ReportMetric(float64(r.Routed.Shed), "shed")
-	}
 }

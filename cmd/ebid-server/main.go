@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	ebid-server [-addr :8080] [-store fasts|ssm|ssm-cluster] [-shards S] [-replicas N] [-write-quorum W] [-users N] [-items N] [-wal file] [-reap-interval D] [-autoscale] [-autoscale-min N] [-autoscale-max N] [-autoscale-high X] [-autoscale-low X] [-shed-watermark N] [-detect-sample N] [-batch-lane] [-batch-k K]
+//	ebid-server [-addr :8080] [-store fasts|ssm|ssm-cluster] [-shards S] [-replicas N] [-write-quorum W] [-users N] [-items N] [-wal file] [-reap-interval D] [-autoscale] [-autoscale-min N] [-autoscale-max N] [-autoscale-high X] [-autoscale-low X] [-shed-watermark N] [-detect-sample N]
 //
 // Try it:
 //
@@ -61,7 +61,6 @@ import (
 	"repro/internal/httpfront"
 	"repro/internal/store/db"
 	"repro/internal/store/session"
-	"repro/internal/workload"
 )
 
 // Exit codes of the drain contract.
@@ -100,10 +99,6 @@ func main() {
 		"admission control: shed session-starting requests with 503 + Retry-After while more than this many requests are in flight (0 disables)")
 	detectSample := flag.Int64("detect-sample", 0,
 		"comparison detector: replay 1 in N idempotent operations against a known-good shadow instance and publish discrepancies (0 disables)")
-	batchLane := flag.Bool("batch-lane", false,
-		"micro-batching lane: coalesce concurrently-arriving read-only operations per session shard into one back-to-back store pass")
-	batchK := flag.Int("batch-k", 8,
-		"batch lane: max parked requests per session shard (bounds added latency)")
 	flag.Parse()
 
 	// Crash-safe startup against the WAL: an existing non-empty log file
@@ -217,10 +212,6 @@ func main() {
 	front.ShedWatermark = *shedWatermark
 	if *shedWatermark > 0 {
 		log.Printf("admission control: shedding new sessions past %d in-flight requests", *shedWatermark)
-	}
-	if *batchLane {
-		front.Batch = workload.NewBatcher(app.Execute, *batchK)
-		log.Printf("batch lane: coalescing read-only ops, up to %d parked per session shard", *batchK)
 	}
 
 	// The control plane: every request's latency and failure feed its

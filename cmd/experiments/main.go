@@ -15,8 +15,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"os/exec"
-	"path/filepath"
 	"strings"
 	"time"
 
@@ -27,16 +25,13 @@ import (
 func main() {
 	quick := flag.Bool("quick", false, "run shortened experiments (seconds instead of minutes)")
 	seed := flag.Int64("seed", 42, "simulation seed")
-	only := flag.String("only", "", "comma-separated experiment ids (default: all)")
+	only := flag.String("only", "", "comma-separated experiment ids (default: all; -list shows them)")
 	clusterStore := flag.String("cluster-store", "fasts",
 		"session store shared by the cluster experiments (figures 3/4, section61): fasts or ssm-cluster")
 	list := flag.Bool("list", false, "list experiment ids and discovered scenario specs, then exit")
 	scenarioPath := flag.String("scenario", "", "run scenario spec(s): a .toml file or a directory of them")
 	matrix := flag.Bool("matrix", false, "also run the builtin fault × store × routing scenario matrix")
 	matrixOut := flag.String("matrix-out", "", "write the campaign pass/fail matrix as JSON to this file")
-	fleetExec := flag.Bool("fleet-exec", false,
-		"run the fleet routing experiment over real ebid-server OS processes behind the reverse proxy, then exit")
-	fleetBin := flag.String("fleet-bin", "", "ebid-server binary for -fleet-exec (default: look beside this binary, PATH, then go build)")
 	flag.Parse()
 	switch *clusterStore {
 	case "fasts", "ssm", "ssm-cluster":
@@ -60,17 +55,13 @@ func main() {
 		listAll()
 		return
 	}
-	if *fleetExec {
-		os.Exit(runFleetExec(o, *fleetBin))
-	}
 	if *scenarioPath != "" || *matrix {
 		os.Exit(runScenarios(o, *scenarioPath, *matrix, *matrixOut))
 	}
-	want := map[string]bool{}
-	if *only != "" {
-		for _, id := range strings.Split(*only, ",") {
-			want[strings.ToLower(strings.TrimSpace(id))] = true
-		}
+	want, err := parseOnly(*only)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
 	}
 	run := func(id string) bool { return len(want) == 0 || want[id] }
 
@@ -133,26 +124,6 @@ func main() {
 		section("Ablation (extension): sentinel-to-crash delay")
 		fmt.Println(experiments.AblationDelay(o, ""))
 	}
-	if run("brickcrash") {
-		section("Brick crash (extension): SSM brick cluster under load")
-		fmt.Println(experiments.FigureBrickCrash(o))
-	}
-	if run("elastic") {
-		section("Elastic ring (extension): shard add/remove under load")
-		fmt.Println(experiments.FigureElastic(o))
-	}
-	if run("autoscale") {
-		section("Autoscale (extension): control-plane-driven resize under load")
-		fmt.Println(experiments.FigureAutoscale(o))
-	}
-	if run("brickslow") {
-		section("Brick slow (extension): fail-stutter latency with/without slow-replica routing")
-		fmt.Println(experiments.FigureBrickSlow(o))
-	}
-	if run("fleet") {
-		section("Fleet routing (extension): shedding + least-loaded vs static round-robin")
-		fmt.Println(experiments.FigureFleet(o))
-	}
 	if run("section61") {
 		section("Section 6.1")
 		if fig1 == nil {
@@ -165,6 +136,46 @@ func main() {
 	}
 
 	fmt.Fprintf(os.Stderr, "all experiments completed in %v\n", time.Since(start).Round(time.Millisecond))
+}
+
+// movedToScenarios names the scenario spec that replaced each extension
+// experiment -only used to accept.
+var movedToScenarios = map[string]string{
+	"brickcrash": "scenarios/brickcrash.toml",
+	"elastic":    "scenarios/elastic.toml",
+	"autoscale":  "scenarios/autoscale.toml",
+	"brickslow":  "scenarios/brickslow.toml",
+	"fleet":      "scenarios/fleet.toml (control arm: scenarios/fleet-roundrobin.toml)",
+}
+
+// parseOnly turns a -only list into the set of experiment ids to run
+// (empty: all). table4 is accepted as an alias of figure4, which prints
+// it. Any other id outside the catalog is an error that names the valid
+// ids and, for an extension experiment that became a scenario spec, the
+// -scenario run that replaces it.
+func parseOnly(list string) (map[string]bool, error) {
+	want := map[string]bool{}
+	known := map[string]bool{"table4": true}
+	var ids []string
+	for _, e := range experiments.Catalog() {
+		known[e.ID] = true
+		ids = append(ids, e.ID)
+	}
+	for _, id := range strings.Split(list, ",") {
+		id = strings.ToLower(strings.TrimSpace(id))
+		switch {
+		case id == "":
+		case known[id]:
+			want[id] = true
+		case movedToScenarios[id] != "":
+			return nil, fmt.Errorf("-only %s: now a scenario spec, run -scenario %s (experiment ids: %s)",
+				id, movedToScenarios[id], strings.Join(ids, ","))
+		default:
+			return nil, fmt.Errorf("-only: unknown experiment id %q (experiment ids: %s)",
+				id, strings.Join(ids, ","))
+		}
+	}
+	return want, nil
 }
 
 func section(title string) {
@@ -250,66 +261,4 @@ func runScenarios(o experiments.Options, path string, matrix bool, out string) i
 		return 1
 	}
 	return 0
-}
-
-// runFleetExec resolves an ebid-server binary and runs the routing
-// experiment over real OS processes.
-func runFleetExec(o experiments.Options, bin string) int {
-	resolved, cleanup, err := resolveServerBin(bin)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
-	}
-	defer cleanup()
-	section("Fleet routing (OS processes)")
-	res, err := experiments.FigureFleetExec(o, resolved)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "fleet-exec:", err)
-		return 1
-	}
-	fmt.Println(res)
-	if res.RoundRobin.Estab5xx+res.Routed.Estab5xx > 0 {
-		fmt.Fprintf(os.Stderr, "fleet-exec: %d established sessions saw 5xx\n",
-			res.RoundRobin.Estab5xx+res.Routed.Estab5xx)
-		return 1
-	}
-	if res.Routed.LostSessions > 0 {
-		fmt.Fprintf(os.Stderr, "fleet-exec: %d sessions lost\n", res.Routed.LostSessions)
-		return 1
-	}
-	return 0
-}
-
-// resolveServerBin finds (or builds) the ebid-server binary: the
-// explicit path, a sibling of this executable, PATH, then go build into
-// a temp dir (cleaned up by the returned func).
-func resolveServerBin(explicit string) (string, func(), error) {
-	nop := func() {}
-	if explicit != "" {
-		if _, err := os.Stat(explicit); err != nil {
-			return "", nop, fmt.Errorf("-fleet-bin %s: %w", explicit, err)
-		}
-		return explicit, nop, nil
-	}
-	if self, err := os.Executable(); err == nil {
-		cand := filepath.Join(filepath.Dir(self), "ebid-server")
-		if _, err := os.Stat(cand); err == nil {
-			return cand, nop, nil
-		}
-	}
-	if p, err := exec.LookPath("ebid-server"); err == nil {
-		return p, nop, nil
-	}
-	dir, err := os.MkdirTemp("", "fleet-bin-")
-	if err != nil {
-		return "", nop, err
-	}
-	out := filepath.Join(dir, "ebid-server")
-	cmd := exec.Command("go", "build", "-o", out, "repro/cmd/ebid-server")
-	cmd.Stderr = os.Stderr
-	if err := cmd.Run(); err != nil {
-		os.RemoveAll(dir)
-		return "", nop, fmt.Errorf("building ebid-server: %w (pass -fleet-bin)", err)
-	}
-	return out, func() { os.RemoveAll(dir) }, nil
 }

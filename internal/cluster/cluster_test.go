@@ -138,6 +138,35 @@ func TestProcessRestartLosesFastSSessions(t *testing.T) {
 	}
 }
 
+// TestProcessRestartResetsInAdmissionOrder: a process-scope reboot fails
+// every in-service request, and must do so in the order the node
+// admitted them — completions feed the emulator and the kernel's random
+// stream, so any other order makes a seeded run irreproducible.
+func TestProcessRestartResetsInAdmissionOrder(t *testing.T) {
+	const inFlight = 32
+	k := sim.NewKernel(3)
+	n := newTestNode(t, k, NodeConfig{Name: "n0", Workers: inFlight})
+	var order []int
+	for i := 0; i < inFlight; i++ {
+		n.Submit(&workload.Request{ClientID: i, Op: ebid.OpHome,
+			Complete: func(workload.Response) { order = append(order, i) }})
+	}
+	if n.Busy() != inFlight {
+		t.Fatalf("busy = %d, want %d requests in service", n.Busy(), inFlight)
+	}
+	if _, err := n.RebootScope(core.ScopeProcess); err != nil {
+		t.Fatal(err)
+	}
+	if len(order) != inFlight {
+		t.Fatalf("reset completed %d requests, want %d", len(order), inFlight)
+	}
+	for i, id := range order {
+		if id != i {
+			t.Fatalf("reset order %v, want admission order 0..%d", order, inFlight-1)
+		}
+	}
+}
+
 func TestRetry503MasksMicroreboot(t *testing.T) {
 	count := func(retry bool) (failed int64, retried int64) {
 		k := sim.NewKernel(4)

@@ -20,6 +20,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sort"
 	"time"
 
 	"repro/internal/core"
@@ -105,6 +106,9 @@ type pending struct {
 	// ttlTimer purges the request when its lease expires.
 	ttlTimer *sim.Timer
 	done     bool
+	// admitted is the node's admission sequence number for the request's
+	// current service, so resets walk in-flight requests in a fixed order.
+	admitted uint64
 }
 
 // Node is one application-server process.
@@ -122,6 +126,9 @@ type Node struct {
 	busy    int
 	down    bool
 	serving map[*core.Call]*pending
+	// admissions counts requests handed to a worker (stamps
+	// pending.admitted).
+	admissions uint64
 
 	// recovering tracks components currently mid-µRB (for diagnostics).
 	recovering map[string]bool
@@ -233,6 +240,8 @@ func (n *Node) start(p *pending) {
 	}
 	p.call = call
 	p.req.Call = call
+	n.admissions++
+	p.admitted = n.admissions
 	n.serving[call] = p
 
 	// The node runs on the discrete-event kernel, so the invocation
@@ -450,11 +459,16 @@ func (n *Node) RebootScope(scope core.Scope) (*core.Reboot, error) {
 	return rb, nil
 }
 
+// servingSnapshot returns the requests in service in admission order:
+// whatever a reset does to them (fail them, fire their completions) must
+// not depend on map iteration order, or the simulation stops being
+// reproducible.
 func (n *Node) servingSnapshot() []*pending {
 	out := make([]*pending, 0, len(n.serving))
 	for _, p := range n.serving {
 		out = append(out, p)
 	}
+	sort.Slice(out, func(i, j int) bool { return out[i].admitted < out[j].admitted })
 	return out
 }
 

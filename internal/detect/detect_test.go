@@ -143,29 +143,3 @@ func TestSamplerStrideAndEligibility(t *testing.T) {
 		t.Fatalf("OnDiscrepancy = %v", flagged)
 	}
 }
-
-func TestSampledFrontendObservesCompletions(t *testing.T) {
-	good := newGoodApp(t)
-	s := &Sampler{Comp: &Comparison{Good: good}, Every: 1}
-	var completed int
-	fe := &SampledFrontend{Inner: frontendFunc(func(req *workload.Request) {
-		// A stand-in node: fill in the call and complete with the
-		// known-good body, as the real node does.
-		req.Call = &core.Call{Op: req.Op, Args: req.Args}
-		body, err := good.Execute(context.Background(), &core.Call{Op: req.Op, Args: req.Args})
-		req.Complete(workload.Response{Body: body, Err: err})
-	}), S: s}
-
-	fe.Submit(&workload.Request{Op: ebid.ViewItem, Args: core.ArgMap{"item": int64(5)},
-		Complete: func(workload.Response) { completed++ }})
-	if completed != 1 {
-		t.Fatal("inner completion not delivered")
-	}
-	if seen, checked, flagged := s.Stats(); seen != 1 || checked != 1 || flagged != 0 {
-		t.Fatalf("sampler missed the live completion: %d/%d/%d", seen, checked, flagged)
-	}
-}
-
-type frontendFunc func(*workload.Request)
-
-func (f frontendFunc) Submit(req *workload.Request) { f(req) }

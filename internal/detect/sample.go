@@ -71,23 +71,3 @@ func (s *Sampler) Observe(call *core.Call, resp workload.Response) {
 func (s *Sampler) Stats() (seen, checked, flagged int64) {
 	return s.seen.Load(), s.checked.Load(), s.flagged.Load()
 }
-
-// SampledFrontend interposes the sampler on a frontend, so an emulated
-// client population's live traffic is what gets sampled. The node fills
-// in Request.Call, which carries the arguments the replay needs.
-type SampledFrontend struct {
-	Inner workload.Frontend
-	S     *Sampler
-}
-
-// Submit implements workload.Frontend.
-func (f *SampledFrontend) Submit(req *workload.Request) {
-	inner := req.Complete
-	req.Complete = func(resp workload.Response) {
-		f.S.Observe(req.Call, resp)
-		if inner != nil {
-			inner(resp)
-		}
-	}
-	f.Inner.Submit(req)
-}

@@ -23,11 +23,6 @@ func Catalog() []CatalogEntry {
 		{"figure5", "recovery cost vs cluster size; amortized engineering cost"},
 		{"figure6", "proactive rolling rejuvenation vs reactive recovery"},
 		{"ablation", "extension: sentinel-to-crash detection delay sweep"},
-		{"brickcrash", "extension: SSM brick crash under load, zero lost sessions"},
-		{"elastic", "extension: elastic ring shard add/remove under load"},
-		{"autoscale", "extension: control-plane autoscaler resizes the ring under a surge"},
-		{"brickslow", "extension: fail-stutter brick with/without slow-replica routing"},
-		{"fleet", "extension: shedding + least-loaded routing vs static round-robin"},
 		{"section61", "section 6.1 cost/benefit arithmetic from measured results"},
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/ebid"
 	"repro/internal/faults"
+	"repro/internal/workload"
 )
 
 // ---------------------------------------------------------------- Figure 3
@@ -62,24 +63,52 @@ func Figure3(o Options) *Figure3Result {
 }
 
 func runFigure3(o Options, nNodes int, useRestart bool) (failed int64, sessionsFailedOver int, total int64) {
-	ce := newClusterEnv(o, nNodes, o.clients(500), o.clusterKind())
-	ce.fleetPlane(controlplane.FleetConfig{})
-	ce.emulator.Start()
+	h := newClusterHarness(o, nNodes, cluster.NodeConfig{})
+	em := h.NewEmulator(nNodes*o.clients(500), 0, workload.Config{})
+	em.Start()
 	warm := o.scale(3 * time.Minute)
-	ce.kernel.RunFor(warm)
+	h.Kernel.RunFor(warm)
 
-	bad := ce.nodes[0]
-	// Inject the µRB-curable fault and recover with failover.
-	if _, err := ce.injectors[0].Inject(faults.Spec{
+	failOverNode0(h, useRestart)
+
+	h.Kernel.RunFor(o.scale(10*time.Minute) - warm - 2*time.Second)
+	em.Stop()
+	em.FlushActions()
+	h.Kernel.RunFor(30 * time.Second)
+	return h.Recorder.BadOps(), h.LB.SessionsFailedOver(),
+		h.Recorder.GoodOps() + h.Recorder.BadOps()
+}
+
+// newClusterHarness builds the cluster Figures 3/4 and Section 6.1 run
+// on: nNodes sharing one database and the o.ClusterStore session store
+// behind a load balancer.
+func newClusterHarness(o Options, nNodes int, node cluster.NodeConfig) *Harness {
+	h, err := NewHarness(o, HarnessConfig{Nodes: nNodes, Store: o.ClusterStore, Node: node})
+	if err != nil {
+		panic("experiments: " + err.Error())
+	}
+	return h
+}
+
+// failOverNode0 is the failover sequence of Figures 3 and 4: inject the
+// µRB-curable fault into node0, allow 2 s of detection latency, then
+// recover node0 by microreboot or process restart while a control-plane
+// fleet controller drains its traffic — experiments publish node-recovery
+// signals, exactly as a recovery manager bound via
+// controlplane.BindRecoveryLifecycle would, instead of flipping the
+// balancer directly.
+func failOverNode0(h *Harness, useRestart bool) {
+	bad := h.Nodes[0]
+	if _, err := h.Injectors[0].Inject(faults.Spec{
 		Kind: faults.TransientException, Component: ebid.BrowseCategories,
 	}); err != nil {
 		panic(err)
 	}
-	// Detection latency before RM notices and announces recovery on the
-	// bus; the fleet controller drains the node's traffic.
-	ce.kernel.RunFor(2 * time.Second)
-	ce.lb.ResetFailoverStats()
-	ce.plane.ReportNodeRecovery(bad.Name, true)
+	h.Kernel.RunFor(2 * time.Second)
+	h.LB.ResetFailoverStats() // Figure 3 counts sessions failed over from here
+	plane := controlplane.New(controlplane.Config{Clock: h.Kernel.Now, Fleet: h.LB})
+	plane.Use(controlplane.NewFleetController(h.LB, controlplane.FleetConfig{}))
+	plane.ReportNodeRecovery(bad.Name, true)
 	var rb *core.Reboot
 	var err error
 	if useRestart {
@@ -90,14 +119,7 @@ func runFigure3(o Options, nNodes int, useRestart bool) (failed int64, sessionsF
 	if err != nil {
 		panic(err)
 	}
-	ce.kernel.Schedule(rb.Duration(), func() { ce.plane.ReportNodeRecovery(bad.Name, false) })
-
-	ce.kernel.RunFor(o.scale(10*time.Minute) - warm - 2*time.Second)
-	ce.emulator.Stop()
-	ce.emulator.FlushActions()
-	ce.kernel.RunFor(30 * time.Second)
-	return ce.recorder.BadOps(), ce.lb.SessionsFailedOver(),
-		ce.recorder.GoodOps() + ce.recorder.BadOps()
+	h.Kernel.Schedule(rb.Duration(), func() { plane.ReportNodeRecovery(bad.Name, false) })
 }
 
 // String renders the failover table.
@@ -169,46 +191,28 @@ func runFigure4(o Options, nNodes int, useRestart bool) (peak time.Duration, ove
 	// pools are sized so per-node capacity sits just above the doubled
 	// per-node load — the regime the paper's un-admission-controlled
 	// servers operate in.
-	ce := newClusterEnvCfg(o, nNodes, 1000, o.clusterKind(), cluster.NodeConfig{Workers: 4, CongestionScale: 400})
-	ce.fleetPlane(controlplane.FleetConfig{})
-	ce.emulator.Start()
+	h := newClusterHarness(o, nNodes, cluster.NodeConfig{Workers: 4, CongestionScale: 400})
+	em := h.NewEmulator(nNodes*1000, 0, workload.Config{})
+	em.Start()
 	// Let the system stabilize at the higher load before injecting
 	// (the paper extends the run to 13 minutes for this reason).
 	warm := o.scale(5 * time.Minute)
-	ce.kernel.RunFor(warm)
+	h.Kernel.RunFor(warm)
 
-	bad := ce.nodes[0]
-	if _, err := ce.injectors[0].Inject(faults.Spec{
-		Kind: faults.TransientException, Component: ebid.BrowseCategories,
-	}); err != nil {
-		panic(err)
-	}
-	ce.kernel.RunFor(2 * time.Second)
-	ce.plane.ReportNodeRecovery(bad.Name, true)
-	var rb *core.Reboot
-	var err error
-	if useRestart {
-		rb, err = bad.RebootScope(core.ScopeProcess)
-	} else {
-		rb, err = bad.Microreboot(ebid.BrowseCategories)
-	}
-	if err != nil {
-		panic(err)
-	}
-	ce.kernel.Schedule(rb.Duration(), func() { ce.plane.ReportNodeRecovery(bad.Name, false) })
+	failOverNode0(h, useRestart)
 
-	ce.kernel.RunFor(o.scale(13*time.Minute) - warm - 2*time.Second)
-	ce.emulator.Stop()
-	ce.emulator.FlushActions()
-	ce.kernel.RunFor(time.Minute)
+	h.Kernel.RunFor(o.scale(13*time.Minute) - warm - 2*time.Second)
+	em.Stop()
+	em.FlushActions()
+	h.Kernel.RunFor(time.Minute)
 
-	series = ce.recorder.MeanLatencySeries()
+	series = h.Recorder.MeanLatencySeries()
 	for _, d := range series {
 		if d > peak {
 			peak = d
 		}
 	}
-	return peak, ce.recorder.OverThreshold(), series
+	return peak, h.Recorder.OverThreshold(), series
 }
 
 // String renders the doubled-load summary.
@@ -259,23 +263,24 @@ func Section61(o Options, fig1 *Figure1Result, fig3 *Figure3Result) *Section61Re
 	// µRB without failover: same setup as Figure 3 but LB keeps routing
 	// to the recovering node, which serves everything except the
 	// µRB-affected component.
-	ce := newClusterEnv(o, 2, o.clients(500), o.clusterKind())
-	ce.lb.Failover = false
-	ce.emulator.Start()
-	ce.kernel.RunFor(o.scale(3 * time.Minute))
-	if _, err := ce.injectors[0].Inject(faults.Spec{
+	h := newClusterHarness(o, 2, cluster.NodeConfig{})
+	h.LB.Failover = false
+	em := h.NewEmulator(2*o.clients(500), 0, workload.Config{})
+	em.Start()
+	h.Kernel.RunFor(o.scale(3 * time.Minute))
+	if _, err := h.Injectors[0].Inject(faults.Spec{
 		Kind: faults.TransientException, Component: ebid.BrowseCategories,
 	}); err != nil {
 		panic(err)
 	}
-	ce.kernel.RunFor(2 * time.Second)
-	if _, err := ce.nodes[0].Microreboot(ebid.BrowseCategories); err != nil {
+	h.Kernel.RunFor(2 * time.Second)
+	if _, err := h.Nodes[0].Microreboot(ebid.BrowseCategories); err != nil {
 		panic(err)
 	}
-	ce.kernel.RunFor(o.scale(7 * time.Minute))
-	ce.emulator.Stop()
-	ce.emulator.FlushActions()
-	res.NoFailoverMicroFailed = ce.recorder.BadOps()
+	h.Kernel.RunFor(o.scale(7 * time.Minute))
+	em.Stop()
+	em.FlushActions()
+	res.NoFailoverMicroFailed = h.Recorder.BadOps()
 	if len(fig3.Rows) > 0 {
 		res.FailoverMicroFailed = fig3.Rows[0].MicroFailed
 	}

@@ -4,17 +4,21 @@
 // whose String method prints the same rows/series the paper reports.
 //
 // Absolute numbers are produced by the calibrated simulator, not the
-// authors' 2004 testbed; EXPERIMENTS.md records paper-vs-measured values
-// and verifies that the shape of every result (who wins, by what factor,
-// where crossovers fall) is preserved.
+// authors' 2004 testbed; each result prints the paper's value beside the
+// measured one, and the tests in this package check that the shape of
+// every result (who wins, by what factor, where crossovers fall) is
+// preserved.
+//
+// The repo's extensions beyond the paper (brick crash, elastic ring,
+// autoscaler, fail-stutter brick, fleet routing) are scenario specs under
+// scenarios/, run by internal/scenario on the same Harness that Figures 3
+// and 4 and Section 6.1 use.
 package experiments
 
 import (
-	"strconv"
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/controlplane"
 	"repro/internal/ebid"
 	"repro/internal/faults"
 	"repro/internal/metrics"
@@ -35,25 +39,11 @@ type Options struct {
 	SeedSet bool
 	// ClusterStore selects the session store the multi-node cluster
 	// experiments (Figures 3/4, Section 6.1) share across nodes: "fasts"
-	// (default, node-local state — the paper's main configuration) or
-	// "ssm-cluster" (a cross-node SSM brick cluster, the paper's §6.1
-	// variant whose session state survives node restarts).
+	// (default, node-local state — the paper's main configuration), "ssm"
+	// (one shared SSM) or "ssm-cluster" (a cross-node SSM brick cluster,
+	// the paper's §6.1 variant whose session state survives node
+	// restarts). It is passed to NewHarness as HarnessConfig.Store.
 	ClusterStore string
-}
-
-// clusterKind maps ClusterStore onto the experiment store kind. Unknown
-// names panic rather than silently measuring the wrong configuration.
-func (o Options) clusterKind() storeKind {
-	switch o.ClusterStore {
-	case "ssm-cluster":
-		return useSharedCluster
-	case "ssm":
-		return useSSM
-	case "", "fasts":
-		return useFastS
-	default:
-		panic("experiments: unknown ClusterStore " + strconv.Quote(o.ClusterStore))
-	}
 }
 
 func (o Options) seed() int64 {
@@ -102,45 +92,22 @@ type env struct {
 	recorder *metrics.Recorder
 	emulator *workload.Emulator
 	injector *faults.Injector
-	// bricks is non-nil when the store is the SSM brick cluster.
-	bricks *session.SSMCluster
 }
 
-// storeKind selects the session store.
+// storeKind selects the single-node environment's session store.
 type storeKind int
 
 const (
 	useFastS storeKind = iota
 	useSSM
-	useSSMCluster
-	// useSharedCluster gives every node of a multi-node environment the
-	// same SSM brick cluster, so session state survives node restarts
-	// and failover loses nothing.
-	useSharedCluster
 )
-
-// newBrickCluster builds the standard 4×3 W=2 experiment brick cluster
-// on the kernel's clock.
-func newBrickCluster(k *sim.Kernel) *session.SSMCluster {
-	cl, err := session.NewSSMCluster(session.ClusterConfig{
-		Shards: 4, Replicas: 3, WriteQuorum: 2, Now: k.Now, LeaseTTL: time.Hour,
-	})
-	if err != nil {
-		panic("experiments: cluster store: " + err.Error())
-	}
-	return cl
-}
 
 // newStore builds the session store for a kind on the kernel's clock.
 func newStore(k *sim.Kernel, kind storeKind) session.Store {
-	switch kind {
-	case useSSM:
+	if kind == useSSM {
 		return session.NewSSM(k.Now, time.Hour)
-	case useSSMCluster, useSharedCluster:
-		return newBrickCluster(k)
-	default:
-		return session.NewFastS()
 	}
+	return session.NewFastS()
 }
 
 func experimentDataset(o Options) ebid.DatasetConfig {
@@ -177,7 +144,7 @@ func newEnv(o Options, clients int, kind storeKind, nodeCfg cluster.NodeConfig) 
 		Categories: int64(ds.Categories),
 		Regions:    int64(ds.Regions),
 	})
-	e := &env{
+	return &env{
 		kernel:   k,
 		db:       d,
 		store:    store,
@@ -186,140 +153,4 @@ func newEnv(o Options, clients int, kind storeKind, nodeCfg cluster.NodeConfig) 
 		emulator: em,
 		injector: faults.NewInjector(n.Server(), d, store),
 	}
-	if cl, ok := store.(*session.SSMCluster); ok {
-		e.bricks = cl
-	}
-	return e
-}
-
-// clusterEnv is a multi-node environment sharing one database (and one
-// SSM when requested), with a load balancer in front.
-type clusterEnv struct {
-	kernel   *sim.Kernel
-	db       *db.DB
-	nodes    []*cluster.Node
-	lb       *cluster.LoadBalancer
-	recorder *metrics.Recorder
-	emulator *workload.Emulator
-	// injectors, one per node.
-	injectors []*faults.Injector
-	sharedSSM *session.SSM
-	// bricks is the cross-node brick cluster shared by every node when
-	// the environment was built with useSharedCluster.
-	bricks *session.SSMCluster
-	// plane/fleet are set by fleetPlane: the control plane owning the
-	// balancer's drain state.
-	plane *controlplane.Plane
-	fleet *controlplane.FleetController
-}
-
-func newClusterEnv(o Options, nNodes, clientsPerNode int, kind storeKind) *clusterEnv {
-	return newClusterEnvCfg(o, nNodes, clientsPerNode, kind, cluster.NodeConfig{})
-}
-
-func newClusterEnvCfg(o Options, nNodes, clientsPerNode int, kind storeKind, nodeCfg cluster.NodeConfig) *clusterEnv {
-	return newClusterEnvFull(o, nNodes, clientsPerNode, kind, nodeCfg, nil, nil)
-}
-
-// newClusterEnvFull is newClusterEnvCfg plus an optional brick-cluster
-// builder, so experiments that need a non-standard ring geometry (the
-// autoscaler figure starts small, with a short lease TTL) can supply
-// their own shared cluster, and an optional per-node config hook for
-// heterogeneous fleets (the fleet figure degrades one node's worker
-// pool).
-func newClusterEnvFull(o Options, nNodes, clientsPerNode int, kind storeKind, nodeCfg cluster.NodeConfig, bricks func(*sim.Kernel) *session.SSMCluster, perNode func(i int, cfg *cluster.NodeConfig)) *clusterEnv {
-	k := sim.NewKernel(o.seed())
-	d := db.New(nil)
-	ds := experimentDataset(o)
-	if err := ebid.LoadDataset(d, ds); err != nil {
-		panic("experiments: dataset: " + err.Error())
-	}
-	ce := &clusterEnv{kernel: k, db: d}
-	switch kind {
-	case useSSM:
-		ce.sharedSSM = session.NewSSM(k.Now, time.Hour)
-	case useSharedCluster:
-		if bricks != nil {
-			ce.bricks = bricks(k)
-		} else {
-			ce.bricks = newBrickCluster(k)
-		}
-	}
-	for i := 0; i < nNodes; i++ {
-		var store session.Store
-		switch kind {
-		case useSSM:
-			store = ce.sharedSSM
-		case useSharedCluster:
-			store = ce.bricks
-		default:
-			store = session.NewFastS()
-		}
-		cfg := nodeCfg
-		cfg.Name = nodeName(i)
-		cfg.Dataset = ds
-		if perNode != nil {
-			perNode(i, &cfg)
-		}
-		n, err := cluster.NewNode(k, d, store, cfg)
-		if err != nil {
-			panic("experiments: node: " + err.Error())
-		}
-		ce.nodes = append(ce.nodes, n)
-		ce.injectors = append(ce.injectors, faults.NewInjector(n.Server(), d, store))
-	}
-	ce.lb = cluster.NewLoadBalancer(ce.nodes)
-	ce.recorder = metrics.NewRecorder(time.Second, 8*time.Second)
-	ce.emulator = workload.NewEmulator(k, ce.lb, ce.recorder, workload.Config{
-		Clients:    nNodes * clientsPerNode,
-		Users:      int64(ds.Users),
-		Items:      int64(ds.Items),
-		Categories: int64(ds.Categories),
-		Regions:    int64(ds.Regions),
-	})
-	return ce
-}
-
-func nodeName(i int) string {
-	return "node" + string(rune('0'+i))
-}
-
-// fleetPlane attaches a control plane whose FleetController owns the
-// balancer's drain state: experiments stop flipping the LB directly and
-// publish node-recovery signals instead, exactly as a recovery manager
-// bound via controlplane.BindRecoveryLifecycle would.
-func (ce *clusterEnv) fleetPlane(cfg controlplane.FleetConfig) *controlplane.Plane {
-	ce.plane = controlplane.New(controlplane.Config{Clock: ce.kernel.Now, Fleet: ce.lb})
-	ce.fleet = controlplane.NewFleetController(ce.lb, cfg)
-	ce.plane.Use(ce.fleet)
-	return ce.plane
-}
-
-// pumpEvery schedules fn as a recurring kernel event — the simulation
-// analog of a live server's background ticker goroutine.
-func pumpEvery(k *sim.Kernel, every time.Duration, fn func()) {
-	var tick func()
-	tick = func() {
-		fn()
-		k.Schedule(every, tick)
-	}
-	k.Schedule(every, tick)
-}
-
-// pumpMigration advances the brick cluster's migrator on a recurring
-// schedule; the step is a cheap no-op while no ring change is in flight.
-func pumpMigration(k *sim.Kernel, cl *session.SSMCluster, every time.Duration, batch int) {
-	pumpEvery(k, every, func() { cl.MigrateStep(batch) })
-}
-
-// pumpPlane runs one control-plane observe–decide–act round per period.
-func pumpPlane(k *sim.Kernel, plane *controlplane.Plane, every time.Duration) {
-	pumpEvery(k, every, plane.Tick)
-}
-
-// pumpReaper runs recurring lease GC on the brick cluster. Without it, a
-// load-watching controller would keep counting sessions whose leases
-// lapsed long ago.
-func pumpReaper(k *sim.Kernel, cl *session.SSMCluster, every time.Duration) {
-	pumpEvery(k, every, func() { cl.ReapExpired() })
 }

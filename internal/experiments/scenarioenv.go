@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"strconv"
 	"time"
 
 	"repro/internal/cluster"
@@ -15,11 +16,10 @@ import (
 	"repro/internal/workload"
 )
 
-// HarnessConfig describes the simulated environment an external driver —
-// chiefly the declarative scenario engine in internal/scenario — wants
-// built. It is the exported face of the same machinery the figures use
-// (newClusterEnvFull), with errors instead of panics so a bad spec fails
-// the scenario rather than the process.
+// HarnessConfig describes the multi-node simulated environment a driver
+// wants built: Figures 3/4 and Section 6.1 here, and the declarative
+// scenario engine in internal/scenario. Errors come back instead of
+// panics so a bad spec fails the scenario rather than the process.
 type HarnessConfig struct {
 	// Nodes is the application-server fleet size (default 1). Even a
 	// single node sits behind a LoadBalancer so routing policies, drains
@@ -42,8 +42,8 @@ type HarnessConfig struct {
 
 // Harness is a fully wired multi-node experiment environment: kernel,
 // database, session store, nodes behind a load balancer, a Taw recorder
-// and one fault injector per node. It is what scenario specs are
-// interpreted onto.
+// and one fault injector per node. Figures 3/4 and Section 6.1 run on
+// it, and it is what scenario specs are interpreted onto.
 type Harness struct {
 	Opts      Options
 	Kernel    *sim.Kernel
@@ -136,6 +136,8 @@ func NewHarness(o Options, cfg HarnessConfig) (*Harness, error) {
 	return h, nil
 }
 
+func nodeName(i int) string { return "node" + strconv.Itoa(i) }
+
 // NewEmulator builds a client population against the harness balancer,
 // with dataset cardinalities pre-filled. idOffset keeps session ids of
 // several populations (baseline + surges) distinct.
@@ -149,26 +151,37 @@ func (h *Harness) NewEmulator(clients, idOffset int, cfg workload.Config) *workl
 	return workload.NewEmulator(h.Kernel, h.LB, h.Recorder, cfg)
 }
 
-// PumpEvery schedules fn as a recurring kernel event.
-func (h *Harness) PumpEvery(every time.Duration, fn func()) { pumpEvery(h.Kernel, every, fn) }
-
-// PumpPlane runs one control-plane round per period.
-func (h *Harness) PumpPlane(plane *controlplane.Plane, every time.Duration) {
-	pumpPlane(h.Kernel, plane, every)
+// PumpEvery schedules fn as a recurring kernel event — the simulation
+// analog of a live server's background ticker goroutine.
+func (h *Harness) PumpEvery(every time.Duration, fn func()) {
+	var tick func()
+	tick = func() {
+		fn()
+		h.Kernel.Schedule(every, tick)
+	}
+	h.Kernel.Schedule(every, tick)
 }
 
-// PumpMigration advances the brick migrator on a recurring schedule (a
-// no-op harness without a brick cluster).
+// PumpPlane runs one control-plane observe–decide–act round per period.
+func (h *Harness) PumpPlane(plane *controlplane.Plane, every time.Duration) {
+	h.PumpEvery(every, plane.Tick)
+}
+
+// PumpMigration advances the brick migrator on a recurring schedule; a
+// step is a cheap no-op while no ring change is in flight (and the pump
+// is a no-op on a harness without a brick cluster).
 func (h *Harness) PumpMigration(every time.Duration, batch int) {
 	if h.Bricks != nil {
-		pumpMigration(h.Kernel, h.Bricks, every, batch)
+		h.PumpEvery(every, func() { h.Bricks.MigrateStep(batch) })
 	}
 }
 
-// PumpReaper runs recurring lease GC on the brick cluster.
+// PumpReaper runs recurring lease GC on the brick cluster. Without it, a
+// load-watching controller would keep counting sessions whose leases
+// lapsed long ago.
 func (h *Harness) PumpReaper(every time.Duration) {
 	if h.Bricks != nil {
-		pumpReaper(h.Kernel, h.Bricks, every)
+		h.PumpEvery(every, func() { h.Bricks.ReapExpired() })
 	}
 }
 

@@ -76,12 +76,7 @@ type Front struct {
 	// executing it — a deliberately slowed replica for exercising
 	// queue-aware routing against a degraded backend over real sockets.
 	Degrade time.Duration
-	// Batch, when set, routes idempotent read-only operations through
-	// the micro-batching lane: concurrently-arriving reads coalesce per
-	// session shard into one back-to-back store pass (opt-in via the
-	// -batch-lane server flag). Writes and non-idempotent ops bypass it.
-	Batch *workload.Batcher
-	start time.Time
+	start   time.Time
 
 	inflight atomic.Int64
 	shedded  atomic.Int64
@@ -173,24 +168,16 @@ func (f *Front) serveHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 // cacheStats snapshots the node's read-path caches: the store's row
-// cache, the body-intern cache, and (when the lane is on) batching-lane
-// traffic. Surfaced on both admin status endpoints so cache efficacy is
-// observable on a live fleet, not only in benches.
+// cache and the body-intern cache. Surfaced on both admin status
+// endpoints so cache efficacy is observable on a live fleet, not only in
+// benches.
 func (f *Front) cacheStats() map[string]any {
 	rh, rm, re := f.App.DB.RowCacheStats()
 	ih, im, ie := ebid.BodyInternStats()
-	out := map[string]any{
+	return map[string]any{
 		"row_cache":   map[string]any{"hits": rh, "misses": rm, "entries": re},
 		"body_intern": map[string]any{"hits": ih, "misses": im, "entries": ie},
 	}
-	if f.Batch != nil {
-		direct, batched, bypassed := f.Batch.Stats()
-		out["batch_lane"] = map[string]any{
-			"direct": direct, "batched": batched, "bypassed": bypassed,
-			"max_batch": f.Batch.MaxBatch,
-		}
-	}
-	return out
 }
 
 // serveFleet handles GET /admin/fleet/status: the front's own admission
@@ -378,8 +365,7 @@ func (f *Front) sessionID(w http.ResponseWriter, r *http.Request) string {
 // serveOp dispatches /ebid/<Op>?arg=value... into the application.
 func (f *Front) serveOp(w http.ResponseWriter, r *http.Request) {
 	op := strings.TrimPrefix(r.URL.Path, "/ebid/")
-	info, ok := ebid.Info(op)
-	if !ok {
+	if _, ok := ebid.Info(op); !ok {
 		http.Error(w, "unknown operation "+op, http.StatusNotFound)
 		return
 	}
@@ -470,14 +456,7 @@ func (f *Front) serveOp(w http.ResponseWriter, r *http.Request) {
 		case <-r.Context().Done():
 		}
 	}
-	var body string
-	var err error
-	if f.Batch != nil && info.Idempotent &&
-		(info.Category == ebid.CatReadOnlyDB || info.Category == ebid.CatStatic) {
-		body, err = f.Batch.Do(r.Context(), call)
-	} else {
-		body, err = f.App.Execute(r.Context(), call)
-	}
+	body, err := f.App.Execute(r.Context(), call)
 	// Measure before the sampled replay: the shadow execution is
 	// detector overhead, not part of this request's latency.
 	elapsed := time.Since(began)

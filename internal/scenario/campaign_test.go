@@ -42,9 +42,10 @@ func TestLoadDirShippedLibrary(t *testing.T) {
 	if negatives == 0 {
 		t.Fatal("library carries no negative-control (expect_fail) scenario")
 	}
-	for _, ported := range []string{"brickcrash", "elastic", "fleet"} {
+	// The extension experiments exist only as these specs.
+	for _, ported := range []string{"brickcrash", "elastic", "autoscale", "brickslow", "fleet", "fleet-roundrobin"} {
 		if !names[ported] {
-			t.Errorf("ported figure scenario %q missing from library", ported)
+			t.Errorf("extension experiment scenario %q missing from library", ported)
 		}
 	}
 }

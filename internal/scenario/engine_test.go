@@ -89,8 +89,9 @@ func TestNegativeControlScenarioFails(t *testing.T) {
 	}
 }
 
-// The three ported figure scenarios must reproduce their figures'
-// regression invariants when run through the scenario engine.
+// The extension experiments exist only as scenario specs; these tests
+// hold each spec to the invariants the experiment is about, beyond the
+// [assert] table the spec itself carries.
 
 func TestScenarioBrickCrashMatchesFigure(t *testing.T) {
 	out, err := Run(loadScenario(t, "brickcrash"), quick())
@@ -131,6 +132,46 @@ func TestScenarioElasticMatchesFigure(t *testing.T) {
 	if out.LostSessions != 0 || out.FailuresDelta != 0 {
 		t.Fatalf("resharding was not invisible: lost=%d Δfail=%d", out.LostSessions, out.FailuresDelta)
 	}
+	if out.Sessions == 0 {
+		t.Fatal("vacuous run: no live sessions on the ring")
+	}
+}
+
+func TestScenarioAutoscaleResizesInvisibly(t *testing.T) {
+	out, err := Run(loadScenario(t, "autoscale"), quick())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !out.Passed {
+		t.Fatalf("scenario failed:\n%s", out)
+	}
+	// Two shards, bounded to [2, 3]: ring version 3 is exactly one
+	// controller add followed by one controller remove.
+	if out.RingVersion != 3 || !out.Converged {
+		t.Fatalf("ring v%d converged=%t, want v3 converged", out.RingVersion, out.Converged)
+	}
+	if out.FailuresDelta != 0 {
+		t.Fatalf("autoscaling surfaced %d client-visible failures, want 0", out.FailuresDelta)
+	}
+	checkByName(t, out, "max_failures")
+}
+
+func TestScenarioBrickSlowHoldsTheTail(t *testing.T) {
+	out, err := Run(loadScenario(t, "brickslow"), quick())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !out.Passed {
+		t.Fatalf("scenario failed:\n%s", out)
+	}
+	// Fail-stutter, not fail-stop: nobody fails, and routing around the
+	// slow replica keeps the tail where a healthy ring has it.
+	if out.FailuresDelta != 0 {
+		t.Fatalf("slow brick surfaced %d client-visible failures, want 0", out.FailuresDelta)
+	}
+	if ch := checkByName(t, out, "max_p99"); !ch.OK {
+		t.Fatalf("p99 under a slow brick: %+v", ch)
+	}
 }
 
 func TestScenarioFleetMatchesFigure(t *testing.T) {
@@ -158,6 +199,17 @@ func TestScenarioFleetMatchesFigure(t *testing.T) {
 	}
 	if shed.LostSessions != 0 || rr.LostSessions != 0 {
 		t.Fatalf("sessions lost: shed=%d rr=%d", shed.LostSessions, rr.LostSessions)
+	}
+	// Round-robin drowns the degraded node; queue-aware routing plus
+	// shedding holds the tail at least 2x lower (quick mode: 50 s vs
+	// 567 ms) ...
+	if rr.P99 < 2*shed.P99 {
+		t.Fatalf("p99: round-robin %v vs shed %v, want >= 2x separation", rr.P99, shed.P99)
+	}
+	// ... and trades rejected logins for served traffic: goodput must not
+	// fall below the collapsing baseline.
+	if shed.GoodOps < rr.GoodOps {
+		t.Fatalf("good ops: shed %d < round-robin %d", shed.GoodOps, rr.GoodOps)
 	}
 }
 

@@ -4,9 +4,9 @@
 // events. Experiments built on the kernel are exactly reproducible: given
 // the same seed and the same sequence of Schedule calls, the event order
 // and all random draws are identical across runs. This is the substitute
-// substrate for the paper's physical testbed (see DESIGN.md §3): a
-// 40-minute experiment timeline executes in milliseconds of wall-clock
-// time while preserving the timing relationships that drive the results.
+// substrate for the paper's physical testbed: a 40-minute experiment
+// timeline executes in milliseconds of wall-clock time while preserving
+// the timing relationships that drive the results.
 //
 // Events scheduled for the same virtual instant fire in the order they
 // were scheduled (FIFO tie-breaking by sequence number), which keeps the
