@@ -7,7 +7,12 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cluster"
+	"repro/internal/controlplane"
 	"repro/internal/ebid"
+	"repro/internal/faults"
+	"repro/internal/recovery"
+	"repro/internal/workload"
 )
 
 var quick = Options{Quick: true}
@@ -268,6 +273,219 @@ func TestAblationDelayTradeoff(t *testing.T) {
 		t.Fatal("effective recovery did not grow with delay")
 	}
 	t.Log("\n" + r.String())
+}
+
+// The extension experiments are scenario specs (scenarios/*.toml) run by
+// internal/scenario over the Harness. The three tests below drive the
+// same Harness directly, so they can check what a scenario Outcome does
+// not expose: per-brick state, migration counters and per-node queues.
+
+// unreadable counts sessions from ids the brick cluster can no longer read.
+func unreadable(h *Harness, ids []string) int {
+	lost := 0
+	for _, id := range ids {
+		if _, err := h.Bricks.Read(id); err != nil {
+			lost++
+		}
+	}
+	return lost
+}
+
+// TestBrickCrashZeroSessionLoss crashes the heaviest brick of a 4×3 W=2
+// ring under load: no session is lost, no request fails, and the
+// recovery manager restarts the brick and re-replicates into it.
+func TestBrickCrashZeroSessionLoss(t *testing.T) {
+	h, err := NewHarness(quick, HarnessConfig{Store: "ssm-cluster"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rm := recovery.NewManager(h.Kernel, h.Nodes[0], recovery.Config{Threshold: 3})
+	rm.Bricks = h.Bricks
+	plane := controlplane.New(controlplane.Config{Clock: h.Kernel.Now, Cluster: h.Bricks})
+	plane.Use(controlplane.NewRecoveryController(rm))
+	h.PumpPlane(plane, time.Second)
+	em := h.NewEmulator(quick.clients(500), 0, workload.Config{})
+	em.Start()
+	h.Kernel.RunFor(quick.scale(3 * time.Minute))
+
+	victim := h.Bricks.Bricks()[0]
+	for _, b := range h.Bricks.Bricks() {
+		if b.Len() > victim.Len() {
+			victim = b
+		}
+	}
+	crashAt, failBase := h.Kernel.Now(), h.Recorder.BadOps()
+	ids, held := h.Bricks.SessionIDs(), victim.Len()
+	if len(ids) == 0 || held == 0 {
+		t.Fatalf("vacuous run: %d sessions, victim held %d entries", len(ids), held)
+	}
+	if _, err := h.Injectors[0].Inject(faults.Spec{Kind: faults.BrickCrash, Component: victim.Name()}); err != nil {
+		t.Fatal(err)
+	}
+	if lost := unreadable(h, ids); lost != 0 {
+		t.Fatalf("lost %d of %d sessions to a single brick crash, want 0", lost, len(ids))
+	}
+
+	h.Kernel.RunFor(quick.scale(3 * time.Minute))
+	em.Stop()
+	em.FlushActions()
+	h.Kernel.RunFor(30 * time.Second)
+	if delta := h.Recorder.BadOps() - failBase; delta != 0 {
+		t.Fatalf("brick crash surfaced %d client-visible failures, want 0", delta)
+	}
+	if !victim.Up() || victim.Restarts() != 1 {
+		t.Fatalf("victim up=%t after %d restarts, want up after exactly 1", victim.Up(), victim.Restarts())
+	}
+	if victim.Len() == 0 {
+		t.Fatal("re-replication restored nothing into the restarted brick")
+	}
+	detected := time.Duration(-1)
+	for _, a := range rm.Actions {
+		if a.Target == "ssm-bricks" {
+			detected = a.At
+			break
+		}
+	}
+	if detected <= crashAt {
+		t.Fatalf("brick recovery at %v not after the crash at %v", detected, crashAt)
+	}
+}
+
+// TestFigureElasticZeroLossUnderLoad adds a shard to a shared 4×3 ring
+// under load, then drains and removes an original one: both migrations
+// move entries and converge, the drain retires the shard's three bricks,
+// and no session or request is lost along the way.
+func TestFigureElasticZeroLossUnderLoad(t *testing.T) {
+	h, err := NewHarness(quick, HarnessConfig{Nodes: 2, Store: "ssm-cluster"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl := h.Bricks
+	h.PumpMigration(50*time.Millisecond, 128)
+	em := h.NewEmulator(quick.clients(1000), 0, workload.Config{})
+	em.Start()
+	phase := quick.scale(2 * time.Minute)
+	h.Kernel.RunFor(phase)
+	failBase := h.Recorder.BadOps()
+
+	ids := cl.SessionIDs()
+	shard, err := cl.AddShard()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ids) == 0 {
+		t.Fatal("vacuous run: no live sessions at the add")
+	}
+	if lost := unreadable(h, ids); lost != 0 {
+		t.Fatalf("lost %d sessions right after the add", lost)
+	}
+	h.Kernel.RunFor(phase)
+	migratedAdd, newEntries := cl.MigratedEntries(), 0
+	for _, b := range cl.Bricks() {
+		if b.Shard() == shard {
+			newEntries += b.Len()
+		}
+	}
+	if cl.Migrating() || migratedAdd == 0 || newEntries == 0 {
+		t.Fatalf("add-shard migration: converged=%t moved %d, new shard holds %d",
+			!cl.Migrating(), migratedAdd, newEntries)
+	}
+	if lost := unreadable(h, cl.SessionIDs()); lost != 0 {
+		t.Fatalf("lost %d sessions after the add converged", lost)
+	}
+
+	ids = cl.SessionIDs()
+	if err := cl.RemoveShard(0); err != nil {
+		t.Fatal(err)
+	}
+	if len(ids) == 0 {
+		t.Fatal("vacuous run: no live sessions at the remove")
+	}
+	if lost := unreadable(h, ids); lost != 0 {
+		t.Fatalf("lost %d sessions right after the remove", lost)
+	}
+	h.Kernel.RunFor(phase)
+	if moved, retired := cl.MigratedEntries()-migratedAdd, len(cl.RetiredBricks()); cl.Migrating() || moved == 0 || retired != 3 {
+		t.Fatalf("drain: converged=%t moved %d, retired %d bricks (want 3)", !cl.Migrating(), moved, retired)
+	}
+	if lost := unreadable(h, cl.SessionIDs()); lost != 0 {
+		t.Fatalf("lost %d sessions after the drain converged", lost)
+	}
+
+	em.Stop()
+	em.FlushActions()
+	h.Kernel.RunFor(30 * time.Second)
+	if delta := h.Recorder.BadOps() - failBase; delta != 0 {
+		t.Fatalf("elastic resize surfaced %d client-visible failures, want 0", delta)
+	}
+	if v := cl.RingVersion(); v != 3 {
+		t.Fatalf("ring generation = %d, want 3 (initial + add + remove)", v)
+	}
+}
+
+// fleetArm runs one routing discipline on the overloaded fleet of
+// scenarios/fleet.toml: three nodes on a shared ring, node0 degraded to
+// half the workers, 3600 clients. It reports the harness and the deepest
+// queue seen on the degraded node.
+func fleetArm(t *testing.T, policy cluster.RoutingPolicy) (*Harness, int) {
+	t.Helper()
+	h, err := NewHarness(quick, HarnessConfig{
+		Nodes: 3,
+		Store: "ssm-cluster",
+		Node:  cluster.NodeConfig{Workers: 4, CongestionScale: 200},
+		PerNode: func(i int, cfg *cluster.NodeConfig) {
+			if i == 0 {
+				cfg.Workers = 2
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if policy != nil {
+		h.LB.SetPolicy(policy)
+	}
+	maxQueue := 0
+	h.PumpEvery(time.Second, func() { maxQueue = max(maxQueue, h.Nodes[0].QueueDepth()) })
+	em := h.NewEmulator(3600, 0, workload.Config{StartStagger: time.Minute})
+	em.Start()
+	h.Kernel.RunFor(quick.scale(8 * time.Minute))
+	em.Stop()
+	em.FlushActions()
+	h.Kernel.RunFor(time.Minute)
+	return h, maxQueue
+}
+
+// TestFigureFleetRoutingBeatsRoundRobin: under the same overload,
+// queue-aware routing plus shedding keeps the degraded node's queue and
+// the fleet's tail far below static round-robin's, without losing
+// sessions or goodput.
+func TestFigureFleetRoutingBeatsRoundRobin(t *testing.T) {
+	rr, rrQueue := fleetArm(t, nil)
+	routed, routedQueue := fleetArm(t, &cluster.SheddingPolicy{Inner: cluster.LeastLoadedPolicy{}, QueueWatermark: 16})
+	rrP99, routedP99 := rr.Recorder.Latencies().Quantile(0.99), routed.Recorder.Latencies().Quantile(0.99)
+	if rrP99 < 2*routedP99 {
+		t.Fatalf("p99: round-robin %v vs routed %v, want ≥2x separation", rrP99, routedP99)
+	}
+	if rrQueue < 4*routedQueue {
+		t.Fatalf("degraded-node queue: rr %d vs routed %d, want ≥4x separation", rrQueue, routedQueue)
+	}
+	if routed.LB.Shed() == 0 {
+		t.Fatal("shedding policy never shed under fleet-wide overload")
+	}
+	if n := rr.LB.Shed(); n != 0 {
+		t.Fatalf("round-robin run shed %d requests", n)
+	}
+	for _, h := range []*Harness{rr, routed} {
+		if lost := unreadable(h, h.Bricks.SessionIDs()); lost != 0 {
+			t.Fatalf("overload lost %d sessions", lost)
+		}
+	}
+	if g, b := routed.Recorder.GoodOps(), rr.Recorder.GoodOps(); g < b {
+		t.Fatalf("goodput: routed %d < round-robin %d", g, b)
+	}
+	t.Logf("p99 %v vs %v; degraded queue %d vs %d; shed %d",
+		rrP99, routedP99, rrQueue, routedQueue, routed.LB.Shed())
 }
 
 // TestHarnessNamesNodesPastNine: node names must stay distinct (and
