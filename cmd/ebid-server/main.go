@@ -137,9 +137,6 @@ func main() {
 		if err := database.Recover(); err != nil {
 			log.Fatalf("wal recovery: %v", err)
 		}
-		// The store's row cache resets inside Recover; drop the interned
-		// response bodies with it so the node restarts cold end to end.
-		ebid.InternReset()
 		wal.AttachSink(walFile)
 		log.Printf("recovered %d tables from the WAL; skipping dataset load", len(database.Tables()))
 	} else {

@@ -84,9 +84,8 @@ func (a *OpArgs) int64Arg(name string) (int64, bool) {
 }
 
 // SetString decodes one URL-style key=value pair into the codec,
-// reporting whether the key is one it carries. HTTP front ends use it to
-// route recognized query keys onto the typed path and fall back to a
-// generic core.ArgMap for anything else.
+// reporting whether the key is one it carries and its value parsed. The
+// HTTP front end decodes every query key through it.
 func (a *OpArgs) SetString(key, val string) bool {
 	switch key {
 	case "user", "item", "category", "region", "rating":

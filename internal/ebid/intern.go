@@ -19,13 +19,11 @@ import (
 //
 // Keying by content makes staleness impossible — a row change produces
 // different bytes, which hash to a different key (or fail the equality
-// check on a bucket collision) and simply miss. The only concern is
-// growth, so the cache is sharded and bounded exactly like the store's
-// row cache (rowcache.go): at capacity an arbitrary resident entry is
-// evicted. Reset is wired to the same place the row cache resets (the
-// store's crash path clears rows; bodies die with InternReset from the
-// app when its database recovers) so a post-recovery fleet starts cold
-// rather than serving a warm cache that the row tier no longer backs.
+// check on a bucket collision) and simply miss — so nothing ever has to
+// reset or invalidate it. The only concern is growth, so the cache is
+// sharded and bounded: at capacity an arbitrary resident entry is
+// evicted. It is the only cache on the read path; the store answers
+// point reads straight from its table map.
 const (
 	internShards   = 32
 	internShardCap = 1024
@@ -48,8 +46,7 @@ type bodyIntern struct {
 // harmless because equal bytes means equal body.
 var interned bodyIntern
 
-// internHash is FNV-1a over the rendered bytes — the same cheap hash the
-// row cache uses for its keys.
+// internHash is FNV-1a over the rendered bytes.
 func internHash(b []byte) uint64 {
 	h := uint64(14695981039346656037)
 	for _, c := range b {
@@ -80,8 +77,8 @@ func (bi *bodyIntern) intern(b []byte) string {
 		s.m = make(map[uint64]string, internShardCap)
 	}
 	if len(s.m) >= internShardCap {
-		// Evict an arbitrary resident body (map iteration order), same
-		// policy as the row cache: bounded beats clever here.
+		// Evict an arbitrary resident body (map iteration order):
+		// bounded beats clever here.
 		for k := range s.m {
 			delete(s.m, k)
 			break
@@ -90,16 +87,6 @@ func (bi *bodyIntern) intern(b []byte) string {
 	s.m[h] = body
 	s.mu.Unlock()
 	return body
-}
-
-// reset drops every cached body (post-recovery cold start).
-func (bi *bodyIntern) reset() {
-	for i := range bi.shards {
-		s := &bi.shards[i]
-		s.mu.Lock()
-		s.m = nil
-		s.mu.Unlock()
-	}
 }
 
 // stats sums hit/miss counters and resident entries across shards.
@@ -119,10 +106,4 @@ func (bi *bodyIntern) stats() (hits, misses uint64, entries int) {
 // entries (exposed on the admin status endpoints).
 func BodyInternStats() (hits, misses uint64, entries int) {
 	return interned.stats()
-}
-
-// InternReset drops all interned bodies. The app calls it when its
-// database recovers, alongside the row cache reset.
-func InternReset() {
-	interned.reset()
 }

@@ -167,21 +167,18 @@ func (f *Front) serveHealthz(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// cacheStats snapshots the node's read-path caches: the store's row
-// cache and the body-intern cache. Surfaced on both admin status
-// endpoints so cache efficacy is observable on a live fleet, not only in
-// benches.
+// cacheStats snapshots the node's one read-path cache, the body-intern
+// cache. Surfaced on both admin status endpoints so cache efficacy is
+// observable on a live fleet, not only in benches.
 func (f *Front) cacheStats() map[string]any {
-	rh, rm, re := f.App.DB.RowCacheStats()
 	ih, im, ie := ebid.BodyInternStats()
 	return map[string]any{
-		"row_cache":   map[string]any{"hits": rh, "misses": rm, "entries": re},
 		"body_intern": map[string]any{"hits": ih, "misses": im, "entries": ie},
 	}
 }
 
 // serveFleet handles GET /admin/fleet/status: the front's own admission
-// counters, the comparison sampler's, the read-path cache counters, and
+// counters, the comparison sampler's, the body-intern cache counters, and
 // — when a fleet controller runs on the plane — its per-node view and
 // rolling-reboot log.
 func (f *Front) serveFleet(w http.ResponseWriter, r *http.Request) {
@@ -207,8 +204,8 @@ func (f *Front) serveFleet(w http.ResponseWriter, r *http.Request) {
 }
 
 // serveControlPlane handles GET /admin/controlplane/status: the plane's
-// signal counters, each controller's snapshot, and the node's read-path
-// cache counters. The plane's own keys are preserved verbatim; "caches"
+// signal counters, each controller's snapshot, and the node's
+// body-intern cache counters. The plane's own keys are preserved verbatim; "caches"
 // rides alongside them.
 func (f *Front) serveControlPlane(w http.ResponseWriter, r *http.Request) {
 	if f.Plane == nil {
@@ -390,48 +387,12 @@ func (f *Front) serveOp(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	// Decode query args onto the typed codec when every key is one it
-	// carries (the common case for the 25 eBid operations); otherwise fall
-	// back to a generic map so unknown keys still reach the component.
-	oa := &ebid.OpArgs{}
-	var args core.Args = oa
-	typed := true
+	// Decode query args onto the typed codec. Keys it does not carry and
+	// values that fail to parse are dropped: no operation reads them.
+	args := &ebid.OpArgs{}
 	for key, vals := range r.URL.Query() {
-		if len(vals) == 0 {
-			continue
-		}
-		if typed {
-			// "amount" historically parsed int-first into the generic
-			// map, where float64-reading ops miss it and fall back to
-			// their defaults; route integer amounts through the generic
-			// decoder so that behavior is unchanged.
-			intAmount := false
-			if key == "amount" {
-				_, err := strconv.ParseInt(vals[0], 10, 64)
-				intAmount = err == nil
-			}
-			if !intAmount && oa.SetString(key, vals[0]) {
-				continue
-			}
-			// Re-decode everything seen so far into the generic map.
-			typed = false
-			m := core.ArgMap{}
-			for k, v := range r.URL.Query() {
-				if len(v) == 0 {
-					continue
-				}
-				if n, err := strconv.ParseInt(v[0], 10, 64); err == nil {
-					m[k] = n
-					continue
-				}
-				if x, err := strconv.ParseFloat(v[0], 64); err == nil {
-					m[k] = x
-					continue
-				}
-				m[k] = v[0]
-			}
-			args = m
-			break
+		if len(vals) > 0 {
+			args.SetString(key, vals[0])
 		}
 	}
 	ttl := f.RequestTTL

@@ -77,6 +77,13 @@ func TestEndToEndHTTPFlow(t *testing.T) {
 	if resp.StatusCode != 200 || !strings.Contains(body, "bid committed on item 7") {
 		t.Fatalf("CommitBid: %d %q", resp.StatusCode, body)
 	}
+	// An integer amount is bid as given (cmd/loadgen sends only those),
+	// not replaced by CommitBid's default of 1.00.
+	do("GET", "/ebid/MakeBid?item=7")
+	resp, body = do("GET", "/ebid/CommitBid?amount=37")
+	if resp.StatusCode != 200 || !strings.Contains(body, "bid committed on item 7 for 37.00") {
+		t.Fatalf("CommitBid?amount=37: %d %q", resp.StatusCode, body)
+	}
 	// Unknown op.
 	resp, _ = do("GET", "/ebid/Nope")
 	if resp.StatusCode != 404 {

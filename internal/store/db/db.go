@@ -17,9 +17,8 @@
 //
 // The store is safe for concurrent use. The read path is concurrent:
 // Get/Lookup/Scan take only a shared lock (Commit keeps exclusivity), rows
-// are immutable once installed — readers receive the live row, never a
-// copy — and hot Get lookups are served from a sharded read-through row
-// cache that commits invalidate before they return.
+// are immutable once installed, and readers receive the live row, never a
+// copy.
 package db
 
 import (
@@ -290,24 +289,20 @@ func (tt *txTable) collect(keep func(txID uint64) bool) []txRef {
 // Commit, Crash/Recover, corruption/repair) takes the exclusive side.
 // Rows installed in tables are immutable — every write installs a fresh
 // Row object — so readers may hand the live row to callers without
-// copying. The crashed flag and the statistics counters are atomics so
-// the read fast path (including row-cache hits) never touches mu's write
-// side.
+// copying. A point read is one map probe under the shared side; since a
+// commit installs its rows before releasing the exclusive side, a read
+// that starts after Commit returned sees that commit or a newer one. The
+// statistics counters are atomics so reads never touch mu's write side.
 type DB struct {
 	mu     sync.RWMutex
 	tables map[string]*table
 	wal    *WAL
 	nextTx atomic.Uint64
-	// crashed is set under mu (write side) but read lock-free by the
-	// cache-hit fast path.
+	// crashed is set under mu (write side) and is an atomic so Begin can
+	// check it without taking mu at all.
 	crashed atomic.Bool
 	// txs tracks live transactions so a crash can invalidate them.
 	txs txTable
-	// cache is the read-through row cache over committed rows. Fills
-	// happen under mu's read side; commits invalidate written keys while
-	// still holding the write side, so a cache hit is never older than
-	// the last committed write.
-	cache rowCache
 	// txPool recycles Tx objects (see Tx.Recycle). Per-DB so a pooled
 	// Tx's db pointer never changes, which keeps the generation-checked
 	// abort path (AbortIf) free of racy field rewrites.
@@ -362,11 +357,6 @@ func (d *DB) Stats() (commits, aborts, conflicts uint64) {
 	return d.commits.Load(), d.aborts.Load(), d.conflicts.Load()
 }
 
-// RowCacheStats reports row-cache hits, misses, and resident entries.
-func (d *DB) RowCacheStats() (hits, misses uint64, entries int) {
-	return d.cache.stats()
-}
-
 // Crash simulates a machine crash: all volatile state is dropped and every
 // open transaction becomes unusable. Committed data remains in the WAL;
 // call Recover to bring the database back.
@@ -376,7 +366,6 @@ func (d *DB) Crash() {
 	d.crashed.Store(true)
 	d.txs.invalidateAll()
 	d.tables = map[string]*table{}
-	d.cache.reset()
 }
 
 // Recover replays the WAL, restoring all committed state. It is the
@@ -385,7 +374,6 @@ func (d *DB) Recover() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.tables = map[string]*table{}
-	d.cache.reset()
 	for _, rec := range d.wal.committed() {
 		switch rec.Kind {
 		case recCreateTable:

@@ -20,9 +20,9 @@ import (
 // would. It returns the previous value.
 //
 // The damage is installed copy-on-write (clone, mutate the clone, swap it
-// in) so lock-free readers holding the old row never observe a torn
-// write; they simply keep the pre-corruption value, as a racing read
-// would under any serialization.
+// in) so readers already holding the old row never observe a torn write;
+// they simply keep the pre-corruption value, as a racing read would under
+// any serialization.
 func (d *DB) CorruptRow(tableName string, key int64, column string, value any) (any, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -43,7 +43,6 @@ func (d *DB) CorruptRow(tableName string, key int64, column string, value any) (
 	tbl.indexRemove(key, row)
 	tbl.rows[key] = damaged
 	tbl.indexAdd(key, damaged)
-	d.cache.invalidate(tableName, key)
 	return old, nil
 }
 
@@ -73,8 +72,6 @@ func (d *DB) SwapRows(tableName string, a, b int64) error {
 	tbl.rows[a], tbl.rows[b] = rb, ra
 	tbl.indexAdd(a, rb)
 	tbl.indexAdd(b, ra)
-	d.cache.invalidate(tableName, a)
-	d.cache.invalidate(tableName, b)
 	return nil
 }
 
@@ -144,8 +141,5 @@ func (d *DB) RepairTable(tableName string) (int, error) {
 		fresh.nextKey = old.nextKey
 	}
 	d.tables[tableName] = fresh
-	// Every cached row of this table may now differ from the rebuilt
-	// truth; drop the whole cache rather than track per-table membership.
-	d.cache.reset()
 	return len(fresh.rows), nil
 }

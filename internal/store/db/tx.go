@@ -11,8 +11,8 @@ import (
 // fast with ErrConflict rather than blocking — in the crash-only design,
 // callers treat a conflict like any other retryable failure.
 //
-// Reads take only db.mu's shared side (or none at all on a row-cache
-// hit) and return the live, immutable row without copying; writes and
+// Reads take only db.mu's shared side and return the live, immutable row
+// without copying; writes and
 // Commit take the exclusive side. A Tx is owned by one goroutine — its
 // overlay is not synchronized — but the store may invalidate or abort it
 // concurrently (crash, microreboot), which the atomic state word makes
@@ -229,9 +229,9 @@ func (t *Tx) InsertWithKey(tableName string, key int64, r Row) error {
 // uncommitted writes. The returned row is the live, immutable table row
 // (or the tx's overlay row) — callers must Clone before mutating.
 //
-// The hot path is lock-free: a row-cache hit returns without touching
-// db.mu at all. On a miss the committed row is read and cached under the
-// shared lock.
+// A committed row is one map probe under db.mu's shared side. Commit
+// installs rows under the exclusive side, so a Get that starts after a
+// Commit returned sees that commit's value or a newer one.
 func (t *Tx) Get(tableName string, key int64) (Row, error) {
 	if t.state.Load()&1 == 1 {
 		return nil, ErrTxDone
@@ -245,9 +245,6 @@ func (t *Tx) Get(tableName string, key int64) (Row, error) {
 		}
 	}
 	d := t.db
-	if r, ok := d.cache.get(tableName, key); ok && !d.crashed.Load() {
-		return r, nil
-	}
 	d.mu.RLock()
 	if d.crashed.Load() {
 		d.mu.RUnlock()
@@ -259,11 +256,6 @@ func (t *Tx) Get(tableName string, key int64) (Row, error) {
 		return nil, fmt.Errorf("%w: %s", ErrNoTable, tableName)
 	}
 	r, ok := tbl.rows[key]
-	if ok {
-		// Fill while still holding the shared lock: no commit can be
-		// mid-apply, so the cached value cannot be stale.
-		d.cache.put(tableName, key, r)
-	}
 	d.mu.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("%w: %d in %s", ErrNoRow, key, tableName)
@@ -509,10 +501,6 @@ func (t *Tx) Commit() error {
 				delete(tbl.rows, w.Key)
 			}
 		}
-		// Invalidate before the commit returns (still under the exclusive
-		// lock) so no reader can observe a pre-commit cached value after
-		// this commit is acknowledged.
-		d.cache.invalidate(w.Table, w.Key)
 	}
 	t.releaseLocks()
 	d.commits.Add(1)
