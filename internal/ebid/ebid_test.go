@@ -246,6 +246,37 @@ func TestCallsDuringMicrorebootGetRetryAfter(t *testing.T) {
 	exec(t, app, "", ViewItem, core.ArgMap{"item": int64(1)})
 }
 
+func TestViewItemMidEntityRebootIsRefusedNotOldItem(t *testing.T) {
+	// Regression: ViewItem fell back to OldItem on any error from Item, so
+	// while the entity group was microrebooting, a live item whose id also
+	// exists among the old items (1–20 here) was answered "old item N".
+	app, _ := newApp(t)
+	if body := exec(t, app, "", ViewItem, core.ArgMap{"item": int64(1)}); !contains(body, "item 1:") || contains(body, "old item") {
+		t.Fatalf("before the µRB: body = %q, want live item 1", body)
+	}
+	tx, _ := app.DB.Begin()
+	if _, err := tx.Get(TblOldItems, 1); err != nil {
+		t.Fatalf("old item 1 must exist for this test to mean anything: %v", err)
+	}
+	tx.Abort()
+
+	rb, err := app.Server.BeginMicroreboot(EntItem)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := app.Execute(context.Background(), &core.Call{Op: ViewItem, Args: core.ArgMap{"item": int64(1)}})
+	var ra *core.RetryAfterError
+	if !errors.As(err, &ra) {
+		t.Fatalf("mid-µRB ViewItem: body %q, err %v; want RetryAfterError", body, err)
+	}
+	if err := app.Server.CompleteMicroreboot(rb); err != nil {
+		t.Fatal(err)
+	}
+	if body := exec(t, app, "", ViewItem, core.ArgMap{"item": int64(1)}); contains(body, "old item") {
+		t.Fatalf("after the µRB: body = %q, want live item 1", body)
+	}
+}
+
 func TestMicrorebootDurationMatchesTable3(t *testing.T) {
 	app, _ := newApp(t)
 	cases := map[string]time.Duration{

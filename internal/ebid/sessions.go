@@ -279,7 +279,14 @@ func opViewItem(ctx context.Context, env *core.Env, call *core.Call) (any, error
 	}
 	res, err := invokeEntity(ctx, env, call, EntItem, opLoad, keyArgs(nil, itemID))
 	if err != nil {
-		// Ended auctions move to OldItem.
+		// Ended auctions move to OldItem. Only a missing row sends the
+		// request there: a refusal (Item mid-microreboot, a lock
+		// conflict) must reach the client as itself, or a live item whose
+		// id also exists among the old items is answered from the wrong
+		// table.
+		if !errors.Is(err, db.ErrNoRow) {
+			return nil, err
+		}
 		old, oldErr := invokeEntity(ctx, env, call, OldItem, opLoad, keyArgs(nil, itemID))
 		if oldErr != nil {
 			return nil, err

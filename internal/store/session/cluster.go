@@ -96,8 +96,18 @@ func newHashRing(version uint64, shardIDs []int) *hashRing {
 	return r
 }
 
+// idHash is crc32.ChecksumIEEE([]byte(id)) computed over the string in
+// place: that conversion escapes, and every store operation hashes its id.
+func idHash(id string) uint32 {
+	h := ^uint32(0)
+	for i := 0; i < len(id); i++ {
+		h = crc32.IEEETable[byte(h)^id[i]] ^ h>>8
+	}
+	return ^h
+}
+
 func (r *hashRing) lookup(id string) int {
-	h := crc32.ChecksumIEEE([]byte(id))
+	h := idHash(id)
 	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
 	if i == len(r.points) {
 		i = 0
@@ -329,8 +339,7 @@ func (c *SSMCluster) BrickByName(name string) (*Brick, error) {
 // ring's shard, plus the previous ring's shard when a migration is in
 // flight and ownership differs. Lock-free: the state snapshot is
 // immutable.
-func (c *SSMCluster) owners(id string) (cur, old []*Brick) {
-	st := c.state.Load()
+func (st *ringState) owners(id string) (cur, old []*Brick) {
 	curShard := st.ring.lookup(id)
 	cur = st.shards[curShard]
 	if st.prev != nil {
@@ -592,17 +601,14 @@ func (c *SSMCluster) Write(s *Session) error {
 	if s == nil || s.ID == "" {
 		return errors.New("session: Write requires a session with an ID")
 	}
-	blob, err := marshalSession(s)
-	if err != nil {
-		return err
-	}
+	blob := marshalSession(s)
 	e := ssmEntry{
 		blob:     blob,
 		checksum: crc32.ChecksumIEEE(blob),
 		expires:  c.cfg.Now() + c.cfg.LeaseTTL,
 		version:  c.version.Add(1),
 	}
-	shard, _ := c.owners(s.ID)
+	shard, _ := c.state.Load().owners(s.ID)
 	if err := c.quorumReachable(shard); err != nil {
 		return err
 	}
@@ -647,9 +653,36 @@ func (c *SSMCluster) quorumReachable(shard []*Brick) error {
 // corruption is masked and healed. Renewal never rewrites blobs and
 // repair is versioned, so a read racing a newer write or a delete cannot
 // clobber either.
+//
+// A read works against one topology snapshot. If it misses or finds its
+// owners down and the ring has changed since, the entry may have moved
+// past every owner the snapshot knew (the migration completed and retired
+// the old shard, or a second ring change moved it again), so the read is
+// retried against the fresh snapshot. Each retry needs another ring
+// change, so a read retries at most once per ring change it overlaps.
 func (c *SSMCluster) Read(id string) (*Session, error) {
+	return c.readFrom(c.state.Load(), id)
+}
+
+// readFrom is Read starting from the topology snapshot st.
+func (c *SSMCluster) readFrom(st *ringState, id string) (*Session, error) {
 	now := c.cfg.Now()
-	cur, old := c.owners(id)
+	for {
+		s, err := c.readIn(st, id, now)
+		if !errors.Is(err, ErrNotFound) && !errors.Is(err, ErrDown) {
+			return s, err
+		}
+		fresh := c.state.Load()
+		if fresh == st {
+			return nil, err
+		}
+		st = fresh
+	}
+}
+
+// readIn is one Read attempt against the topology snapshot st.
+func (c *SSMCluster) readIn(st *ringState, id string, now time.Duration) (*Session, error) {
+	cur, old := st.owners(id)
 	s, _, err := c.readShard(cur, id, now)
 	if err == nil || old == nil || errors.Is(err, ErrCorrupted) {
 		return s, err
@@ -659,7 +692,7 @@ func (c *SSMCluster) Read(id string) (*Session, error) {
 		// The migrator may have moved the entry old→new between our two
 		// checks (miss the new owner, migrate, miss the old owner); one
 		// re-check of the new owner closes that window, since entries
-		// only ever move in that direction.
+		// only ever move in that direction within one snapshot.
 		if errors.Is(errOld, ErrNotFound) {
 			if s, _, retryErr := c.readShard(cur, id, now); retryErr == nil {
 				return s, nil
@@ -680,14 +713,19 @@ func (c *SSMCluster) Read(id string) (*Session, error) {
 	return sOld, nil
 }
 
+// stackReplicas is how many replicas readShard orders and tracks in
+// stack arrays; larger shards fall back to the heap.
+const stackReplicas = 8
+
 // readShard serves id from one replica set, returning the decoded
 // session and the raw entry (for dual-read promotion).
 func (c *SSMCluster) readShard(shard []*Brick, id string, now time.Duration) (*Session, ssmEntry, error) {
 	routing := !c.slowRoutingOff.Load()
 	order := shard
 	slow := 0
+	var orderBuf, repairBuf [stackReplicas]*Brick
 	if routing {
-		order = make([]*Brick, 0, len(shard))
+		order = orderBuf[:0]
 		for _, b := range shard {
 			if b.Slow() {
 				slow++
@@ -706,7 +744,7 @@ func (c *SSMCluster) readShard(shard []*Brick, id string, now time.Duration) (*S
 
 	live := 0
 	sawCorrupt := false
-	needRepair := make([]*Brick, 0, len(order))
+	needRepair := repairBuf[:0]
 	for _, b := range order {
 		e, err := b.get(id, now)
 		switch {
@@ -766,7 +804,7 @@ func (c *SSMCluster) readShard(shard []*Brick, id string, now time.Duration) (*S
 // tombstoned too — otherwise a dual-read fallback or the migration sweep
 // could bring the session back from the old shard.
 func (c *SSMCluster) Delete(id string) error {
-	cur, old := c.owners(id)
+	cur, old := c.state.Load().owners(id)
 	if err := c.quorumReachable(cur); err != nil {
 		return err
 	}
@@ -898,7 +936,7 @@ const SlowBrickPenalty = 250 * time.Millisecond
 // replica in natural order is). The cluster node's service-time model
 // charges this per session access.
 func (c *SSMCluster) ReadPenalty(id string) time.Duration {
-	shard, _ := c.owners(id)
+	shard, _ := c.state.Load().owners(id)
 	if c.slowRoutingOff.Load() {
 		for _, b := range shard {
 			if !b.Up() {
@@ -932,7 +970,7 @@ func (c *SSMCluster) ReadPenalty(id string) time.Duration {
 // read of the damaged replica discards the copy and falls through to a
 // healthy peer. Mid-migration the previous owner is checked too.
 func (c *SSMCluster) CorruptBits(id string) error {
-	cur, old := c.owners(id)
+	cur, old := c.state.Load().owners(id)
 	for _, b := range append(append([]*Brick(nil), cur...), old...) {
 		if b.corruptBits(id) {
 			return nil

@@ -60,6 +60,15 @@ func TestHashRingSpreadsSessions(t *testing.T) {
 	}
 }
 
+func TestIDHashIsCRC32(t *testing.T) {
+	// Ring placement must not depend on how the id is hashed.
+	for _, id := range []string{"", "s1", "sess-ü", "bench-probe", "sess-0123456789abcdef0123456789abcdef0123456789abcdef0123456789"} {
+		if got, want := idHash(id), crc32.ChecksumIEEE([]byte(id)); got != want {
+			t.Fatalf("idHash(%q) = %08x, want %08x", id, got, want)
+		}
+	}
+}
+
 func TestClusterQuorumOneBrickDown(t *testing.T) {
 	c := mustCluster(t, 2, 3, 2, nil, 0)
 	for i := 0; i < 40; i++ {

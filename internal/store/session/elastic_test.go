@@ -378,9 +378,11 @@ func TestMigrationStallsWithoutDestinationQuorumThenRecovers(t *testing.T) {
 func TestReadNeverMissesDuringMigration(t *testing.T) {
 	// Regression: dual-read used to race the migrator — miss the new
 	// owner, the entry moves (copy + forget), miss the old owner — and
-	// report a live session as ErrNotFound. The fix re-checks the new
-	// owner once on an old-owner miss; this hammers reads across five
-	// grow/shrink cycles to shake the interleaving out.
+	// report a live session as ErrNotFound. A read re-checks the new
+	// owner once on an old-owner miss, and follows the ring when its
+	// topology snapshot went stale (TestReadFollowsRingChangesPastItsSnapshot);
+	// this hammers reads across five grow/shrink cycles to shake the
+	// interleavings out.
 	c := mustCluster(t, 4, 3, 2, nil, 0)
 	ids := writeN(t, c, 100)
 	stop := make(chan struct{})
@@ -428,6 +430,59 @@ func TestReadNeverMissesDuringMigration(t *testing.T) {
 	case err := <-errCh:
 		t.Fatal(err)
 	default:
+	}
+}
+
+func TestReadFollowsRingChangesPastItsSnapshot(t *testing.T) {
+	// Regression for two races TestReadNeverMissesDuringMigration hit
+	// intermittently: a read whose topology snapshot was overtaken by ring
+	// changes looked only at owners the snapshot knew. (1) The entry moved
+	// on to an owner the snapshot had never heard of: every owner it knew
+	// misses. (2) The snapshot's owner shard was drained and retired: its
+	// bricks answer ErrDown. Both are replayed here with a snapshot held
+	// across whole ring changes; the read must follow the ring.
+	c := mustCluster(t, 4, 3, 2, nil, 0)
+	ids := writeN(t, c, 100)
+	before := c.state.Load()
+	shard, err := c.AddShard()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, done := c.MigrateAll(); !done {
+		t.Fatal("add migration did not finish")
+	}
+	var moved []string
+	for _, id := range ids {
+		if c.ShardFor(id) == shard {
+			moved = append(moved, id)
+		}
+	}
+	if len(moved) == 0 {
+		t.Fatal("no session moved to the new shard")
+	}
+	for _, id := range moved {
+		if _, err := c.readIn(before, id, 0); !errors.Is(err, ErrNotFound) {
+			t.Fatalf("stale snapshot read of %s: err %v, want the miss this test is about", id, err)
+		}
+		if _, err := c.readFrom(before, id); err != nil {
+			t.Fatalf("read of %s from a snapshot one ring change old: %v", id, err)
+		}
+	}
+
+	grown := c.state.Load()
+	if err := c.RemoveShard(shard); err != nil {
+		t.Fatal(err)
+	}
+	if _, done := c.MigrateAll(); !done {
+		t.Fatal("remove migration did not finish")
+	}
+	for _, id := range moved {
+		if _, err := c.readIn(grown, id, 0); !errors.Is(err, ErrDown) {
+			t.Fatalf("retired-owner read of %s: err %v, want the ErrDown this test is about", id, err)
+		}
+		if _, err := c.readFrom(grown, id); err != nil {
+			t.Fatalf("read of %s from a snapshot whose owner retired: %v", id, err)
+		}
 	}
 }
 

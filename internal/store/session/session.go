@@ -26,8 +26,6 @@
 package session
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -262,9 +260,10 @@ type ssmEntry struct {
 }
 
 // SSM is the clustered, lease-based store. Entries are stored marshalled
-// (the paper pays marshalling + network cost for the physical isolation;
-// our cost model charges it in internal/ebid). The store survives process
-// restarts by construction — it models state on separate machines.
+// (codec.go; the paper pays marshalling + network cost for the physical
+// isolation, and our cost model charges it in internal/ebid). The store
+// survives process restarts by construction — it models state on
+// separate machines.
 type SSM struct {
 	mu      sync.Mutex
 	entries map[string]ssmEntry
@@ -299,32 +298,13 @@ func (m *SSM) Name() string { return "SSM" }
 // SurvivesProcessRestart implements Store: SSM state lives off-node.
 func (m *SSM) SurvivesProcessRestart() bool { return true }
 
-func marshalSession(s *Session) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(s); err != nil {
-		return nil, fmt.Errorf("session: marshal: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-func unmarshalSession(b []byte) (*Session, error) {
-	var s Session
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&s); err != nil {
-		return nil, fmt.Errorf("session: unmarshal: %w", err)
-	}
-	return &s, nil
-}
-
 // Write implements Store; it marshals the session, checksums the blob and
 // (re)starts its lease.
 func (m *SSM) Write(s *Session) error {
 	if s == nil || s.ID == "" {
 		return errors.New("session: Write requires a session with an ID")
 	}
-	blob, err := marshalSession(s)
-	if err != nil {
-		return err
-	}
+	blob := marshalSession(s)
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.down {
