@@ -286,13 +286,12 @@ func benchStores(b *testing.B) map[string]session.Store {
 	return map[string]session.Store{
 		"SingleLock": newSingleLockStore(),
 		"FastS":      session.NewFastS(),
-		"SSM":        session.NewSSM(nil, 0),
 		"SSMCluster": cl,
 	}
 }
 
 // benchStoreOrder fixes sub-benchmark ordering (maps iterate randomly).
-var benchStoreOrder = []string{"SingleLock", "FastS", "SSM", "SSMCluster"}
+var benchStoreOrder = []string{"SingleLock", "FastS", "SSMCluster"}
 
 const benchSessionPop = 1024
 
@@ -500,7 +499,7 @@ func benchApp(b *testing.B) *ebid.App {
 	if err != nil {
 		b.Fatal(err)
 	}
-	auth := &core.Call{Op: ebid.Authenticate, SessionID: "bench-sess", Args: core.ArgMap{"user": int64(1)}}
+	auth := &core.Call{Op: ebid.Authenticate, SessionID: "bench-sess", Args: &ebid.OpArgs{User: 1}}
 	if _, err := app.Execute(context.Background(), auth); err != nil {
 		b.Fatal(err)
 	}
@@ -576,7 +575,7 @@ func benchAppSessions(b *testing.B, n int) *ebid.App {
 		auth := &core.Call{
 			Op:        ebid.Authenticate,
 			SessionID: fmt.Sprintf("bench-p%d", i),
-			Args:      core.ArgMap{"user": int64(i%50 + 1)},
+			Args:      &ebid.OpArgs{User: int64(i%50 + 1)},
 		}
 		if _, err := app.Execute(context.Background(), auth); err != nil {
 			b.Fatal(err)

@@ -76,7 +76,7 @@ func main() {
 		"how long SIGTERM/SIGINT waits for in-flight requests before force-closing")
 	degrade := flag.Duration("degrade", 0,
 		"stall every operation by this much (a deliberately degraded replica for routing experiments)")
-	storeKind := flag.String("store", "fasts", "session store: fasts, ssm or ssm-cluster")
+	storeKind := flag.String("store", "fasts", "session store: fasts or ssm-cluster (a single-node SSM is -store ssm-cluster -shards 1 -replicas 1 -write-quorum 1)")
 	shards := flag.Int("shards", 4, "ssm-cluster: hash shards S")
 	replicas := flag.Int("replicas", 3, "ssm-cluster: brick replicas N per shard")
 	writeQuorum := flag.Int("write-quorum", 2, "ssm-cluster: write quorum W (W ≤ N)")
@@ -157,8 +157,6 @@ func main() {
 	var store session.Store
 	var cl *session.SSMCluster
 	switch *storeKind {
-	case "ssm":
-		store = session.NewSSM(clock, session.DefaultLeaseTTL)
 	case "ssm-cluster":
 		var err error
 		cl, err = session.NewSSMCluster(session.ClusterConfig{
@@ -177,7 +175,7 @@ func main() {
 	case "fasts":
 		store = session.NewFastS()
 	default:
-		log.Fatalf("unknown store %q", *storeKind)
+		log.Fatalf("unknown store %q (want fasts or ssm-cluster)", *storeKind)
 	}
 
 	app, err := ebid.New(database, store, clock)
@@ -187,9 +185,10 @@ func main() {
 	log.Printf("deployed eBid: %d components, session store %s", len(app.Server.Components()), store.Name())
 
 	// Background lease reaper: ReapExpired finally runs outside the
-	// simulations, completing the lease story for the live SSM stores
-	// (FastS has no leases to reap).
-	if reaper, ok := store.(interface{ ReapExpired() int }); ok && *reapInterval > 0 {
+	// simulations, completing the lease story for the live SSM (FastS has
+	// no leases to reap).
+	if cl != nil && *reapInterval > 0 {
+		reaper := cl // cl is cleared below when the control plane is off
 		go func() {
 			for range time.Tick(*reapInterval) {
 				if n := reaper.ReapExpired(); n > 0 {

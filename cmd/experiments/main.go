@@ -34,9 +34,9 @@ func main() {
 	matrixOut := flag.String("matrix-out", "", "write the campaign pass/fail matrix as JSON to this file")
 	flag.Parse()
 	switch *clusterStore {
-	case "fasts", "ssm", "ssm-cluster":
+	case "fasts", "ssm-cluster":
 	default:
-		fmt.Fprintf(os.Stderr, "unknown -cluster-store %q (want fasts, ssm or ssm-cluster)\n", *clusterStore)
+		fmt.Fprintf(os.Stderr, "unknown -cluster-store %q (want fasts or ssm-cluster)\n", *clusterStore)
 		os.Exit(2)
 	}
 

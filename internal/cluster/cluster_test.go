@@ -110,7 +110,7 @@ func TestProcessRestartLosesFastSSessions(t *testing.T) {
 	done := false
 	n.Submit(&workload.Request{
 		Op: ebid.Authenticate, SessionID: "s1",
-		Args:     core.ArgMap{"user": int64(1)},
+		Args:     &ebid.OpArgs{User: 1},
 		Complete: func(r workload.Response) { done = r.OK() },
 	})
 	k.RunFor(time.Second)
@@ -210,7 +210,7 @@ func TestHungRequestsOccupyWorkersUntilKilled(t *testing.T) {
 	}
 	var results []error
 	for i := 0; i < 2; i++ {
-		n.Submit(&workload.Request{Op: ebid.ViewItem, Args: core.ArgMap{"item": int64(1)},
+		n.Submit(&workload.Request{Op: ebid.ViewItem, Args: &ebid.OpArgs{Item: 1},
 			Complete: func(r workload.Response) { results = append(results, r.Err) }})
 	}
 	k.RunFor(time.Second)
@@ -250,7 +250,7 @@ func TestRequestTTLPurgesStuckRequests(t *testing.T) {
 	}
 	var got error
 	fired := false
-	n.Submit(&workload.Request{Op: ebid.ViewItem, Args: core.ArgMap{"item": int64(1)},
+	n.Submit(&workload.Request{Op: ebid.ViewItem, Args: &ebid.OpArgs{Item: 1},
 		Complete: func(r workload.Response) { got, fired = r.Err, true }})
 	k.RunFor(11 * time.Second)
 	if !fired || !errors.Is(got, ErrRequestTimeout) {
@@ -283,7 +283,7 @@ func TestLoadBalancerAffinityAndFailover(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		sid := fmt.Sprintf("s%d", i)
 		lb.Submit(&workload.Request{Op: ebid.Authenticate, SessionID: sid,
-			Args: core.ArgMap{"user": int64(i + 1)},
+			Args: &ebid.OpArgs{User: int64(i + 1)},
 			Complete: func(r workload.Response) {
 				if r.OK() {
 					ok++
@@ -352,13 +352,24 @@ func TestLoadBalancerAffinityAndFailover(t *testing.T) {
 	}
 }
 
+// singleSSM is the single-node SSM: a brick cluster of one shard × one
+// replica, W = 1.
+func singleSSM(t *testing.T, now func() time.Duration, ttl time.Duration) *session.SSMCluster {
+	t.Helper()
+	cl, err := session.NewSSMCluster(session.ClusterConfig{Shards: 1, Replicas: 1, WriteQuorum: 1, LeaseTTL: ttl, Now: now})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cl
+}
+
 func TestSharedSSMSurvivesFailover(t *testing.T) {
 	k := sim.NewKernel(8)
 	d := db.New(nil)
 	if err := ebid.LoadDataset(d, testDataset()); err != nil {
 		t.Fatal(err)
 	}
-	ssm := session.NewSSM(k.Now, time.Hour)
+	ssm := singleSSM(t, k.Now, time.Hour)
 	var nodes []*Node
 	for i := 0; i < 2; i++ {
 		n, err := NewNode(k, d, ssm, NodeConfig{Name: fmt.Sprintf("n%d", i)})
@@ -370,7 +381,7 @@ func TestSharedSSMSurvivesFailover(t *testing.T) {
 	lb := NewLoadBalancer(nodes)
 	okCount := 0
 	lb.Submit(&workload.Request{Op: ebid.Authenticate, SessionID: "s0",
-		Args: core.ArgMap{"user": int64(1)},
+		Args: &ebid.OpArgs{User: 1},
 		Complete: func(r workload.Response) {
 			if r.OK() {
 				okCount++
@@ -411,7 +422,7 @@ func TestSSMLatencyHigherThanFastS(t *testing.T) {
 		return rec.Latencies().Mean()
 	}
 	fasts := meanFor(session.NewFastS())
-	ssm := meanFor(session.NewSSM(nil, time.Hour))
+	ssm := meanFor(singleSSM(t, nil, time.Hour))
 	if ssm <= fasts+5*time.Millisecond {
 		t.Fatalf("SSM latency %v not appreciably above FastS %v", ssm, fasts)
 	}
@@ -426,7 +437,7 @@ func TestMicrorebootWithDelayDrainsInFlight(t *testing.T) {
 	}
 	// During the grace window the sentinel is already bound.
 	var got error
-	n.Submit(&workload.Request{Op: ebid.ViewItem, Args: core.ArgMap{"item": int64(1)},
+	n.Submit(&workload.Request{Op: ebid.ViewItem, Args: &ebid.OpArgs{Item: 1},
 		Complete: func(r workload.Response) { got = r.Err }})
 	k.RunFor(100 * time.Millisecond)
 	if got == nil || !errors.Is(got, ErrServiceUnavailable) {
@@ -435,7 +446,7 @@ func TestMicrorebootWithDelayDrainsInFlight(t *testing.T) {
 	k.RunFor(2 * time.Second)
 	var after error
 	fired := false
-	n.Submit(&workload.Request{Op: ebid.ViewItem, Args: core.ArgMap{"item": int64(1)},
+	n.Submit(&workload.Request{Op: ebid.ViewItem, Args: &ebid.OpArgs{Item: 1},
 		Complete: func(r workload.Response) { after, fired = r.Err, true }})
 	k.RunFor(time.Second)
 	if !fired || after != nil {

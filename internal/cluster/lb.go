@@ -1,8 +1,8 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
-	"strings"
 	"sync"
 	"time"
 
@@ -469,7 +469,7 @@ func (lb *LoadBalancer) armPrune(req *workload.Request) {
 // died). The next request with that id is, correctly, a new session.
 func (lb *LoadBalancer) noteCompletion(op, sid string, resp workload.Response) {
 	gone := (op == ebid.OpLogout && resp.Err == nil) ||
-		(resp.Err != nil && strings.Contains(resp.Err.Error(), "not logged in"))
+		errors.Is(resp.Err, ebid.ErrNotLoggedIn)
 	if !gone {
 		return
 	}

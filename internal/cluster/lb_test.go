@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/controlplane"
-	"repro/internal/core"
 	"repro/internal/ebid"
 	"repro/internal/faults"
 	"repro/internal/sim"
@@ -49,7 +48,7 @@ func wedge(t *testing.T, k *sim.Kernel, n *Node, depth int) *faults.ActiveFault 
 		t.Fatal(err)
 	}
 	for i := 0; i < n.Workers()+depth; i++ {
-		n.Submit(&workload.Request{Op: ebid.ViewItem, Args: core.ArgMap{"item": int64(1)},
+		n.Submit(&workload.Request{Op: ebid.ViewItem, Args: &ebid.OpArgs{Item: 1},
 			Complete: func(workload.Response) {}})
 	}
 	k.RunFor(100 * time.Millisecond)
@@ -93,7 +92,7 @@ func TestSheddingRejectsNewLoginsPastWatermark(t *testing.T) {
 	// Establish a session while the fleet is healthy.
 	var ok bool
 	lb.Submit(&workload.Request{Op: ebid.Authenticate, SessionID: "held",
-		Args:     core.ArgMap{"user": int64(1)},
+		Args:     &ebid.OpArgs{User: 1},
 		Complete: func(r workload.Response) { ok = r.OK() }})
 	k.RunFor(time.Second)
 	if !ok {
@@ -162,14 +161,14 @@ func TestPoliciesSurviveAllNodesUnhealthy(t *testing.T) {
 func TestAffinityPrunedOnLogoutAndLease(t *testing.T) {
 	k := sim.NewKernel(14)
 	// A shared SSM with a short lease: sessions lapse while idle.
-	ssm := session.NewSSM(k.Now, 30*time.Second)
+	ssm := singleSSM(t, k.Now, 30*time.Second)
 	nodes := newTestCluster(t, k, 2, func() session.Store { return ssm }, NodeConfig{})
 	lb := NewLoadBalancer(nodes)
 
 	login := func(sid string, user int64) {
 		var ok bool
 		lb.Submit(&workload.Request{Op: ebid.Authenticate, SessionID: sid,
-			Args:     core.ArgMap{"user": user},
+			Args:     &ebid.OpArgs{User: user},
 			Complete: func(r workload.Response) { ok = r.OK() }})
 		k.RunFor(time.Second)
 		if !ok {

@@ -80,27 +80,6 @@ const (
 	txCorrupted TxAttr = "\x00corrupted"
 )
 
-// Args carries operation arguments through a Call. Implementations are
-// typed per-operation codecs: a struct with one field per argument avoids
-// the per-call map allocation the generic form pays. ArgMap is the
-// generic (map-backed) implementation for tests, tools, and arbitrary
-// key sets.
-type Args interface {
-	// Arg returns the named argument; ok is false when absent. A zero
-	// value that is legal for the argument must still report ok (typed
-	// codecs carry explicit presence where zero is meaningful).
-	Arg(name string) (any, bool)
-}
-
-// ArgMap is the generic map-backed Args implementation.
-type ArgMap map[string]any
-
-// Arg implements Args.
-func (m ArgMap) Arg(name string) (any, bool) {
-	v, ok := m[name]
-	return v, ok
-}
-
 // Call is one invocation travelling through the application: the unit the
 // shepherding thread of the paper carries from the web tier through the
 // EJBs. Components append themselves to Path, which both reproduces the
@@ -115,8 +94,10 @@ type Call struct {
 	Component string
 	// SessionID identifies the HTTP session (cookie analog).
 	SessionID string
-	// Args carries operation arguments.
-	Args Args
+	// Args carries operation arguments: a typed per-application codec
+	// (eBid's *OpArgs / *EntityArgs). Core never reads it; it only carries
+	// it from the caller to the component.
+	Args any
 	// TTL is the execution lease: Server.Invoke enforces it as a context
 	// deadline on the root invocation, so a stuck call observes
 	// cancellation (cause ErrLeaseExpired) when it expires.
@@ -147,9 +128,9 @@ type Call struct {
 	// SlotResult sentinel from Serve instead of boxing the value through
 	// `any` — the sentinel is a package variable, so returning it
 	// allocates nothing. Callers that see SlotResult read the slot;
-	// everything else flows through `any` exactly as before, which is
-	// what keeps the fault-injection interceptors (which fabricate plain
-	// `any` results) and the sim/figure callers working unchanged.
+	// everything else flows through `any`, which is what keeps the
+	// fault-injection interceptors (which fabricate plain `any` results)
+	// working.
 	resBody    string
 	hasResBody bool
 	resKeys    []int64
@@ -207,7 +188,7 @@ var callPool = sync.Pool{New: func() any { return new(Call) }}
 // NewCall returns a root call drawn from the call pool. Callers that own
 // the request's lifetime should hand the call back with Release once the
 // invocation has returned and the call is no longer referenced.
-func NewCall(op, sessionID string, args Args, ttl time.Duration) *Call {
+func NewCall(op, sessionID string, args any, ttl time.Duration) *Call {
 	c := callPool.Get().(*Call)
 	c.Op = op
 	c.SessionID = sessionID
@@ -221,7 +202,7 @@ func NewCall(op, sessionID string, args Args, ttl time.Duration) *Call {
 // propagates kills to the parent (the shepherding thread is one and the
 // same). The child is drawn from the call pool; release it with Release
 // after its Invoke returns.
-func (c *Call) Child(op string, args Args) *Call {
+func (c *Call) Child(op string, args any) *Call {
 	ch := callPool.Get().(*Call)
 	ch.Op = op
 	ch.SessionID = c.SessionID
@@ -500,24 +481,6 @@ func (s *shepherd) unbind() {
 	s.bound = false
 	s.parent = nil
 	s.mu.Unlock()
-}
-
-// Arg fetches a typed argument; ok is false when absent or mistyped —
-// typed access fails closed rather than coercing across types.
-func Arg[T any](c *Call, name string) (T, bool) {
-	var zero T
-	if c.Args == nil {
-		return zero, false
-	}
-	v, ok := c.Args.Arg(name)
-	if !ok {
-		return zero, false
-	}
-	t, ok := v.(T)
-	if !ok {
-		return zero, false
-	}
-	return t, true
 }
 
 // Component is the unit of microrebootability. Implementations must be

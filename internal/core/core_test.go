@@ -793,22 +793,6 @@ func TestPropertyMicrorebootAlwaysReintegrates(t *testing.T) {
 	}
 }
 
-func TestCallHelpers(t *testing.T) {
-	c := &Call{Op: "x", Args: ArgMap{"id": int64(7), "name": "n"}}
-	if v, ok := Arg[int64](c, "id"); !ok || v != 7 {
-		t.Fatalf("Arg[int64] = %v/%v", v, ok)
-	}
-	if _, ok := Arg[string](c, "id"); ok {
-		t.Fatal("mistyped Arg should report !ok")
-	}
-	if _, ok := Arg[int64](c, "missing"); ok {
-		t.Fatal("missing Arg should report !ok")
-	}
-	if _, ok := Arg[int64](&Call{}, "id"); ok {
-		t.Fatal("nil Args should report !ok")
-	}
-}
-
 func TestEnvResource(t *testing.T) {
 	s := NewServer(WithResource("db", 42))
 	var got int

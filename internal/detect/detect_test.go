@@ -55,7 +55,7 @@ func newGoodApp(t *testing.T) *ebid.App {
 func TestComparisonDetectsWrongData(t *testing.T) {
 	good := newGoodApp(t)
 	cmp := &Comparison{Good: good}
-	call := &core.Call{Op: ebid.ViewItem, Args: core.ArgMap{"item": int64(3)}}
+	call := &core.Call{Op: ebid.ViewItem, Args: &ebid.OpArgs{Item: 3}}
 
 	// Matching response: clean verdict.
 	body, err := good.Execute(context.Background(), &core.Call{Op: ebid.ViewItem, Args: call.Args})
@@ -81,7 +81,7 @@ func TestComparisonDetectsWrongData(t *testing.T) {
 func TestComparisonToleratesTimingNondeterminism(t *testing.T) {
 	good := newGoodApp(t)
 	cmp := &Comparison{Good: good}
-	call := &core.Call{Op: ebid.ViewItem, Args: core.ArgMap{"item": int64(3)}}
+	call := &core.Call{Op: ebid.ViewItem, Args: &ebid.OpArgs{Item: 3}}
 	body, _ := good.Execute(context.Background(), &core.Call{Op: ebid.ViewItem, Args: call.Args})
 	// Perturb only a dollar amount (timing-dependent field): the
 	// normalizer masks decimal amounts before comparing.
@@ -106,7 +106,7 @@ func TestSamplerStrideAndEligibility(t *testing.T) {
 		},
 	}
 
-	call := &core.Call{Op: ebid.ViewItem, Args: core.ArgMap{"item": int64(3)}}
+	call := &core.Call{Op: ebid.ViewItem, Args: &ebid.OpArgs{Item: 3}}
 	body, err := good.Execute(context.Background(), &core.Call{Op: ebid.ViewItem, Args: call.Args})
 	if err != nil {
 		t.Fatal(err)

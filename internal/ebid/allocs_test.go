@@ -1,0 +1,32 @@
+//go:build !race
+
+// Allocation ceilings do not hold under -race: its sync.Pool drops Puts.
+
+package ebid
+
+import (
+	"context"
+	"testing"
+
+	"repro/internal/core"
+)
+
+// TestViewItemInvokeAllocs is the allocation ceiling of the hottest
+// operation: a warm ViewItem through core.Server.Invoke (WAR dispatch,
+// interceptors, shepherd tracking, the session and entity hops) with a
+// pooled call and typed arguments allocates nothing.
+func TestViewItemInvokeAllocs(t *testing.T) {
+	app, _ := newApp(t)
+	ctx := context.Background()
+	args := &OpArgs{Item: 1}
+	view := func() {
+		call := core.NewCall(ViewItem, "", args, 0)
+		if _, err := app.Execute(ctx, call); err != nil {
+			t.Fatal(err)
+		}
+		call.Release()
+	}
+	if n := testing.AllocsPerRun(200, view); n != 0 {
+		t.Errorf("ViewItem invoke allocates %v times per call, want 0", n)
+	}
+}

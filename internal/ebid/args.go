@@ -8,11 +8,10 @@ import (
 )
 
 // OpArgs is the typed argument codec for the end-user operations: one
-// field per argument the 17 session components read, replacing the
-// per-request map[string]any allocation on the hot path. A zero-valued
-// field reads as absent — every numeric argument here is >= 1 when
-// present — except Rating, where zero and negative values are legal and
-// presence is carried explicitly by HasRating.
+// field per argument the 17 session components read. A zero-valued field
+// reads as absent — every numeric argument here is >= 1 when present —
+// except Rating, where zero and negative values are legal and presence is
+// carried explicitly by HasRating.
 type OpArgs struct {
 	User     int64
 	Item     int64
@@ -22,65 +21,6 @@ type OpArgs struct {
 	Rating   int64
 	// HasRating marks Rating as present.
 	HasRating bool
-}
-
-// Arg implements core.Args.
-func (a *OpArgs) Arg(name string) (any, bool) {
-	switch name {
-	case "user":
-		if a.User != 0 {
-			return a.User, true
-		}
-	case "item":
-		if a.Item != 0 {
-			return a.Item, true
-		}
-	case "category":
-		if a.Category != 0 {
-			return a.Category, true
-		}
-	case "region":
-		if a.Region != 0 {
-			return a.Region, true
-		}
-	case "amount":
-		if a.Amount != 0 {
-			return a.Amount, true
-		}
-	case "rating":
-		if a.HasRating {
-			return a.Rating, true
-		}
-	}
-	return nil, false
-}
-
-// int64Arg is the boxing-free accessor the session components use on
-// their fast path.
-func (a *OpArgs) int64Arg(name string) (int64, bool) {
-	switch name {
-	case "user":
-		if a.User != 0 {
-			return a.User, true
-		}
-	case "item":
-		if a.Item != 0 {
-			return a.Item, true
-		}
-	case "category":
-		if a.Category != 0 {
-			return a.Category, true
-		}
-	case "region":
-		if a.Region != 0 {
-			return a.Region, true
-		}
-	case "rating":
-		if a.HasRating {
-			return a.Rating, true
-		}
-	}
-	return 0, false
 }
 
 // SetString decodes one URL-style key=value pair into the codec,
@@ -133,41 +73,6 @@ type EntityArgs struct {
 	Val    any
 	Limit  int
 	Kind   string
-}
-
-// Arg implements core.Args.
-func (a *EntityArgs) Arg(name string) (any, bool) {
-	switch name {
-	case "key":
-		if a.HasKey {
-			return a.Key, true
-		}
-	case "row":
-		if a.Row != nil {
-			return a.Row, true
-		}
-	case "tx":
-		if a.Tx != nil {
-			return a.Tx, true
-		}
-	case "col":
-		if a.Col != "" {
-			return a.Col, true
-		}
-	case "val":
-		if a.Val != nil {
-			return a.Val, true
-		}
-	case "limit":
-		if a.Limit != 0 {
-			return a.Limit, true
-		}
-	case "kind":
-		if a.Kind != "" {
-			return a.Kind, true
-		}
-	}
-	return nil, false
 }
 
 var entityArgsPool = sync.Pool{New: func() any { return new(EntityArgs) }}

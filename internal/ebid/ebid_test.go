@@ -33,7 +33,7 @@ func newApp(t *testing.T) (*App, *session.FastS) {
 	return app, fs
 }
 
-func exec(t *testing.T, app *App, sessID, op string, args core.ArgMap) string {
+func exec(t *testing.T, app *App, sessID, op string, args *OpArgs) string {
 	t.Helper()
 	body, err := app.Execute(context.Background(), &core.Call{Op: op, SessionID: sessID, Args: args})
 	if err != nil {
@@ -44,7 +44,7 @@ func exec(t *testing.T, app *App, sessID, op string, args core.ArgMap) string {
 
 func login(t *testing.T, app *App, sessID string, user int64) {
 	t.Helper()
-	exec(t, app, sessID, Authenticate, core.ArgMap{"user": user})
+	exec(t, app, sessID, Authenticate, &OpArgs{User: user})
 }
 
 func TestDeploymentRoster(t *testing.T) {
@@ -82,15 +82,15 @@ func TestStaticAndReadOnlyOps(t *testing.T) {
 			t.Fatalf("%s returned empty body", op)
 		}
 	}
-	body := exec(t, app, "", ViewItem, core.ArgMap{"item": int64(3)})
+	body := exec(t, app, "", ViewItem, &OpArgs{Item: 3})
 	if want := "item 3"; !contains(body, want) {
 		t.Fatalf("ViewItem body = %q, want contains %q", body, want)
 	}
-	body = exec(t, app, "", ViewUserInfo, core.ArgMap{"user": int64(2)})
+	body = exec(t, app, "", ViewUserInfo, &OpArgs{User: 2})
 	if !contains(body, "user 2") {
 		t.Fatalf("ViewUserInfo body = %q", body)
 	}
-	body = exec(t, app, "", SearchItemsByCategory, core.ArgMap{"category": int64(2)})
+	body = exec(t, app, "", SearchItemsByCategory, &OpArgs{Category: 2})
 	if !contains(body, "items") {
 		t.Fatalf("Search body = %q", body)
 	}
@@ -106,7 +106,7 @@ func TestViewItemFallsBackToOldItem(t *testing.T) {
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	body := exec(t, app, "", ViewItem, core.ArgMap{"item": int64(5)})
+	body := exec(t, app, "", ViewItem, &OpArgs{Item: 5})
 	if !contains(body, "old item 5") {
 		t.Fatalf("body = %q, want old item fallback", body)
 	}
@@ -136,9 +136,9 @@ func TestLoginLogout(t *testing.T) {
 func TestBidFlow(t *testing.T) {
 	app, _ := newApp(t)
 	login(t, app, "s1", 3)
-	exec(t, app, "s1", MakeBid, core.ArgMap{"item": int64(7)})
+	exec(t, app, "s1", MakeBid, &OpArgs{Item: 7})
 	before, _ := app.DB.RowCount(TblBids)
-	body := exec(t, app, "s1", CommitBid, core.ArgMap{"amount": 123.0})
+	body := exec(t, app, "s1", CommitBid, &OpArgs{Amount: 123.0})
 	if !contains(body, "bid committed on item 7") {
 		t.Fatalf("CommitBid body = %q", body)
 	}
@@ -161,7 +161,7 @@ func TestBidFlow(t *testing.T) {
 func TestCommitBidWithoutSelection(t *testing.T) {
 	app, _ := newApp(t)
 	login(t, app, "s1", 3)
-	_, err := app.Execute(context.Background(), &core.Call{Op: CommitBid, SessionID: "s1", Args: core.ArgMap{"amount": 5.0}})
+	_, err := app.Execute(context.Background(), &core.Call{Op: CommitBid, SessionID: "s1", Args: &OpArgs{Amount: 5.0}})
 	if err == nil {
 		t.Fatal("CommitBid without MakeBid should fail")
 	}
@@ -170,7 +170,7 @@ func TestCommitBidWithoutSelection(t *testing.T) {
 func TestBuyNowFlow(t *testing.T) {
 	app, _ := newApp(t)
 	login(t, app, "s2", 4)
-	exec(t, app, "s2", DoBuyNow, core.ArgMap{"item": int64(9)})
+	exec(t, app, "s2", DoBuyNow, &OpArgs{Item: 9})
 	body := exec(t, app, "s2", CommitBuyNow, nil)
 	if !contains(body, "purchase committed for item 9") {
 		t.Fatalf("body = %q", body)
@@ -184,8 +184,8 @@ func TestBuyNowFlow(t *testing.T) {
 func TestFeedbackFlow(t *testing.T) {
 	app, _ := newApp(t)
 	login(t, app, "s3", 5)
-	exec(t, app, "s3", LeaveUserFeedback, core.ArgMap{"user": int64(6)})
-	body := exec(t, app, "s3", CommitUserFeedback, core.ArgMap{"rating": int64(3)})
+	exec(t, app, "s3", LeaveUserFeedback, &OpArgs{User: 6})
+	body := exec(t, app, "s3", CommitUserFeedback, &OpArgs{Rating: 3, HasRating: true})
 	if !contains(body, "feedback committed for user 6") {
 		t.Fatalf("body = %q", body)
 	}
@@ -199,14 +199,14 @@ func TestFeedbackFlow(t *testing.T) {
 
 func TestRegisterNewUserAndItem(t *testing.T) {
 	app, fs := newApp(t)
-	body := exec(t, app, "s4", RegisterNewUser, core.ArgMap{"region": int64(2)})
+	body := exec(t, app, "s4", RegisterNewUser, &OpArgs{Region: 2})
 	if !contains(body, "registered user 51") {
 		t.Fatalf("body = %q, want user 51 (next id after 50)", body)
 	}
 	if fs.Len() != 1 {
 		t.Fatal("RegisterNewUser must auto-login")
 	}
-	body = exec(t, app, "s4", RegisterNewItem, core.ArgMap{"category": int64(1)})
+	body = exec(t, app, "s4", RegisterNewItem, &OpArgs{Category: 1})
 	if !contains(body, "registered item 201") {
 		t.Fatalf("body = %q, want item 201", body)
 	}
@@ -215,13 +215,13 @@ func TestRegisterNewUserAndItem(t *testing.T) {
 func TestSessionSurvivesMicroreboot(t *testing.T) {
 	app, _ := newApp(t)
 	login(t, app, "s5", 7)
-	exec(t, app, "s5", MakeBid, core.ArgMap{"item": int64(3)})
+	exec(t, app, "s5", MakeBid, &OpArgs{Item: 3})
 	// Microreboot the whole EntityGroup plus MakeBid itself.
 	if _, err := app.Server.Microreboot(MakeBid, EntItem); err != nil {
 		t.Fatal(err)
 	}
 	// Session state survived; the user can commit the bid.
-	body := exec(t, app, "s5", CommitBid, core.ArgMap{"amount": 9.0})
+	body := exec(t, app, "s5", CommitBid, &OpArgs{Amount: 9.0})
 	if !contains(body, "bid committed") {
 		t.Fatalf("post-µRB CommitBid body = %q", body)
 	}
@@ -233,7 +233,7 @@ func TestCallsDuringMicrorebootGetRetryAfter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = app.Execute(context.Background(), &core.Call{Op: ViewItem, Args: core.ArgMap{"item": int64(1)}})
+	_, err = app.Execute(context.Background(), &core.Call{Op: ViewItem, Args: &OpArgs{Item: 1}})
 	var ra *core.RetryAfterError
 	if !errors.As(err, &ra) {
 		t.Fatalf("err = %v, want RetryAfterError", err)
@@ -243,7 +243,7 @@ func TestCallsDuringMicrorebootGetRetryAfter(t *testing.T) {
 	if err := app.Server.CompleteMicroreboot(rb); err != nil {
 		t.Fatal(err)
 	}
-	exec(t, app, "", ViewItem, core.ArgMap{"item": int64(1)})
+	exec(t, app, "", ViewItem, &OpArgs{Item: 1})
 }
 
 func TestViewItemMidEntityRebootIsRefusedNotOldItem(t *testing.T) {
@@ -251,7 +251,7 @@ func TestViewItemMidEntityRebootIsRefusedNotOldItem(t *testing.T) {
 	// while the entity group was microrebooting, a live item whose id also
 	// exists among the old items (1–20 here) was answered "old item N".
 	app, _ := newApp(t)
-	if body := exec(t, app, "", ViewItem, core.ArgMap{"item": int64(1)}); !contains(body, "item 1:") || contains(body, "old item") {
+	if body := exec(t, app, "", ViewItem, &OpArgs{Item: 1}); !contains(body, "item 1:") || contains(body, "old item") {
 		t.Fatalf("before the µRB: body = %q, want live item 1", body)
 	}
 	tx, _ := app.DB.Begin()
@@ -264,7 +264,7 @@ func TestViewItemMidEntityRebootIsRefusedNotOldItem(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	body, err := app.Execute(context.Background(), &core.Call{Op: ViewItem, Args: core.ArgMap{"item": int64(1)}})
+	body, err := app.Execute(context.Background(), &core.Call{Op: ViewItem, Args: &OpArgs{Item: 1}})
 	var ra *core.RetryAfterError
 	if !errors.As(err, &ra) {
 		t.Fatalf("mid-µRB ViewItem: body %q, err %v; want RetryAfterError", body, err)
@@ -272,7 +272,7 @@ func TestViewItemMidEntityRebootIsRefusedNotOldItem(t *testing.T) {
 	if err := app.Server.CompleteMicroreboot(rb); err != nil {
 		t.Fatal(err)
 	}
-	if body := exec(t, app, "", ViewItem, core.ArgMap{"item": int64(1)}); contains(body, "old item") {
+	if body := exec(t, app, "", ViewItem, &OpArgs{Item: 1}); contains(body, "old item") {
 		t.Fatalf("after the µRB: body = %q, want live item 1", body)
 	}
 }
@@ -330,12 +330,15 @@ func TestFastSLossBreaksSessionsSSMDoesNot(t *testing.T) {
 	if err := LoadDataset(d, smallDataset()); err != nil {
 		t.Fatal(err)
 	}
-	ssm := session.NewSSM(nil, 0)
+	ssm, err := session.NewSSMCluster(session.ClusterConfig{Shards: 1, Replicas: 1, WriteQuorum: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
 	app2, err := New(d, ssm, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := app2.Execute(context.Background(), &core.Call{Op: Authenticate, SessionID: "s1", Args: core.ArgMap{"user": int64(3)}}); err != nil {
+	if _, err := app2.Execute(context.Background(), &core.Call{Op: Authenticate, SessionID: "s1", Args: &OpArgs{User: 3}}); err != nil {
 		t.Fatal(err)
 	}
 	// Simulate process restart: SSM keeps its state (it is off-node).
@@ -469,7 +472,7 @@ func TestIdentityManagerSequential(t *testing.T) {
 	var prev int64
 	for i := 0; i < 5; i++ {
 		res, err := app.Server.Invoke(context.Background(), IdentityManager,
-			&core.Call{Op: "next", Args: core.ArgMap{"kind": "bid"}})
+			&core.Call{Op: "next", Args: &EntityArgs{Kind: "bid"}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -484,7 +487,7 @@ func TestIdentityManagerSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	res, err := app.Server.Invoke(context.Background(), IdentityManager,
-		&core.Call{Op: "next", Args: core.ArgMap{"kind": "bid"}})
+		&core.Call{Op: "next", Args: &EntityArgs{Kind: "bid"}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -63,48 +63,23 @@ func (e *entity) Init(env *core.Env) error {
 // Stop implements core.Component.
 func (e *entity) Stop() error { return nil }
 
-// entityArgView is the decoded argument set of one entity hop. It is
-// built once per Serve: a direct type assertion on the typed codec (the
-// hot path, no boxing) with a generic core.Arg fallback for map-backed
-// args.
-type entityArgView struct {
-	key    int64
-	hasKey bool
-	row    db.Row
-	tx     *db.Tx
-	col    string
-	val    any
-	limit  int
-	kind   string
-}
-
-func viewArgs(call *core.Call) entityArgView {
-	if a, ok := call.Args.(*EntityArgs); ok {
-		return entityArgView{
-			key: a.Key, hasKey: a.HasKey, row: a.Row, tx: a.Tx,
-			col: a.Col, val: a.Val, limit: a.Limit, kind: a.Kind,
-		}
+// viewArgs returns a copy of the entity hop's typed arguments, taken once
+// per Serve. A call without them (nil, or a nil *EntityArgs) reads as
+// every argument absent.
+func viewArgs(call *core.Call) EntityArgs {
+	if a, _ := call.Args.(*EntityArgs); a != nil {
+		return *a
 	}
-	var v entityArgView
-	v.key, v.hasKey = core.Arg[int64](call, "key")
-	v.row, _ = core.Arg[db.Row](call, "row")
-	v.tx, _ = core.Arg[*db.Tx](call, "tx")
-	v.col, _ = core.Arg[string](call, "col")
-	if call.Args != nil {
-		v.val, _ = call.Args.Arg("val")
-	}
-	v.limit, _ = core.Arg[int](call, "limit")
-	v.kind, _ = core.Arg[string](call, "kind")
-	return v
+	return EntityArgs{}
 }
 
 // txFrom returns the caller-supplied transaction, or starts an
 // auto-commit transaction (auto=true). Auto transactions are settled
 // through finishTx; returning a flag instead of a settle closure keeps
 // the per-call hot path free of the closure allocation.
-func (e *entity) txFrom(v entityArgView) (tx *db.Tx, auto bool, err error) {
-	if v.tx != nil {
-		return v.tx, false, nil
+func (e *entity) txFrom(caller *db.Tx) (tx *db.Tx, auto bool, err error) {
+	if caller != nil {
+		return caller, false, nil
 	}
 	t, err := e.db.Begin()
 	if err != nil {
@@ -138,51 +113,46 @@ func finishTx(tx *db.Tx, auto bool, err error) error {
 // Serve implements core.Component: the entity sub-operations.
 func (e *entity) Serve(ctx context.Context, call *core.Call) (any, error) {
 	v := viewArgs(call)
-	tx, auto, err := e.txFrom(v)
+	tx, auto, err := e.txFrom(v.Tx)
 	if err != nil {
 		return nil, err
 	}
 	var res any
 	switch call.Op {
 	case opLoad:
-		if !v.hasKey {
+		if !v.HasKey {
 			return nil, finishTx(tx, auto, fmt.Errorf("ebid: %s load: missing key", e.table))
 		}
-		res, err = tx.Get(e.table, v.key)
+		res, err = tx.Get(e.table, v.Key)
 	case opCreate:
-		if v.row == nil {
+		if v.Row == nil {
 			return nil, finishTx(tx, auto, fmt.Errorf("ebid: %s create: missing row", e.table))
 		}
-		if v.hasKey {
-			err = tx.InsertWithKey(e.table, v.key, v.row)
-			res = v.key
+		if v.HasKey {
+			err = tx.InsertWithKey(e.table, v.Key, v.Row)
+			res = v.Key
 		} else {
-			res, err = tx.Insert(e.table, v.row)
+			res, err = tx.Insert(e.table, v.Row)
 		}
 	case opUpdate:
-		if !v.hasKey {
+		if !v.HasKey {
 			return nil, finishTx(tx, auto, fmt.Errorf("ebid: %s update: missing key", e.table))
 		}
-		if v.row == nil {
+		if v.Row == nil {
 			return nil, finishTx(tx, auto, fmt.Errorf("ebid: %s update: missing row", e.table))
 		}
-		err = tx.Update(e.table, v.key, v.row)
+		err = tx.Update(e.table, v.Key, v.Row)
 	case opByIndex:
 		var keys []int64
-		keys, err = tx.Lookup(e.table, v.col, v.val)
+		keys, err = tx.Lookup(e.table, v.Col, v.Val)
 		if err == nil {
-			if _, typed := call.Args.(*EntityArgs); typed {
-				// Typed-codec callers read the key list from the call's
-				// result slot, skipping the []int64→any boxing. Map-args
-				// callers (figures, tests) keep the boxed result.
-				call.SetKeysResult(keys)
-				res = core.SlotResult
-			} else {
-				res = keys
-			}
+			// The caller reads the key list from the call's result slot,
+			// skipping the []int64→any boxing.
+			call.SetKeysResult(keys)
+			res = core.SlotResult
 		}
 	case opList:
-		limit := v.limit
+		limit := v.Limit
 		if limit <= 0 {
 			limit = 20
 		}
@@ -257,11 +227,11 @@ func (m *idManager) Serve(ctx context.Context, call *core.Call) (any, error) {
 		return nil, fmt.Errorf("ebid: IdentityManager: unknown op %q", call.Op)
 	}
 	v := viewArgs(call)
-	kind := v.kind
+	kind := v.Kind
 	if kind == "" {
 		return nil, errors.New("ebid: IdentityManager: missing kind")
 	}
-	tx := v.tx
+	tx := v.Tx
 	var err error
 	if tx == nil {
 		tx, err = m.db.Begin()

@@ -15,58 +15,48 @@ import (
 // invocation pipeline, deriving a child call so the whole request shares
 // one shepherd: the entity hop inherits this request's context, and a
 // kill or lease expiry cancels every hop at once.
-func invokeEntity(ctx context.Context, env *core.Env, call *core.Call, entityName, op string, args core.Args) (any, error) {
+func invokeEntity(ctx context.Context, env *core.Env, call *core.Call, entityName, op string, args *EntityArgs) (any, error) {
 	child := call.Child(op, args)
 	res, err := env.Server.Invoke(ctx, entityName, child)
 	// Recycle the child and its typed args, but only if the child was not
 	// retained by a kill (Release refuses and reports false in that case —
 	// the args then stay reachable from the retained call).
 	if child.Release() {
-		if ea, ok := args.(*EntityArgs); ok {
-			ea.release()
-		}
+		args.release()
 	}
 	return res, err
 }
 
 // invokeEntityKeys is invokeEntity for the opByIndex sub-operation: the
 // entity deposits its key list in the child call's typed result slot, so
-// the slice comes back without being boxed through `any`. The res
-// fallback keeps map-args (legacy) and fault-injected results working.
-func invokeEntityKeys(ctx context.Context, env *core.Env, call *core.Call, entityName string, args core.Args) ([]int64, error) {
+// the slice comes back without being boxed through `any`. A result a
+// fault fabricated in place of the entity's reads as no keys.
+func invokeEntityKeys(ctx context.Context, env *core.Env, call *core.Call, entityName string, args *EntityArgs) ([]int64, error) {
 	child := call.Child(opByIndex, args)
-	res, err := env.Server.Invoke(ctx, entityName, child)
-	keys, ok := child.KeysResult()
-	if !ok {
-		keys, _ = res.([]int64)
-	}
+	_, err := env.Server.Invoke(ctx, entityName, child)
+	keys, _ := child.KeysResult()
 	if child.Release() {
-		if ea, ok := args.(*EntityArgs); ok {
-			ea.release()
-		}
+		args.release()
 	}
 	return keys, err
 }
 
-// argInt64 reads one int64 operation argument, decoding straight off the
-// typed codec when present (no boxing) and falling back to the generic
-// path for map-backed args.
-func argInt64(call *core.Call, name string) (int64, bool) {
-	if a, ok := call.Args.(*OpArgs); ok {
-		return a.int64Arg(name)
+// opArgs returns a copy of the call's operation arguments. A call without
+// them (nil, or a nil *OpArgs) reads as every argument absent.
+func opArgs(call *core.Call) OpArgs {
+	if a, _ := call.Args.(*OpArgs); a != nil {
+		return *a
 	}
-	return core.Arg[int64](call, name)
+	return OpArgs{}
 }
 
-// argFloat64 is argInt64's float counterpart (the "amount" argument).
-func argFloat64(call *core.Call, name string) (float64, bool) {
-	if a, ok := call.Args.(*OpArgs); ok {
-		if a.Amount != 0 {
-			return a.Amount, true
-		}
-		return 0, false
+// orFirst defaults an absent (zero) or invalid id argument to 1, the
+// first row of its table.
+func orFirst(id int64) int64 {
+	if id <= 0 {
+		return 1
 	}
-	return core.Arg[float64](call, name)
+	return id
 }
 
 // sessionStore fetches the session store resource.
@@ -175,8 +165,8 @@ func beginTx(env *core.Env, name string) (*db.Tx, func(err error) error, error) 
 // component.
 
 func opAuthenticate(ctx context.Context, env *core.Env, call *core.Call) (any, error) {
-	userID, ok := argInt64(call, "user")
-	if !ok || userID <= 0 {
+	userID := opArgs(call).User
+	if userID <= 0 {
 		return nil, errAuthBadUserID
 	}
 	res, err := invokeEntity(ctx, env, call, EntUser, opLoad, keyArgs(nil, userID))
@@ -241,11 +231,8 @@ func opBrowseRegions(ctx context.Context, env *core.Env, call *core.Call) (any, 
 	return core.SlotResult, nil
 }
 
-func searchItems(ctx context.Context, env *core.Env, call *core.Call, col string, argKey string) (any, error) {
-	val, ok := argInt64(call, argKey)
-	if !ok || val <= 0 {
-		val = 1
-	}
+func searchItems(ctx context.Context, env *core.Env, call *core.Call, col string, val int64) (any, error) {
+	val = orFirst(val)
 	ids, err := invokeEntityKeys(ctx, env, call, EntItem, byIndexArgs(col, val))
 	if err != nil {
 		return nil, err
@@ -265,18 +252,15 @@ func searchItems(ctx context.Context, env *core.Env, call *core.Call, col string
 }
 
 func opSearchItemsByCategory(ctx context.Context, env *core.Env, call *core.Call) (any, error) {
-	return searchItems(ctx, env, call, "category", "category")
+	return searchItems(ctx, env, call, "category", opArgs(call).Category)
 }
 
 func opSearchItemsByRegion(ctx context.Context, env *core.Env, call *core.Call) (any, error) {
-	return searchItems(ctx, env, call, "region", "region")
+	return searchItems(ctx, env, call, "region", opArgs(call).Region)
 }
 
 func opViewItem(ctx context.Context, env *core.Env, call *core.Call) (any, error) {
-	itemID, ok := argInt64(call, "item")
-	if !ok || itemID <= 0 {
-		itemID = 1
-	}
+	itemID := orFirst(opArgs(call).Item)
 	res, err := invokeEntity(ctx, env, call, EntItem, opLoad, keyArgs(nil, itemID))
 	if err != nil {
 		// Ended auctions move to OldItem. Only a missing row sends the
@@ -303,10 +287,7 @@ func opViewItem(ctx context.Context, env *core.Env, call *core.Call) (any, error
 }
 
 func opViewUserInfo(ctx context.Context, env *core.Env, call *core.Call) (any, error) {
-	userID, ok := argInt64(call, "user")
-	if !ok || userID <= 0 {
-		userID = 1
-	}
+	userID := orFirst(opArgs(call).User)
 	res, err := invokeEntity(ctx, env, call, EntUser, opLoad, keyArgs(nil, userID))
 	if err != nil {
 		return nil, err
@@ -322,10 +303,7 @@ func opViewUserInfo(ctx context.Context, env *core.Env, call *core.Call) (any, e
 }
 
 func opViewBidHistory(ctx context.Context, env *core.Env, call *core.Call) (any, error) {
-	itemID, ok := argInt64(call, "item")
-	if !ok || itemID <= 0 {
-		itemID = 1
-	}
+	itemID := orFirst(opArgs(call).Item)
 	keys, err := invokeEntityKeys(ctx, env, call, EntBid, byIndexArgs("item", itemID))
 	if err != nil {
 		return nil, err
@@ -339,10 +317,7 @@ func opMakeBid(ctx context.Context, env *core.Env, call *core.Call) (any, error)
 	if err != nil {
 		return nil, err
 	}
-	itemID, ok := argInt64(call, "item")
-	if !ok || itemID <= 0 {
-		itemID = 1
-	}
+	itemID := orFirst(opArgs(call).Item)
 	if _, err := invokeEntity(ctx, env, call, EntItem, opLoad, keyArgs(nil, itemID)); err != nil {
 		return nil, err
 	}
@@ -364,8 +339,8 @@ func opCommitBid(ctx context.Context, env *core.Env, call *core.Call) (any, erro
 		return nil, errBidNoItem
 	}
 	itemID := sess.Items[len(sess.Items)-1]
-	amount, ok := argFloat64(call, "amount")
-	if !ok || amount <= 0 {
+	amount := opArgs(call).Amount
+	if amount <= 0 {
 		amount = 1
 	}
 	tx, finish, err := beginTx(env, CommitBid)
@@ -413,10 +388,7 @@ func opDoBuyNow(ctx context.Context, env *core.Env, call *core.Call) (any, error
 	if err != nil {
 		return nil, err
 	}
-	itemID, ok := argInt64(call, "item")
-	if !ok || itemID <= 0 {
-		itemID = 1
-	}
+	itemID := orFirst(opArgs(call).Item)
 	if _, err := invokeEntity(ctx, env, call, EntItem, opLoad, keyArgs(nil, itemID)); err != nil {
 		return nil, err
 	}
@@ -480,10 +452,7 @@ func opLeaveUserFeedback(ctx context.Context, env *core.Env, call *core.Call) (a
 	if err != nil {
 		return nil, err
 	}
-	target, ok := argInt64(call, "user")
-	if !ok || target <= 0 {
-		target = 1
-	}
+	target := orFirst(opArgs(call).User)
 	if _, err := invokeEntity(ctx, env, call, EntUser, opLoad, keyArgs(nil, target)); err != nil {
 		return nil, err
 	}
@@ -508,8 +477,9 @@ func opCommitUserFeedback(ctx context.Context, env *core.Env, call *core.Call) (
 	if err != nil || target <= 0 {
 		return nil, fmt.Errorf("ebid: CommitUserFeedback: bad target %q", targetStr)
 	}
-	rating, ok := argInt64(call, "rating")
-	if !ok || rating < -5 || rating > 5 {
+	a := opArgs(call)
+	rating := a.Rating
+	if !a.HasRating || rating < -5 || rating > 5 {
 		rating = 1
 	}
 	tx, finish, err := beginTx(env, CommitUserFeedback)
@@ -547,10 +517,7 @@ func opCommitUserFeedback(ctx context.Context, env *core.Env, call *core.Call) (
 }
 
 func opRegisterNewUser(ctx context.Context, env *core.Env, call *core.Call) (any, error) {
-	region, ok := argInt64(call, "region")
-	if !ok || region <= 0 {
-		region = 1
-	}
+	region := orFirst(opArgs(call).Region)
 	tx, finish, err := beginTx(env, RegisterNewUser)
 	if err != nil {
 		return nil, err
@@ -600,10 +567,7 @@ func opRegisterNewItem(ctx context.Context, env *core.Env, call *core.Call) (any
 	if err != nil {
 		return nil, err
 	}
-	category, ok := argInt64(call, "category")
-	if !ok || category <= 0 {
-		category = 1
-	}
+	category := orFirst(opArgs(call).Category)
 	tx, finish, err := beginTx(env, RegisterNewItem)
 	if err != nil {
 		return nil, err

@@ -506,3 +506,12 @@ func TestHarnessNamesNodesPastNine(t *testing.T) {
 		seen[n.Name] = true
 	}
 }
+
+// TestHarnessRejectsSSMStore: the single-node SSM is ssm-cluster at one
+// shard × one replica, so "ssm" is an unknown store that names the kinds.
+func TestHarnessRejectsSSMStore(t *testing.T) {
+	_, err := NewHarness(quick, HarnessConfig{Store: "ssm"})
+	if err == nil || !strings.Contains(err.Error(), "fasts") || !strings.Contains(err.Error(), "ssm-cluster") {
+		t.Fatalf("NewHarness(ssm) err = %v, want an unknown-store error naming fasts and ssm-cluster", err)
+	}
+}

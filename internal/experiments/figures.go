@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"time"
@@ -73,7 +74,7 @@ func runFigure1(o Options, forceScope core.Scope) (*env, *recovery.Manager) {
 		// Session-loss failures after a process restart are knock-on
 		// effects of the recovery itself, not new faults; reporting them
 		// would send the manager into a restart loop.
-		if resp.Err != nil && strings.Contains(resp.Err.Error(), "not logged in") {
+		if errors.Is(resp.Err, ebid.ErrNotLoggedIn) {
 			return
 		}
 		rm.Report(recovery.Report{Op: op, Kind: "client-detector"})
@@ -155,7 +156,7 @@ func Figure2(o Options) *Figure2Result {
 		e := newEnv(o, o.clients(500), useFastS, cluster.NodeConfig{})
 		rm := recovery.NewManager(e.kernel, e.node, recovery.Config{Threshold: 3, ForceScope: force})
 		e.emulator.OnFailure(func(_ int, op string, resp workload.Response) {
-			if resp.Err != nil && strings.Contains(resp.Err.Error(), "not logged in") {
+			if errors.Is(resp.Err, ebid.ErrNotLoggedIn) {
 				return
 			}
 			rm.Report(recovery.Report{Op: op})

@@ -39,10 +39,10 @@ type Options struct {
 	SeedSet bool
 	// ClusterStore selects the session store the multi-node cluster
 	// experiments (Figures 3/4, Section 6.1) share across nodes: "fasts"
-	// (default, node-local state — the paper's main configuration), "ssm"
-	// (one shared SSM) or "ssm-cluster" (a cross-node SSM brick cluster,
-	// the paper's §6.1 variant whose session state survives node
-	// restarts). It is passed to NewHarness as HarnessConfig.Store.
+	// (default, node-local state — the paper's main configuration) or
+	// "ssm-cluster" (a cross-node SSM brick cluster, the paper's §6.1
+	// variant whose session state survives node restarts). It is passed to
+	// NewHarness as HarnessConfig.Store.
 	ClusterStore string
 }
 
@@ -102,10 +102,18 @@ const (
 	useSSM
 )
 
-// newStore builds the session store for a kind on the kernel's clock.
+// newStore builds the session store for a kind on the kernel's clock. The
+// SSM is the brick cluster at its single-node geometry: one shard × one
+// replica, W = 1.
 func newStore(k *sim.Kernel, kind storeKind) session.Store {
 	if kind == useSSM {
-		return session.NewSSM(k.Now, time.Hour)
+		cl, err := session.NewSSMCluster(session.ClusterConfig{
+			Shards: 1, Replicas: 1, WriteQuorum: 1, LeaseTTL: time.Hour, Now: k.Now,
+		})
+		if err != nil {
+			panic("experiments: ssm: " + err.Error())
+		}
+		return cl
 	}
 	return session.NewFastS()
 }

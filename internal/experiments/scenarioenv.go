@@ -25,9 +25,9 @@ type HarnessConfig struct {
 	// single node sits behind a LoadBalancer so routing policies, drains
 	// and fleet probes work uniformly.
 	Nodes int
-	// Store selects the session store: "fasts" (default, node-local),
-	// "ssm" (one shared single-node SSM) or "ssm-cluster" (a shared
-	// sharded/replicated brick cluster).
+	// Store selects the session store: "fasts" (default, node-local) or
+	// "ssm-cluster" (a shared sharded/replicated brick cluster; 1 shard ×
+	// 1 replica with W = 1 is the single-node SSM).
 	Store string
 	// Shards/Replicas/WriteQuorum/LeaseTTL set the brick-cluster
 	// geometry when Store is "ssm-cluster" (defaults 4 × 3, W=2, 1 h).
@@ -54,9 +54,8 @@ type Harness struct {
 	Recorder  *metrics.Recorder
 	Injectors []*faults.Injector
 	// Bricks is the shared brick cluster (nil unless Store was
-	// "ssm-cluster"); SharedSSM likewise for "ssm".
-	Bricks    *session.SSMCluster
-	SharedSSM *session.SSM
+	// "ssm-cluster").
+	Bricks *session.SSMCluster
 }
 
 // NewHarness builds the environment. Unknown store names and invalid
@@ -74,12 +73,6 @@ func NewHarness(o Options, cfg HarnessConfig) (*Harness, error) {
 	h := &Harness{Opts: o, Kernel: k, DB: d, Dataset: ds}
 	switch cfg.Store {
 	case "", "fasts":
-	case "ssm":
-		ttl := cfg.LeaseTTL
-		if ttl == 0 {
-			ttl = time.Hour
-		}
-		h.SharedSSM = session.NewSSM(k.Now, ttl)
 	case "ssm-cluster":
 		ccfg := session.ClusterConfig{
 			Shards:      cfg.Shards,
@@ -106,16 +99,13 @@ func NewHarness(o Options, cfg HarnessConfig) (*Harness, error) {
 		}
 		h.Bricks = cl
 	default:
-		return nil, fmt.Errorf("harness: unknown store %q (want fasts, ssm or ssm-cluster)", cfg.Store)
+		return nil, fmt.Errorf("harness: unknown store %q (want fasts or ssm-cluster)", cfg.Store)
 	}
 	for i := 0; i < cfg.Nodes; i++ {
 		var store session.Store
-		switch {
-		case h.Bricks != nil:
+		if h.Bricks != nil {
 			store = h.Bricks
-		case h.SharedSSM != nil:
-			store = h.SharedSSM
-		default:
+		} else {
 			store = session.NewFastS()
 		}
 		ncfg := cfg.Node

@@ -113,39 +113,39 @@ type table2Case struct {
 	paper string
 	// probeOp exercises the faulty path; probeSession logs in first.
 	probeOp      string
-	probeArgs    core.ArgMap
+	probeArgs    *ebid.OpArgs
 	probeSession bool
 }
 
 func table2Cases() []table2Case {
 	return []table2Case{
-		{faults.Spec{Kind: faults.Deadlock, Component: ebid.MakeBid}, "EJB", ebid.MakeBid, core.ArgMap{"item": int64(1)}, true},
-		{faults.Spec{Kind: faults.InfiniteLoop, Component: ebid.ViewItem}, "EJB", ebid.ViewItem, core.ArgMap{"item": int64(1)}, false},
-		{faults.Spec{Kind: faults.AppMemoryLeak, Component: ebid.ViewItem, LeakPerCall: 1 << 20}, "EJB", ebid.ViewItem, core.ArgMap{"item": int64(1)}, false},
+		{faults.Spec{Kind: faults.Deadlock, Component: ebid.MakeBid}, "EJB", ebid.MakeBid, &ebid.OpArgs{Item: 1}, true},
+		{faults.Spec{Kind: faults.InfiniteLoop, Component: ebid.ViewItem}, "EJB", ebid.ViewItem, &ebid.OpArgs{Item: 1}, false},
+		{faults.Spec{Kind: faults.AppMemoryLeak, Component: ebid.ViewItem, LeakPerCall: 1 << 20}, "EJB", ebid.ViewItem, &ebid.OpArgs{Item: 1}, false},
 		{faults.Spec{Kind: faults.TransientException, Component: ebid.BrowseCategories}, "EJB", ebid.BrowseCategories, nil, false},
 
-		{faults.Spec{Kind: faults.CorruptPrimaryKeys, Mode: faults.ModeNull}, "EJB", ebid.RegisterNewItem, core.ArgMap{"category": int64(1)}, true},
-		{faults.Spec{Kind: faults.CorruptPrimaryKeys, Mode: faults.ModeInvalid}, "EJB", ebid.RegisterNewItem, core.ArgMap{"category": int64(1)}, true},
-		{faults.Spec{Kind: faults.CorruptPrimaryKeys, Mode: faults.ModeWrong}, "EJB ≈", ebid.RegisterNewItem, core.ArgMap{"category": int64(1)}, true},
+		{faults.Spec{Kind: faults.CorruptPrimaryKeys, Mode: faults.ModeNull}, "EJB", ebid.RegisterNewItem, &ebid.OpArgs{Category: 1}, true},
+		{faults.Spec{Kind: faults.CorruptPrimaryKeys, Mode: faults.ModeInvalid}, "EJB", ebid.RegisterNewItem, &ebid.OpArgs{Category: 1}, true},
+		{faults.Spec{Kind: faults.CorruptPrimaryKeys, Mode: faults.ModeWrong}, "EJB ≈", ebid.RegisterNewItem, &ebid.OpArgs{Category: 1}, true},
 
-		{faults.Spec{Kind: faults.CorruptNaming, Component: ebid.ViewUserInfo, Mode: faults.ModeNull}, "EJB", ebid.ViewUserInfo, core.ArgMap{"user": int64(1)}, false},
-		{faults.Spec{Kind: faults.CorruptNaming, Component: ebid.ViewUserInfo, Mode: faults.ModeInvalid}, "EJB", ebid.ViewUserInfo, core.ArgMap{"user": int64(1)}, false},
-		{faults.Spec{Kind: faults.CorruptNaming, Component: ebid.ViewUserInfo, Mode: faults.ModeWrong}, "EJB", ebid.ViewUserInfo, core.ArgMap{"user": int64(1)}, false},
+		{faults.Spec{Kind: faults.CorruptNaming, Component: ebid.ViewUserInfo, Mode: faults.ModeNull}, "EJB", ebid.ViewUserInfo, &ebid.OpArgs{User: 1}, false},
+		{faults.Spec{Kind: faults.CorruptNaming, Component: ebid.ViewUserInfo, Mode: faults.ModeInvalid}, "EJB", ebid.ViewUserInfo, &ebid.OpArgs{User: 1}, false},
+		{faults.Spec{Kind: faults.CorruptNaming, Component: ebid.ViewUserInfo, Mode: faults.ModeWrong}, "EJB", ebid.ViewUserInfo, &ebid.OpArgs{User: 1}, false},
 
-		{faults.Spec{Kind: faults.CorruptTxMethodMap, Component: ebid.CommitBid, Mode: faults.ModeNull}, "EJB", ebid.CommitBid, core.ArgMap{"amount": 5.0}, true},
-		{faults.Spec{Kind: faults.CorruptTxMethodMap, Component: ebid.CommitBid, Mode: faults.ModeInvalid}, "EJB", ebid.CommitBid, core.ArgMap{"amount": 5.0}, true},
-		{faults.Spec{Kind: faults.CorruptTxMethodMap, Component: ebid.CommitBid, Mode: faults.ModeWrong}, "EJB ≈", ebid.CommitBid, core.ArgMap{"amount": 5.0}, true},
+		{faults.Spec{Kind: faults.CorruptTxMethodMap, Component: ebid.CommitBid, Mode: faults.ModeNull}, "EJB", ebid.CommitBid, &ebid.OpArgs{Amount: 5.0}, true},
+		{faults.Spec{Kind: faults.CorruptTxMethodMap, Component: ebid.CommitBid, Mode: faults.ModeInvalid}, "EJB", ebid.CommitBid, &ebid.OpArgs{Amount: 5.0}, true},
+		{faults.Spec{Kind: faults.CorruptTxMethodMap, Component: ebid.CommitBid, Mode: faults.ModeWrong}, "EJB ≈", ebid.CommitBid, &ebid.OpArgs{Amount: 5.0}, true},
 
-		{faults.Spec{Kind: faults.CorruptSessionAttrs, Component: ebid.ViewItem, Mode: faults.ModeNull}, "unnecessary", ebid.ViewItem, core.ArgMap{"item": int64(1)}, false},
-		{faults.Spec{Kind: faults.CorruptSessionAttrs, Component: ebid.ViewItem, Mode: faults.ModeInvalid}, "unnecessary", ebid.ViewItem, core.ArgMap{"item": int64(1)}, false},
-		{faults.Spec{Kind: faults.CorruptSessionAttrs, Component: ebid.ViewItem, Mode: faults.ModeWrong}, "EJB+WAR ≈", ebid.ViewItem, core.ArgMap{"item": int64(1)}, false},
+		{faults.Spec{Kind: faults.CorruptSessionAttrs, Component: ebid.ViewItem, Mode: faults.ModeNull}, "unnecessary", ebid.ViewItem, &ebid.OpArgs{Item: 1}, false},
+		{faults.Spec{Kind: faults.CorruptSessionAttrs, Component: ebid.ViewItem, Mode: faults.ModeInvalid}, "unnecessary", ebid.ViewItem, &ebid.OpArgs{Item: 1}, false},
+		{faults.Spec{Kind: faults.CorruptSessionAttrs, Component: ebid.ViewItem, Mode: faults.ModeWrong}, "EJB+WAR ≈", ebid.ViewItem, &ebid.OpArgs{Item: 1}, false},
 
 		{faults.Spec{Kind: faults.CorruptFastS, SessionID: "probe", Mode: faults.ModeNull}, "WAR", ebid.AboutMe, nil, true},
 		{faults.Spec{Kind: faults.CorruptFastS, SessionID: "probe", Mode: faults.ModeInvalid}, "WAR", ebid.AboutMe, nil, true},
 		{faults.Spec{Kind: faults.CorruptFastS, SessionID: "probe", Mode: faults.ModeWrong}, "WAR ≈", ebid.AboutMe, nil, true},
 
 		{faults.Spec{Kind: faults.CorruptSSM, SessionID: "probe"}, "checksum auto-discard", ebid.AboutMe, nil, true},
-		{faults.Spec{Kind: faults.CorruptDB, Table: ebid.TblUsers, RowKey: 2, Column: "region", Mode: faults.ModeInvalid}, "table repair", ebid.ViewUserInfo, core.ArgMap{"user": int64(2)}, false},
+		{faults.Spec{Kind: faults.CorruptDB, Table: ebid.TblUsers, RowKey: 2, Column: "region", Mode: faults.ModeInvalid}, "table repair", ebid.ViewUserInfo, &ebid.OpArgs{User: 2}, false},
 
 		{faults.Spec{Kind: faults.MemLeakIntraJVM}, "JVM/JBoss", "", nil, false},
 		{faults.Spec{Kind: faults.MemLeakExtraJVM}, "OS kernel", "", nil, false},
@@ -177,12 +177,12 @@ func runTable2Case(o Options, tc table2Case) Table2Row {
 	// Establish the probe session when needed.
 	if tc.probeSession {
 		if _, err := app.Execute(context.Background(), &core.Call{Op: ebid.Authenticate, SessionID: "probe",
-			Args: core.ArgMap{"user": int64(2)}}); err != nil {
+			Args: &ebid.OpArgs{User: 2}}); err != nil {
 			panic("experiments: probe login: " + err.Error())
 		}
 		if tc.probeOp == ebid.CommitBid || tc.probeOp == ebid.MakeBid {
 			if _, err := app.Execute(context.Background(), &core.Call{Op: ebid.MakeBid, SessionID: "probe",
-				Args: core.ArgMap{"item": int64(1)}}); err != nil {
+				Args: &ebid.OpArgs{Item: 1}}); err != nil {
 				panic("experiments: probe MakeBid: " + err.Error())
 			}
 		}
@@ -214,7 +214,7 @@ func runTable2Case(o Options, tc table2Case) Table2Row {
 // what a comparison against a known-good instance would reveal).
 func driveRecursiveRecovery(e *env, f *faults.ActiveFault, tc table2Case) string {
 	app := e.node.App()
-	exec := func(op, sess string, args core.ArgMap) error {
+	exec := func(op, sess string, args *ebid.OpArgs) error {
 		_, err := app.Execute(context.Background(), &core.Call{Op: op, SessionID: sess, Args: args})
 		return err
 	}
@@ -244,12 +244,12 @@ func driveRecursiveRecovery(e *env, f *faults.ActiveFault, tc table2Case) string
 			if tc.probeSession {
 				sess = "probe"
 				if relogin {
-					if err := exec(ebid.Authenticate, sess, core.ArgMap{"user": int64(2)}); err != nil {
+					if err := exec(ebid.Authenticate, sess, &ebid.OpArgs{User: 2}); err != nil {
 						return err
 					}
 				}
 				if tc.probeOp == ebid.CommitBid {
-					if err := exec(ebid.MakeBid, sess, core.ArgMap{"item": int64(1)}); err != nil {
+					if err := exec(ebid.MakeBid, sess, &ebid.OpArgs{Item: 1}); err != nil {
 						return err
 					}
 				}

@@ -27,13 +27,13 @@ func newTarget(t *testing.T, store session.Store) (*ebid.App, *Injector) {
 	return app, NewInjector(app.Server, d, store)
 }
 
-func call(op string, sess string, args core.ArgMap) *core.Call {
+func call(op string, sess string, args *ebid.OpArgs) *core.Call {
 	return &core.Call{Op: op, SessionID: sess, Args: args}
 }
 
 func login(t *testing.T, app *ebid.App, sess string, user int64) {
 	t.Helper()
-	if _, err := app.Execute(context.Background(), call(ebid.Authenticate, sess, core.ArgMap{"user": user})); err != nil {
+	if _, err := app.Execute(context.Background(), call(ebid.Authenticate, sess, &ebid.OpArgs{User: user})); err != nil {
 		t.Fatalf("login: %v", err)
 	}
 }
@@ -45,7 +45,7 @@ func TestDeadlockHangsAndMicrorebootCures(t *testing.T) {
 		t.Fatal(err)
 	}
 	login(t, app, "s", 2)
-	_, err = app.Execute(context.Background(), call(ebid.MakeBid, "s", core.ArgMap{"item": int64(1)}))
+	_, err = app.Execute(context.Background(), call(ebid.MakeBid, "s", &ebid.OpArgs{Item: 1}))
 	if !errors.Is(err, core.ErrHang) {
 		t.Fatalf("err = %v, want ErrHang", err)
 	}
@@ -68,7 +68,7 @@ func TestDeadlockHangsAndMicrorebootCures(t *testing.T) {
 	if f.Active() {
 		t.Fatal("fault still active after covering µRB")
 	}
-	if _, err := app.Execute(context.Background(), call(ebid.MakeBid, "s", core.ArgMap{"item": int64(1)})); err != nil {
+	if _, err := app.Execute(context.Background(), call(ebid.MakeBid, "s", &ebid.OpArgs{Item: 1})); err != nil {
 		t.Fatalf("post-recovery call failed: %v", err)
 	}
 	// The lock is released.
@@ -113,7 +113,7 @@ func TestAppMemoryLeakReclaimedByMicroreboot(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		if _, err := app.Execute(context.Background(), call(ebid.ViewItem, "", core.ArgMap{"item": int64(1)})); err != nil {
+		if _, err := app.Execute(context.Background(), call(ebid.ViewItem, "", &ebid.OpArgs{Item: 1})); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -129,7 +129,7 @@ func TestAppMemoryLeakReclaimedByMicroreboot(t *testing.T) {
 		t.Fatalf("freed = %d", rb.FreedBytes)
 	}
 	// The leak *code* persists (the bug is not fixed by rebooting).
-	if _, err := app.Execute(context.Background(), call(ebid.ViewItem, "", core.ArgMap{"item": int64(1)})); err != nil {
+	if _, err := app.Execute(context.Background(), call(ebid.ViewItem, "", &ebid.OpArgs{Item: 1})); err != nil {
 		t.Fatal(err)
 	}
 	c, _ = app.Server.Container(ebid.ViewItem)
@@ -146,10 +146,10 @@ func TestCorruptPrimaryKeysModes(t *testing.T) {
 			t.Fatal(err)
 		}
 		login(t, app, "s", 2)
-		if _, err := app.Execute(context.Background(), call(ebid.MakeBid, "s", core.ArgMap{"item": int64(1)})); err != nil {
+		if _, err := app.Execute(context.Background(), call(ebid.MakeBid, "s", &ebid.OpArgs{Item: 1})); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := app.Execute(context.Background(), call(ebid.CommitBid, "s", core.ArgMap{"amount": 5.0})); err == nil {
+		if _, err := app.Execute(context.Background(), call(ebid.CommitBid, "s", &ebid.OpArgs{Amount: 5.0})); err == nil {
 			t.Fatalf("mode %s: CommitBid should fail with corrupted keys", mode)
 		}
 		if f.Cure != CureComponent {
@@ -164,7 +164,7 @@ func TestCorruptPrimaryKeysModes(t *testing.T) {
 		if f.Active() {
 			t.Fatalf("mode %s: not cured by IdentityManager µRB", mode)
 		}
-		if _, err := app.Execute(context.Background(), call(ebid.CommitBid, "s", core.ArgMap{"amount": 5.0})); err != nil {
+		if _, err := app.Execute(context.Background(), call(ebid.CommitBid, "s", &ebid.OpArgs{Amount: 5.0})); err != nil {
 			t.Fatalf("mode %s: post-cure CommitBid: %v", mode, err)
 		}
 	}
@@ -177,7 +177,7 @@ func TestCorruptNamingCuredByMicroreboot(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, err = app.Execute(context.Background(), call(ebid.ViewItem, "", core.ArgMap{"item": int64(1)}))
+		_, err = app.Execute(context.Background(), call(ebid.ViewItem, "", &ebid.OpArgs{Item: 1}))
 		if mode != ModeWrong && err == nil {
 			t.Fatalf("mode %s: expected failure", mode)
 		}
@@ -203,13 +203,13 @@ func TestCorruptSessionAttrsSelfCuring(t *testing.T) {
 		t.Fatalf("cure = %v, want unnecessary", f.Cure)
 	}
 	// First call fails; the container discards the bad instance.
-	if _, err := app.Execute(context.Background(), call(ebid.ViewItem, "", core.ArgMap{"item": int64(1)})); err == nil {
+	if _, err := app.Execute(context.Background(), call(ebid.ViewItem, "", &ebid.OpArgs{Item: 1})); err == nil {
 		t.Fatal("first call should fail")
 	}
 	if f.Active() {
 		t.Fatal("fault should have self-cured")
 	}
-	if _, err := app.Execute(context.Background(), call(ebid.ViewItem, "", core.ArgMap{"item": int64(1)})); err != nil {
+	if _, err := app.Execute(context.Background(), call(ebid.ViewItem, "", &ebid.OpArgs{Item: 1})); err != nil {
 		t.Fatalf("second call: %v", err)
 	}
 }
@@ -220,7 +220,7 @@ func TestCorruptSessionAttrsWrongNeedsEJBAndWAR(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	body, err := app.Execute(context.Background(), call(ebid.ViewItem, "", core.ArgMap{"item": int64(7)}))
+	body, err := app.Execute(context.Background(), call(ebid.ViewItem, "", &ebid.OpArgs{Item: 7}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +245,7 @@ func TestCorruptSessionAttrsWrongNeedsEJBAndWAR(t *testing.T) {
 	if f.Active() {
 		t.Fatal("EJB+WAR reboots did not cure the wrong-attribute fault")
 	}
-	body, err = app.Execute(context.Background(), call(ebid.ViewItem, "", core.ArgMap{"item": int64(7)}))
+	body, err = app.Execute(context.Background(), call(ebid.ViewItem, "", &ebid.OpArgs{Item: 7}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,8 +285,13 @@ func TestCorruptFastSCuredByWARReboot(t *testing.T) {
 	}
 }
 
+// TestCorruptSSMSelfCuring: on a single-node SSM (one shard × one
+// replica) there is no healthy copy, so the discard costs the session.
 func TestCorruptSSMSelfCuring(t *testing.T) {
-	ssm := session.NewSSM(nil, time.Hour)
+	ssm, err := session.NewSSMCluster(session.ClusterConfig{Shards: 1, Replicas: 1, WriteQuorum: 1, LeaseTTL: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
 	app, inj := newTarget(t, ssm)
 	login(t, app, "v", 3)
 	f, err := inj.Inject(Spec{Kind: CorruptSSM, SessionID: "v"})

@@ -252,12 +252,12 @@ func (inj *Injector) injectFastSCorruption(f *ActiveFault) error {
 
 // injectSSMCorruption flips bits in a stored session blob; the store's
 // checksum detects and discards the bad copy on the next read, so no
-// reboot is needed. Both SSM and the brick cluster support this (the
-// cluster scopes the damage to one replica, which heals by read-repair).
+// reboot is needed. The cluster scopes the damage to one replica, which
+// heals by read-repair; a single-replica SSM loses the session.
 func (inj *Injector) injectSSMCorruption(f *ActiveFault) error {
-	m, ok := inj.store.(interface{ CorruptBits(string) error })
+	m, ok := inj.store.(*session.SSMCluster)
 	if !ok {
-		return fmt.Errorf("faults: SSM corruption requires an SSM or SSMCluster store")
+		return fmt.Errorf("faults: SSM corruption requires an SSMCluster store")
 	}
 	f.Cure = CureNone
 	if err := m.CorruptBits(f.Spec.SessionID); err != nil {

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -8,6 +9,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/controlplane"
+	"repro/internal/ebid"
 	"repro/internal/experiments"
 	"repro/internal/faults"
 	"repro/internal/metrics"
@@ -174,7 +176,7 @@ func Run(spec *Spec, o experiments.Options) (*Outcome, error) {
 	onFailure := func(clientID int, op string, resp workload.Response) {
 		// Session-loss failures after a recovery are knock-on effects of
 		// the recovery itself; reporting them would loop the manager.
-		if resp.Err != nil && strings.Contains(resp.Err.Error(), "not logged in") {
+		if errors.Is(resp.Err, ebid.ErrNotLoggedIn) {
 			return
 		}
 		// Deferred one kernel step: a recovery fired from inside a plane

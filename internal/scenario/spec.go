@@ -35,7 +35,7 @@ type Spec struct {
 // ClusterSpec is the [cluster] table.
 type ClusterSpec struct {
 	Nodes int    // app-server fleet size (default 1)
-	Store string // fasts | ssm | ssm-cluster (default fasts)
+	Store string // fasts | ssm-cluster (default fasts)
 	// Brick-ring geometry (ssm-cluster only; zero = 4×3 W=2, 1h lease).
 	Shards, Replicas, WriteQuorum int
 	LeaseTTL                      time.Duration
@@ -243,9 +243,9 @@ func Parse(file, src string) (*Spec, error) {
 			b.fail(t.line, "cluster: unknown routing %q (want %s)", c.Routing, strings.Join(routingTokenList(), ", "))
 		}
 		switch c.Store {
-		case "", "fasts", "ssm", "ssm-cluster":
+		case "", "fasts", "ssm-cluster":
 		default:
-			b.fail(t.line, "cluster: unknown store %q (want fasts, ssm or ssm-cluster)", c.Store)
+			b.fail(t.line, "cluster: unknown store %q (want fasts or ssm-cluster)", c.Store)
 		}
 	} else {
 		s.Cluster.DegradedNode = -1
@@ -409,7 +409,7 @@ func (s *Spec) validate(file string) error {
 	for _, f := range s.Faults {
 		switch f.Kind {
 		case faults.BrickCrash, faults.BrickSlow, faults.CorruptSSM:
-			if !onBricks && !(f.Kind == faults.CorruptSSM && s.Cluster.Store == "ssm") {
+			if !onBricks {
 				return bad("fault %s requires cluster store ssm-cluster", kindToken(f.Kind))
 			}
 		case faults.CorruptFastS:

@@ -111,6 +111,15 @@ clients = 10
 run = "1m"
 `, 0, `unknown store "redis"`)
 
+	// The single-node SSM is ssm-cluster at 1 shard × 1 replica, W = 1.
+	wantParseErr(t, `name = "t"
+[cluster]
+store = "ssm"
+[load]
+clients = 10
+run = "1m"
+`, 0, `unknown store "ssm"`, "fasts", "ssm-cluster")
+
 	wantParseErr(t, minimalSpec+`[[ring]]
 at = "1m"
 action = "explode"

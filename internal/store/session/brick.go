@@ -12,6 +12,18 @@ import (
 // single-digit seconds for brick recovery; re-replication dominates).
 const BrickRestartTime = 2 * time.Second
 
+// ssmEntry is a marshalled session plus its integrity and lease metadata.
+type ssmEntry struct {
+	blob     []byte
+	checksum uint32
+	expires  time.Duration
+	// version orders writes and deletes cluster-wide (SSMCluster stamps
+	// it from a monotonic counter). A replica never lets an older version
+	// overwrite a newer one, so a stale read-repair cannot undo a
+	// concurrent write.
+	version uint64
+}
+
 // tombstone remembers a deleted session's version so a stale replica
 // copy (an old read-repair or re-replication snapshot) cannot resurrect
 // it. Tombstones expire with the lease TTL and are reaped with it.

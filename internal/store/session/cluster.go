@@ -827,7 +827,7 @@ func (c *SSMCluster) Delete(id string) error {
 }
 
 // Len implements Store: the number of distinct sessions held by live
-// replicas (entries awaiting lease GC are counted, as in SSM). Distinct
+// replicas (entries awaiting lease GC are counted). Distinct
 // cluster-wide, so an entry mid-migration — briefly on both its old and
 // new owner — counts once.
 func (c *SSMCluster) Len() int {

@@ -124,7 +124,7 @@ func TestSessionCodecRejectsMalformed(t *testing.T) {
 // TestReadReturnsWritableData: gob decoded an empty Data as nil, which made
 // opMakeBid's sess.Data["intent"] = ... a latent nil-map panic.
 func TestReadReturnsWritableData(t *testing.T) {
-	for _, st := range []Store{NewSSM(nil, 0), mustCluster(t, 4, 3, 2, nil, 0)} {
+	for _, st := range []Store{mustCluster(t, 1, 1, 1, nil, 0), mustCluster(t, 4, 3, 2, nil, 0)} {
 		for _, data := range []map[string]string{nil, {}} {
 			if err := st.Write(&Session{ID: "w", UserID: 1, Data: data}); err != nil {
 				t.Fatal(err)
@@ -148,11 +148,8 @@ func TestReadReturnsWritableData(t *testing.T) {
 func TestSessionPathAllocs(t *testing.T) {
 	sess := goldenSessions[0].s
 	c := mustCluster(t, 4, 3, 2, nil, 0)
-	m := NewSSM(nil, 0)
-	for _, st := range []Store{c, m} {
-		if err := st.Write(sess); err != nil {
-			t.Fatal(err)
-		}
+	if err := c.Write(sess); err != nil {
+		t.Fatal(err)
 	}
 	for _, tc := range []struct {
 		name string
@@ -161,7 +158,6 @@ func TestSessionPathAllocs(t *testing.T) {
 	}{
 		{"SSMCluster.Read", 5, func() error { _, err := c.Read("s1"); return err }},
 		{"SSMCluster.Write", 1, func() error { return c.Write(sess) }},
-		{"SSM.Read", 5, func() error { _, err := m.Read("s1"); return err }},
 	} {
 		var opErr error
 		allocs := testing.AllocsPerRun(200, func() {

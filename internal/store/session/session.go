@@ -10,25 +10,22 @@
 //     is fast, survives microreboots, but is lost on a process restart.
 //     Internally it is striped — one lock per stripe — so concurrent
 //     readers on different sessions never contend on a single mutex.
-//   - SSM: a clustered session-state store on separate machines (Ling et
-//     al., NSDI'04), lease-based and checksummed. Slower (marshalling +
-//     network), but survives µRBs, process restarts, and node reboots;
-//     corrupted objects are detected via checksum and discarded
-//     automatically; orphaned state is garbage-collected when its lease
-//     expires.
-//   - SSMCluster (cluster.go): the full brick architecture of Ling's SSM —
-//     S consistent-hash shards × N replica Bricks with write-W-of-N and
-//     read-from-any-live-replica quorum, so session state survives brick
-//     (node) crashes, not just process restarts.
+//   - SSMCluster (cluster.go): the clustered session-state store on
+//     separate machines (Ling et al., NSDI'04) — S consistent-hash shards
+//     × N replica Bricks with write-W-of-N and read-from-any-live-replica
+//     quorum. Slower (marshalling + network), but survives µRBs, process
+//     restarts and brick (node) crashes; entries are leased and
+//     checksummed, so corrupted objects are discarded automatically and
+//     orphaned state is garbage-collected when its lease expires. One
+//     shard × one replica with W = 1 is the single-node SSM.
 //
-// All implement the Store interface so the application is oblivious to
+// Both implement the Store interface so the application is oblivious to
 // which one backs it — the property that makes recovery decoupling work.
 package session
 
 import (
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"sort"
 	"sync"
 	"time"
@@ -79,9 +76,11 @@ type Store interface {
 	Delete(id string) error
 	// Len reports how many sessions are stored.
 	Len() int
-	// SurvivesProcessRestart distinguishes FastS (false) from SSM (true).
+	// SurvivesProcessRestart distinguishes FastS (false) from SSMCluster
+	// (true).
 	SurvivesProcessRestart() bool
-	// Name identifies the store in experiment output ("FastS" or "SSM").
+	// Name identifies the store in experiment output ("FastS" or
+	// "SSMCluster").
 	Name() string
 }
 
@@ -247,175 +246,8 @@ func (f *FastS) IDs() []string {
 	return ids
 }
 
-// ssmEntry is a marshalled session plus its integrity and lease metadata.
-type ssmEntry struct {
-	blob     []byte
-	checksum uint32
-	expires  time.Duration
-	// version orders writes and deletes cluster-wide (SSMCluster stamps
-	// it from a monotonic counter; the single-node SSM leaves it 0). A
-	// replica never lets an older version overwrite a newer one, so a
-	// stale read-repair cannot undo a concurrent write.
-	version uint64
-}
-
-// SSM is the clustered, lease-based store. Entries are stored marshalled
-// (codec.go; the paper pays marshalling + network cost for the physical
-// isolation, and our cost model charges it in internal/ebid). The store
-// survives process restarts by construction — it models state on
-// separate machines.
-type SSM struct {
-	mu      sync.Mutex
-	entries map[string]ssmEntry
-	// now supplies virtual time for lease accounting.
-	now func() time.Duration
-	// leaseTTL is how long a written session stays alive without renewal.
-	leaseTTL time.Duration
-	down     bool
-	// discarded counts checksum failures (auto-discarded objects).
-	discarded int
-}
-
 // DefaultLeaseTTL is the session lease used when none is specified; the
 // paper's session model discards state at logout or session timeout.
 const DefaultLeaseTTL = 30 * time.Minute
 
-// NewSSM returns a store whose lease clock is driven by now. A nil now
-// makes every lease effectively immortal (useful for unit tests).
-func NewSSM(now func() time.Duration, leaseTTL time.Duration) *SSM {
-	if leaseTTL <= 0 {
-		leaseTTL = DefaultLeaseTTL
-	}
-	if now == nil {
-		now = func() time.Duration { return 0 }
-	}
-	return &SSM{entries: map[string]ssmEntry{}, now: now, leaseTTL: leaseTTL}
-}
-
-// Name implements Store.
-func (m *SSM) Name() string { return "SSM" }
-
-// SurvivesProcessRestart implements Store: SSM state lives off-node.
-func (m *SSM) SurvivesProcessRestart() bool { return true }
-
-// Write implements Store; it marshals the session, checksums the blob and
-// (re)starts its lease.
-func (m *SSM) Write(s *Session) error {
-	if s == nil || s.ID == "" {
-		return errors.New("session: Write requires a session with an ID")
-	}
-	blob := marshalSession(s)
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.down {
-		return ErrDown
-	}
-	m.entries[s.ID] = ssmEntry{
-		blob:     blob,
-		checksum: crc32.ChecksumIEEE(blob),
-		expires:  m.now() + m.leaseTTL,
-	}
-	return nil
-}
-
-// Read implements Store. A checksum mismatch discards the object and
-// returns ErrCorrupted — the self-protection noted in Table 2: "corruption
-// detected via checksum; bad object automatically discarded".
-func (m *SSM) Read(id string) (*Session, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.down {
-		return nil, ErrDown
-	}
-	e, ok := m.entries[id]
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrNotFound, id)
-	}
-	if e.expires < m.now() {
-		delete(m.entries, id)
-		return nil, fmt.Errorf("%w: %s (lease expired)", ErrNotFound, id)
-	}
-	if crc32.ChecksumIEEE(e.blob) != e.checksum {
-		delete(m.entries, id)
-		m.discarded++
-		return nil, fmt.Errorf("%w: %s", ErrCorrupted, id)
-	}
-	// Renew the lease on access.
-	e.expires = m.now() + m.leaseTTL
-	m.entries[id] = e
-	return unmarshalSession(e.blob)
-}
-
-// Delete implements Store.
-func (m *SSM) Delete(id string) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.down {
-		return ErrDown
-	}
-	delete(m.entries, id)
-	return nil
-}
-
-// Len implements Store. Expired entries still awaiting garbage collection
-// are counted.
-func (m *SSM) Len() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.entries)
-}
-
-// ReapExpired removes sessions whose leases have lapsed and returns how
-// many were collected.
-func (m *SSM) ReapExpired() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	now := m.now()
-	n := 0
-	for id, e := range m.entries {
-		if e.expires < now {
-			delete(m.entries, id)
-			n++
-		}
-	}
-	return n
-}
-
-// CorruptBits flips a bit in the stored blob for id — the "corrupt data
-// inside SSM (via bit flips)" fault of Table 2.
-func (m *SSM) CorruptBits(id string) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	e, ok := m.entries[id]
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrNotFound, id)
-	}
-	if len(e.blob) == 0 {
-		return errors.New("session: empty blob")
-	}
-	blob := append([]byte(nil), e.blob...)
-	blob[len(blob)/2] ^= 0x10
-	e.blob = blob // checksum left stale: mismatch now detectable
-	m.entries[id] = e
-	return nil
-}
-
-// Discarded reports how many corrupted objects the store has discarded.
-func (m *SSM) Discarded() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.discarded
-}
-
-// SetDown marks the store unreachable (for failure-injection tests).
-func (m *SSM) SetDown(down bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.down = down
-}
-
-// Compile-time interface checks.
-var (
-	_ Store = (*FastS)(nil)
-	_ Store = (*SSM)(nil)
-)
+var _ Store = (*FastS)(nil)

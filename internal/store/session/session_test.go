@@ -3,7 +3,9 @@ package session
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -56,10 +58,12 @@ func testStoreBasics(t *testing.T, s Store) {
 }
 
 func TestFastSBasics(t *testing.T) { testStoreBasics(t, NewFastS()) }
-func TestSSMBasics(t *testing.T)   { testStoreBasics(t, NewSSM(nil, 0)) }
+
+// The single-node SSM is a brick cluster of one shard × one replica, W = 1.
+func TestSSMBasics(t *testing.T) { testStoreBasics(t, mustCluster(t, 1, 1, 1, nil, 0)) }
 
 func TestIsolationFromCallerMutation(t *testing.T) {
-	for _, s := range []Store{NewFastS(), NewSSM(nil, 0), mustCluster(t, 4, 3, 2, nil, 0)} {
+	for _, s := range []Store{NewFastS(), mustCluster(t, 1, 1, 1, nil, 0), mustCluster(t, 4, 3, 2, nil, 0)} {
 		sess := sampleSession("x")
 		if err := s.Write(sess); err != nil {
 			t.Fatal(err)
@@ -146,7 +150,7 @@ func TestFastSIDs(t *testing.T) {
 }
 
 func TestSSMChecksumDiscard(t *testing.T) {
-	m := NewSSM(nil, 0)
+	m := mustCluster(t, 1, 1, 1, nil, 0)
 	_ = m.Write(sampleSession("v"))
 	if err := m.CorruptBits("v"); err != nil {
 		t.Fatal(err)
@@ -169,7 +173,7 @@ func TestSSMChecksumDiscard(t *testing.T) {
 
 func TestSSMLeaseExpiry(t *testing.T) {
 	var now time.Duration
-	m := NewSSM(func() time.Duration { return now }, 10*time.Minute)
+	m := mustCluster(t, 1, 1, 1, func() time.Duration { return now }, 10*time.Minute)
 	_ = m.Write(sampleSession("s"))
 
 	now = 5 * time.Minute
@@ -187,26 +191,15 @@ func TestSSMLeaseExpiry(t *testing.T) {
 	}
 }
 
-func TestSSMReapExpired(t *testing.T) {
-	var now time.Duration
-	m := NewSSM(func() time.Duration { return now }, time.Minute)
-	_ = m.Write(sampleSession("a"))
-	_ = m.Write(sampleSession("b"))
-	now = 30 * time.Second
-	_ = m.Write(sampleSession("c"))
-	now = 90 * time.Second
-	if n := m.ReapExpired(); n != 2 {
-		t.Fatalf("ReapExpired = %d, want 2 (a, b orphaned)", n)
-	}
-	if m.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", m.Len())
-	}
-}
-
+// TestSSMDown: with its only brick crashed the single-node SSM refuses
+// every operation, and a restart brings it back empty — there is no peer
+// to re-replicate from.
 func TestSSMDown(t *testing.T) {
-	m := NewSSM(nil, 0)
+	m := mustCluster(t, 1, 1, 1, nil, 0)
 	_ = m.Write(sampleSession("s"))
-	m.SetDown(true)
+	if err := m.CrashBrick("ssm/s0-r0"); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := m.Read("s"); !errors.Is(err, ErrDown) {
 		t.Fatalf("Read while down err = %v, want ErrDown", err)
 	}
@@ -216,9 +209,14 @@ func TestSSMDown(t *testing.T) {
 	if err := m.Delete("s"); !errors.Is(err, ErrDown) {
 		t.Fatalf("Delete while down err = %v, want ErrDown", err)
 	}
-	m.SetDown(false)
-	if _, err := m.Read("s"); err != nil {
-		t.Fatalf("Read after recovery: %v", err)
+	if _, err := m.RestartBrick("ssm/s0-r0"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Read("s"); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("Read after restart err = %v, want ErrNotFound", err)
+	}
+	if err := m.Write(sampleSession("t")); err != nil {
+		t.Fatalf("Write after restart: %v", err)
 	}
 }
 
@@ -245,28 +243,12 @@ func TestPropertySSMRoundTrip(t *testing.T) {
 			}
 			s.Data[k] = v
 		}
-		m := NewSSM(nil, 0)
+		m := mustCluster(t, 1, 1, 1, nil, 0)
 		if err := m.Write(s); err != nil {
 			return false
 		}
 		got, err := m.Read("rt")
-		if err != nil {
-			return false
-		}
-		if got.UserID != s.UserID || len(got.Data) != len(s.Data) || len(got.Items) != len(s.Items) {
-			return false
-		}
-		for k, v := range s.Data {
-			if got.Data[k] != v {
-				return false
-			}
-		}
-		for i := range s.Items {
-			if got.Items[i] != s.Items[i] {
-				return false
-			}
-		}
-		return true
+		return err == nil && got.UserID == s.UserID && maps.Equal(got.Data, s.Data) && slices.Equal(got.Items, s.Items)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200, Rand: rand.New(rand.NewSource(31))}); err != nil {
 		t.Fatal(err)
@@ -274,7 +256,7 @@ func TestPropertySSMRoundTrip(t *testing.T) {
 }
 
 func TestConcurrentAccess(t *testing.T) {
-	for _, s := range []Store{NewFastS(), NewSSM(nil, 0), mustCluster(t, 4, 3, 2, nil, 0)} {
+	for _, s := range []Store{NewFastS(), mustCluster(t, 1, 1, 1, nil, 0), mustCluster(t, 4, 3, 2, nil, 0)} {
 		var wg sync.WaitGroup
 		for w := 0; w < 8; w++ {
 			wg.Add(1)

@@ -64,22 +64,6 @@ func TestStressStripedFastS(t *testing.T) {
 	stressStore(t, NewFastS(), nil)
 }
 
-func TestStressSSM(t *testing.T) {
-	var clock int64
-	now := func() time.Duration { return time.Duration(atomic.AddInt64(&clock, 1)) }
-	m := NewSSM(now, time.Hour)
-	stressStore(t, m, func(stop <-chan struct{}) {
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-				m.ReapExpired()
-			}
-		}
-	})
-}
-
 func TestStressSSMClusterWithBrickChaos(t *testing.T) {
 	var clock int64
 	now := func() time.Duration { return time.Duration(atomic.AddInt64(&clock, 1)) }

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/ebid"
 	"repro/internal/metrics"
 )
@@ -62,7 +61,7 @@ func (c *client) step() {
 
 // nextOp implements the Markov chain. Weights are tuned so the
 // steady-state mix reproduces Table 1 (verified by TestTable1Mix).
-func (c *client) nextOp() (string, core.Args) {
+func (c *client) nextOp() (string, any) {
 	rng := c.e.kernel.Rand()
 	switch c.phase {
 	case phaseStart:
@@ -159,7 +158,7 @@ func (c *client) randCategory() int64 { return 1 + c.e.kernel.Rand().Int63n(c.e.
 func (c *client) randRegion() int64   { return 1 + c.e.kernel.Rand().Int63n(c.e.cfg.Regions) }
 
 // issue submits the op to the frontend.
-func (c *client) issue(op string, args core.Args) {
+func (c *client) issue(op string, args any) {
 	c.inFlight = true
 	c.e.issued++
 	issued := c.e.kernel.Now()
@@ -202,7 +201,7 @@ func (c *client) complete(op string, issued time.Duration, resp Response) {
 		// session id is assigned).
 		c.closeAction(true)
 		c.pending = ""
-		if isSessionLoss(resp.Err) || c.phase == phaseFlow {
+		if errors.Is(resp.Err, ebid.ErrNotLoggedIn) || c.phase == phaseFlow {
 			c.phase = phaseStart
 		}
 		if c.phase == phaseFlow {
@@ -234,14 +233,6 @@ func (c *client) closeAction(failed bool) {
 	c.failed = false
 }
 
-// isSessionLoss classifies errors that mean the session vanished.
-func isSessionLoss(err error) bool {
-	if err == nil {
-		return false
-	}
-	return strings.Contains(err.Error(), "not logged in")
-}
-
 // looksFaulty is the client-side keyword scan: received HTML is searched
 // for keywords indicative of failure.
 func looksFaulty(body string) bool {
@@ -259,5 +250,3 @@ var errKilled = errors.New("workload: request killed by recovery")
 // KilledError returns the sentinel used by frontends to fail requests
 // whose shepherds were destroyed by a microreboot.
 func KilledError() error { return errKilled }
-
-var _ = core.ErrHang // keep the core dependency explicit

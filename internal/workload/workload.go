@@ -27,7 +27,7 @@ type Request struct {
 	ClientID  int
 	Op        string
 	SessionID string
-	Args      core.Args
+	Args      any
 	Issued    time.Duration
 	// Ctx is the request's root context, threaded down through
 	// core.Server.Invoke; nil means context.Background().

@@ -140,7 +140,7 @@ func TestFailurePropagation(t *testing.T) {
 
 func TestSessionLossSendsClientToLogin(t *testing.T) {
 	k := sim.NewKernel(11)
-	fe := &instantFrontend{k: k, failOp: ebid.AboutMe, err: errors.New("ebid: not logged in")}
+	fe := &instantFrontend{k: k, failOp: ebid.AboutMe, err: ebid.ErrNotLoggedIn}
 	em := NewEmulator(k, fe, nil, Config{Clients: 20})
 	em.Start()
 	k.RunFor(30 * time.Minute)
