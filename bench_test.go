@@ -1,14 +1,15 @@
-// Package repro's root benchmark harness regenerates every table and
-// figure of the paper's evaluation as a testing.B benchmark. Each bench
-// runs the corresponding experiment end to end on the simulation
-// substrate and reports domain-specific metrics alongside wall time:
-// failed requests per recovery, recovery milliseconds, goodput, and so
-// on. Run with:
+// Package repro's root benchmarks time the in-process layers one at a
+// time: session-store reads and writes, the invoke pipeline, and
+// transaction commit. Run with:
 //
-//	go test -bench=. -benchmem
+//	go test -run '^$' -bench . -benchmem
 //
-// The benches use quick-mode experiment scaling; cmd/experiments runs the
-// full-scale versions and prints the complete paper-style tables.
+// They are for profiling a layer, not a gate. The end-to-end numbers the
+// paper is about (throughput, failed requests per recovery) come from the
+// real-process benchmark in bench/; the paper's tables and figures come
+// from cmd/experiments, whose quick output is pinned by
+// cmd/experiments/testdata/quick.golden. The contracts that do not depend
+// on the machine are allocation-ceiling tests beside the code they bound.
 package repro
 
 import (
@@ -19,210 +20,12 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/ebid"
-	"repro/internal/experiments"
-	"repro/internal/sim"
 	"repro/internal/store/db"
 	"repro/internal/store/session"
-	"repro/internal/workload"
 )
-
-var benchOpts = experiments.Options{Quick: true, Seed: 42}
-
-// BenchmarkTable1_WorkloadMix regenerates the client workload mix table.
-func BenchmarkTable1_WorkloadMix(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		r := experiments.Table1(benchOpts)
-		b.ReportMetric(float64(r.Total)/float64(b.N), "requests")
-	}
-}
-
-// BenchmarkTable2_FaultRecoveryMatrix regenerates the worst-case recovery
-// matrix: all 26 fault rows, each driven through the recursive policy.
-func BenchmarkTable2_FaultRecoveryMatrix(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		r := experiments.Table2(benchOpts)
-		match := 0
-		for _, row := range r.Rows {
-			if row.Match {
-				match++
-			}
-		}
-		b.ReportMetric(float64(match), "rows-matching-paper")
-	}
-}
-
-// BenchmarkTable3_RecoveryTimes measures per-component µRB times under
-// load (10 trials per component).
-func BenchmarkTable3_RecoveryTimes(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		r := experiments.Table3(benchOpts)
-		var ejbTotal time.Duration
-		var n int
-		for _, row := range r.Rows {
-			if row.Component != "WAR" && row.Component != "eBid" && row.Component != "JVM restart" {
-				ejbTotal += row.Total
-				n++
-			}
-		}
-		if n > 0 {
-			b.ReportMetric(float64(ejbTotal.Milliseconds())/float64(n), "avg-EJB-µRB-ms")
-		}
-	}
-}
-
-// BenchmarkFigure1_TawTimeline runs the 3-fault Taw comparison and
-// reports the failed-request ratio (paper: ~50x).
-func BenchmarkFigure1_TawTimeline(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		r := experiments.Figure1(benchOpts)
-		if r.MicroFailedReqs > 0 {
-			b.ReportMetric(float64(r.RestartFailedReqs)/float64(r.MicroFailedReqs), "restart/µRB-failed-ratio")
-		}
-		b.ReportMetric(r.MicroAvgPerRecovery, "failed-per-µRB")
-	}
-}
-
-// BenchmarkFigure2_FunctionalDisruption measures per-group disruption
-// around one recovery event.
-func BenchmarkFigure2_FunctionalDisruption(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		r := experiments.Figure2(benchOpts)
-		b.ReportMetric(r.RestartTotalDown.Seconds(), "restart-total-outage-s")
-		b.ReportMetric(r.MicroTotalDown.Seconds(), "µRB-total-outage-s")
-	}
-}
-
-// BenchmarkFigure3_FailoverNormalLoad runs the cluster failover
-// experiment across cluster sizes.
-func BenchmarkFigure3_FailoverNormalLoad(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		r := experiments.Figure3(benchOpts)
-		if len(r.Rows) > 0 {
-			b.ReportMetric(float64(r.Rows[0].MicroFailed), "µRB-failed@2nodes")
-			b.ReportMetric(float64(r.Rows[0].RestartFailed), "restart-failed@2nodes")
-		}
-	}
-}
-
-// BenchmarkFigure4_FailoverDoubledLoad runs the doubled-load failover
-// experiment (response-time series).
-func BenchmarkFigure4_FailoverDoubledLoad(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		r := experiments.Figure4(benchOpts)
-		if len(r.Rows) > 0 {
-			b.ReportMetric(r.Rows[0].RestartPeak.Seconds(), "restart-peak-latency-s@2nodes")
-			b.ReportMetric(r.Rows[0].MicroPeak.Seconds(), "µRB-peak-latency-s@2nodes")
-		}
-	}
-}
-
-// BenchmarkTable4_Over8s counts requests exceeding the 8-second
-// abandonment threshold during doubled-load failover.
-func BenchmarkTable4_Over8s(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		r := experiments.Table4(benchOpts)
-		if len(r.Rows) > 0 {
-			b.ReportMetric(float64(r.Rows[0].RestartOver8s), "restart-over8s@2nodes")
-			b.ReportMetric(float64(r.Rows[0].MicroOver8s), "µRB-over8s@2nodes")
-		}
-	}
-}
-
-// BenchmarkTable5_PerformanceImpact measures fault-free throughput and
-// latency across the four configurations.
-func BenchmarkTable5_PerformanceImpact(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		r := experiments.Table5(benchOpts)
-		b.ReportMetric(r.Rows[1].Throughput, "µRB+FastS-req/s")
-		b.ReportMetric(float64(r.Rows[1].MeanLatency.Microseconds())/1000, "µRB+FastS-latency-ms")
-		b.ReportMetric(float64(r.Rows[3].MeanLatency.Microseconds())/1000, "µRB+SSM-latency-ms")
-	}
-}
-
-// BenchmarkTable6_RetryMasking measures HTTP/1.1 Retry-After masking of
-// microreboots.
-func BenchmarkTable6_RetryMasking(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		r := experiments.Table6(benchOpts)
-		var noRetry, retry float64
-		for _, row := range r.Rows {
-			noRetry += row.NoRetry
-			retry += row.Retry
-		}
-		b.ReportMetric(noRetry/float64(len(r.Rows)), "failed-no-retry")
-		b.ReportMetric(retry/float64(len(r.Rows)), "failed-with-retry")
-	}
-}
-
-// BenchmarkFigure5_DetectionTime sweeps the failure-detection delay.
-func BenchmarkFigure5_DetectionTime(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		r := experiments.Figure5Left(benchOpts)
-		b.ReportMetric(r.CrossoverTdet.Seconds(), "crossover-Tdet-s")
-	}
-}
-
-// BenchmarkFigure5_FalsePositives computes the false-positive tolerance
-// curve from measured per-recovery costs.
-func BenchmarkFigure5_FalsePositives(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		r := experiments.Figure5Right(78, 3917)
-		b.ReportMetric(r.ToleratedFPRate*100, "tolerated-FP-%")
-	}
-}
-
-// BenchmarkFigure6_Microrejuvenation runs the leak + rejuvenation
-// experiment in both modes.
-func BenchmarkFigure6_Microrejuvenation(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		r := experiments.Figure6(benchOpts)
-		b.ReportMetric(float64(r.MicroFailed), "µRB-rejuv-failed")
-		b.ReportMetric(float64(r.RestartFailed), "restart-rejuv-failed")
-	}
-}
-
-// BenchmarkSection61_FailoverSchemes compares failover schemes and the
-// six-nines budgets.
-func BenchmarkSection61_FailoverSchemes(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		fig1 := &experiments.Figure1Result{MicroAvgPerRecovery: 78, RestartAvgPerRecovery: 3917}
-		fig3 := experiments.Figure3(benchOpts)
-		r := experiments.Section61(benchOpts, fig1, fig3)
-		b.ReportMetric(float64(r.BudgetNoFailoverMicro), "six-nines-budget-µRB")
-		b.ReportMetric(float64(r.BudgetRestart), "six-nines-budget-restart")
-	}
-}
-
-// BenchmarkAblation_SentinelDelay sweeps the sentinel-to-crash grace
-// delay — the tradeoff the paper measured at one point (200 ms) but left
-// unanalyzed.
-func BenchmarkAblation_SentinelDelay(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		r := experiments.AblationDelay(benchOpts, "")
-		b.ReportMetric(float64(r.BestDelay.Milliseconds()), "best-delay-ms")
-		b.ReportMetric(r.Rows[0].FailedPerRB, "failed-no-delay")
-	}
-}
 
 // ----------------------------------------------------- store micro-benches
 
@@ -407,80 +210,6 @@ func BenchmarkStoreParallelWrite(b *testing.B) {
 				}
 			})
 		})
-	}
-}
-
-// ---------------------------------------------------------- LB routing
-
-// benchLB builds an 8-node cluster behind a balancer for routing
-// micro-benches (the routing decision only — nothing is submitted).
-func benchLB(b *testing.B, policy cluster.RoutingPolicy) *cluster.LoadBalancer {
-	b.Helper()
-	k := sim.NewKernel(1)
-	d := db.New(nil)
-	ds := ebid.DatasetConfig{Users: 50, Items: 100, BidsPerItem: 2, Categories: 5, Regions: 5, OldItems: 10}
-	if err := ebid.LoadDataset(d, ds); err != nil {
-		b.Fatal(err)
-	}
-	nodes := make([]*cluster.Node, 0, 8)
-	for i := 0; i < 8; i++ {
-		n, err := cluster.NewNode(k, d, session.NewFastS(), cluster.NodeConfig{
-			Name: fmt.Sprintf("bench-n%d", i), Dataset: ds,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		nodes = append(nodes, n)
-	}
-	lb := cluster.NewLoadBalancer(nodes)
-	if policy != nil {
-		lb.SetPolicy(policy)
-	}
-	return lb
-}
-
-// BenchmarkLBRouteNew measures the per-request routing decision for a
-// session-free request (no affinity hit) under each policy over 8
-// nodes. benchdiff tracks the policies' relative cost.
-func BenchmarkLBRouteNew(b *testing.B) {
-	policies := []struct {
-		name   string
-		policy cluster.RoutingPolicy
-	}{
-		{"RoundRobin", nil},
-		{"LeastLoaded", cluster.LeastLoadedPolicy{}},
-		{"ShedLeastLoaded", &cluster.SheddingPolicy{Inner: cluster.LeastLoadedPolicy{}}},
-	}
-	for _, p := range policies {
-		b.Run(p.name, func(b *testing.B) {
-			lb := benchLB(b, p.policy)
-			req := &workload.Request{Op: ebid.ViewItem, SessionID: "bench-anon"}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := lb.Route(req); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkLBRouteAffinity measures the sticky-session fast path.
-func BenchmarkLBRouteAffinity(b *testing.B) {
-	lb := benchLB(b, nil)
-	for i := 0; i < 64; i++ {
-		if _, err := lb.Route(&workload.Request{Op: ebid.OpHome, SessionID: fmt.Sprintf("bench-s%d", i)}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	req := &workload.Request{Op: ebid.AboutMe, SessionID: "bench-s7"}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := lb.Route(req); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

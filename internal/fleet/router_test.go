@@ -354,8 +354,8 @@ func TestRouterProbeStats(t *testing.T) {
 }
 
 // BenchmarkProxyRouteNew measures the proxy-side routing decision (the
-// pick path without any network I/O) — the fleet counterpart of the
-// in-process BenchmarkLBRouteNew.
+// pick path without any network I/O); TestRouterPickAllocs holds it at
+// zero allocations.
 func BenchmarkProxyRouteNew(b *testing.B) {
 	backends := make([]*Backend, 4)
 	for i := range backends {

@@ -802,6 +802,40 @@ func TestSessionIDScanner(t *testing.T) {
 	}
 }
 
+// FuzzSessionID: on any one Cookie line the scanner never panics and
+// returns "" or a ';'-free substring of the line; on every line net/http
+// accepts, it returns what net/http reads as the first EBIDSESSION value.
+func FuzzSessionID(f *testing.F) {
+	// testdata/fuzz/FuzzSessionID adds the quoted, empty, '='-carrying
+	// and duplicated values.
+	for _, line := range []string{
+		"EBIDSESSION=http-0123abcd", "theme=dark; EBIDSESSION=s1; lang=en",
+		"XEBIDSESSION=no; EBIDSESSIONX=no", "", ";",
+	} {
+		f.Add(line)
+	}
+	f.Fuzz(func(t *testing.T, line string) {
+		got := SessionID(http.Header{"Cookie": {line}})
+		if strings.Contains(got, ";") || !strings.Contains(line, got) {
+			t.Fatalf("SessionID(%q) = %q: not a ';'-free substring of the line", line, got)
+		}
+		cookies, err := http.ParseCookie(line)
+		if err != nil {
+			return
+		}
+		want := ""
+		for _, c := range cookies {
+			if c.Name == SessionCookie {
+				want = c.Value
+				break
+			}
+		}
+		if got != want {
+			t.Fatalf("SessionID(%q) = %q, net/http reads %q", line, got, want)
+		}
+	})
+}
+
 // TestOpResponseIsLengthFramed: an operation's body goes out as before —
 // the rendered page and a newline — under an explicit Content-Length.
 func TestOpResponseIsLengthFramed(t *testing.T) {
