@@ -6,6 +6,13 @@
 // reboot is SIGKILL + re-exec of an OS process, and the WAL brings the
 // next incarnation back with everything that was committed.
 //
+// Usage:
+//
+//	ebid-proxy [-addr :8080] [-server-bin path] [-backends N] [-base-port P] [-policy round-robin|least-loaded|shed] [-poll-interval D] [-rejuvenate-every D] [-wal-dir dir] [-drain-timeout D] [-server-flags "..."]
+//
+// The shed policy refuses new logins with 503 + Retry-After once every
+// backend's queue is deeper than cluster.DefaultShedWatermark (8).
+//
 // Try it (with ebid-server on PATH or -server-bin):
 //
 //	ebid-proxy -addr :8080 -backends 3 -policy shed
@@ -15,8 +22,8 @@
 //	curl -X POST 'localhost:8080/admin/proxy/reboot?backend=node2' # deliberate node reboot
 //	curl -X POST 'localhost:8080/admin/proxy/drain?backend=node0'  # exclude from new sessions
 //
-// A control plane ticks alongside: its fleet probe samples each
-// backend through the router, and with -rejuvenate-every the fleet
+// A control plane ticks every 100 ms alongside: its fleet probe samples
+// each backend through the router, and with -rejuvenate-every the fleet
 // controller runs rolling drain→reboot→restore passes over the real
 // processes. Inspect it at /admin/controlplane/status.
 package main
@@ -42,16 +49,16 @@ import (
 	"repro/internal/httpfront"
 )
 
+// tickInterval is the control plane's cadence.
+const tickInterval = 100 * time.Millisecond
+
 func main() {
 	addr := flag.String("addr", ":8080", "proxy listen address")
 	serverBin := flag.String("server-bin", "", "path to the ebid-server binary (default: look next to this binary, then PATH)")
 	backends := flag.Int("backends", 3, "number of ebid-server processes to spawn")
 	basePort := flag.Int("base-port", 8081, "first backend port; backend i listens on base-port+i")
 	policyName := flag.String("policy", "least-loaded", "routing policy: round-robin, least-loaded or shed")
-	shedWatermark := flag.Int("shed-watermark", cluster.DefaultShedWatermark,
-		"shed policy: per-backend queue depth past which new logins get 503 + Retry-After")
 	pollInterval := flag.Duration("poll-interval", 250*time.Millisecond, "backend health/load poll cadence")
-	tickInterval := flag.Duration("tick-interval", 100*time.Millisecond, "control plane tick cadence")
 	rejuvenateEvery := flag.Duration("rejuvenate-every", 0,
 		"rolling drain→reboot→restore of one backend this often (0 disables)")
 	walDir := flag.String("wal-dir", "", "directory for per-backend WAL files (default: a temp dir; survives respawns, not proxy restarts)")
@@ -80,7 +87,7 @@ func main() {
 	case "least-loaded":
 		policy = cluster.LeastLoadedPolicy{}
 	case "shed":
-		policy = &cluster.SheddingPolicy{Inner: cluster.LeastLoadedPolicy{}, QueueWatermark: *shedWatermark}
+		policy = &cluster.SheddingPolicy{Inner: cluster.LeastLoadedPolicy{}}
 	default:
 		log.Fatalf("ebid-proxy: unknown policy %q", *policyName)
 	}
@@ -135,7 +142,7 @@ func main() {
 	plane.Use(fc)
 	planeStop := make(chan struct{})
 	go func() {
-		tick := time.NewTicker(*tickInterval)
+		tick := time.NewTicker(tickInterval)
 		defer tick.Stop()
 		for {
 			select {

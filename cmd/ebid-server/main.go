@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	ebid-server [-addr :8080] [-store fasts|ssm|ssm-cluster] [-shards S] [-replicas N] [-write-quorum W] [-users N] [-items N] [-wal file] [-reap-interval D] [-autoscale] [-autoscale-min N] [-autoscale-max N] [-autoscale-high X] [-autoscale-low X] [-shed-watermark N] [-detect-sample N]
+//	ebid-server [-addr :8080] [-node name] [-drain-timeout D] [-store fasts|ssm-cluster] [-shards S] [-replicas N] [-write-quorum W] [-users N] [-items N] [-wal file] [-autoscale] [-shed-watermark N] [-detect-sample N]
 //
 // Try it:
 //
@@ -18,18 +18,19 @@
 //	curl -X POST 'localhost:8080/admin/ssm/removeshard?shard=0'
 //	curl localhost:8080/admin/ssm/elastic
 //
-// A control plane ticks every -migrate-interval: its probes sample the
-// front's in-flight load and (with a brick cluster) per-shard load, a
+// A control plane ticks every 100 ms: its probes sample the front's
+// in-flight load and (with a brick cluster) per-shard load, a
 // load-adaptive migration pacer streams entries to their new owner
 // shards after every ring change (backing off when client p95 latency
-// rises), and with -autoscale the ring resizes itself against the load
-// watermarks. Inspect it at /admin/controlplane/status and
-// /admin/fleet/status. With -shed-watermark N the front sheds
+// rises past 500 ms), and with -autoscale the ring resizes itself
+// between 2 and 8 shards, adding one above 5000 and removing one below
+// 500 mean sessions per shard. Inspect it at /admin/controlplane/status
+// and /admin/fleet/status. With -shed-watermark N the front sheds
 // session-starting requests (503 + Retry-After) past N in-flight
 // requests; with -detect-sample N one in N idempotent operations is
 // replayed against a known-good shadow instance and any discrepancy is
-// published on the bus. A lease reaper garbage-collects lapsed sessions
-// on the SSM stores every -reap-interval.
+// published on the bus. With a brick cluster a lease reaper
+// garbage-collects lapsed sessions every minute.
 //
 // As a supervised fleet member (spawned by cmd/ebid-proxy or
 // internal/fleet.Supervisor) the server is a well-behaved crash-only
@@ -69,13 +70,20 @@ const (
 	exitDrainForced = 2
 )
 
+const (
+	// tickInterval is the control plane's cadence: migration pacing and
+	// load probes.
+	tickInterval = 100 * time.Millisecond
+	// reapInterval is how often the lease reaper garbage-collects
+	// expired SSM sessions.
+	reapInterval = time.Minute
+)
+
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	nodeName := flag.String("node", "", "fleet identity reported on /healthz and /admin/fleet/status (default http0)")
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Second,
 		"how long SIGTERM/SIGINT waits for in-flight requests before force-closing")
-	degrade := flag.Duration("degrade", 0,
-		"stall every operation by this much (a deliberately degraded replica for routing experiments)")
 	storeKind := flag.String("store", "fasts", "session store: fasts or ssm-cluster (a single-node SSM is -store ssm-cluster -shards 1 -replicas 1 -write-quorum 1)")
 	shards := flag.Int("shards", 4, "ssm-cluster: hash shards S")
 	replicas := flag.Int("replicas", 3, "ssm-cluster: brick replicas N per shard")
@@ -83,18 +91,8 @@ func main() {
 	users := flag.Int("users", 250, "dataset users")
 	items := flag.Int("items", 3300, "dataset items")
 	walPath := flag.String("wal", "", "mirror the database WAL to this file")
-	reapInterval := flag.Duration("reap-interval", time.Minute,
-		"how often the lease reaper garbage-collects expired SSM sessions (0 disables)")
-	migrateInterval := flag.Duration("migrate-interval", 100*time.Millisecond,
-		"ssm-cluster: how often the control plane ticks (migration pacing, load probes; 0 disables)")
 	autoscale := flag.Bool("autoscale", false,
-		"ssm-cluster: let the control plane add/remove shards against the load watermarks")
-	autoscaleMin := flag.Int("autoscale-min", 2, "autoscaler: minimum shards")
-	autoscaleMax := flag.Int("autoscale-max", 8, "autoscaler: maximum shards")
-	autoscaleHigh := flag.Float64("autoscale-high", 5000, "autoscaler: add a shard above this mean sessions/shard")
-	autoscaleLow := flag.Float64("autoscale-low", 500, "autoscaler: remove a shard below this mean sessions/shard")
-	targetP95 := flag.Duration("migrate-target-p95", 500*time.Millisecond,
-		"ssm-cluster: client p95 above which the migration pacer backs off")
+		"ssm-cluster: let the control plane add/remove shards (2..8) against the load watermarks (5000/500 mean sessions per shard)")
 	shedWatermark := flag.Int("shed-watermark", 0,
 		"admission control: shed session-starting requests with 503 + Retry-After while more than this many requests are in flight (0 disables)")
 	detectSample := flag.Int64("detect-sample", 0,
@@ -187,24 +185,19 @@ func main() {
 	// Background lease reaper: ReapExpired finally runs outside the
 	// simulations, completing the lease story for the live SSM (FastS has
 	// no leases to reap).
-	if cl != nil && *reapInterval > 0 {
-		reaper := cl // cl is cleared below when the control plane is off
+	if cl != nil {
 		go func() {
-			for range time.Tick(*reapInterval) {
-				if n := reaper.ReapExpired(); n > 0 {
+			for range time.Tick(reapInterval) {
+				if n := cl.ReapExpired(); n > 0 {
 					log.Printf("lease reaper: collected %d expired sessions", n)
 				}
 			}
 		}()
-		log.Printf("lease reaper running every %v", *reapInterval)
+		log.Printf("lease reaper running every %v", reapInterval)
 	}
 	front := httpfront.New(app)
 	front.Cluster = cl
 	front.Node = *nodeName
-	front.Degrade = *degrade
-	if *degrade > 0 {
-		log.Printf("degraded replica: stalling every operation by %v", *degrade)
-	}
 	front.ShedWatermark = *shedWatermark
 	if *shedWatermark > 0 {
 		log.Printf("admission control: shedding new sessions past %d in-flight requests", *shedWatermark)
@@ -217,13 +210,8 @@ func main() {
 	// sample per-shard load, the migration pacer replaces the old
 	// fixed-budget migrator (backing off when client p95 rises, full
 	// throttle when idle), and -autoscale closes the elasticity loop.
-	// Without a ticking plane a ring change could never drain (and would
-	// wedge further resizes), so disabling it disables the elastic
-	// control surface too.
-	if cl != nil && *migrateInterval <= 0 {
-		log.Printf("control plane disabled (-migrate-interval %v): elastic ring controls are off", *migrateInterval)
-		cl = nil
-	}
+	// The plane always ticks: without it a ring change started at
+	// /admin/ssm/addshard could never drain.
 	plane := controlplane.New(controlplane.Config{Clock: clock, Cluster: clusterOrNil(cl), Fleet: front})
 	// An observe-only fleet controller (no balancer to actuate on a
 	// single node) keeps the per-node samples for the status surface.
@@ -247,50 +235,44 @@ func main() {
 		log.Printf("comparison detector sampling 1 in %d idempotent operations", *detectSample)
 	}
 	if cl != nil {
-		pacer := controlplane.NewMigrationPacer(cl, controlplane.PacerConfig{TargetP95: *targetP95})
-		plane.Use(pacer)
+		plane.Use(controlplane.NewMigrationPacer(cl, controlplane.PacerConfig{}))
 		if *autoscale {
-			scaler := controlplane.NewAutoscaler(cl, controlplane.AutoscalerConfig{
-				MinShards: *autoscaleMin, MaxShards: *autoscaleMax,
-				HighWater: *autoscaleHigh, LowWater: *autoscaleLow,
-				OnResize: func(act controlplane.ResizeAction) {
-					verb := "removed"
-					if act.Added {
-						verb = "added"
-					}
-					if act.Err != "" {
-						log.Printf("autoscaler: resize failed at %.0f sessions/shard: %s", act.AvgLoad, act.Err)
-						return
-					}
-					log.Printf("autoscaler: %s shard %d at %.0f sessions/shard", verb, act.Shard, act.AvgLoad)
-				},
-			})
-			plane.Use(scaler)
+			cfg := controlplane.AutoscalerConfig{MinShards: 2, MaxShards: 8, HighWater: 5000, LowWater: 500}
+			cfg.OnResize = func(act controlplane.ResizeAction) {
+				verb := "removed"
+				if act.Added {
+					verb = "added"
+				}
+				if act.Err != "" {
+					log.Printf("autoscaler: resize failed at %.0f sessions/shard: %s", act.AvgLoad, act.Err)
+					return
+				}
+				log.Printf("autoscaler: %s shard %d at %.0f sessions/shard", verb, act.Shard, act.AvgLoad)
+			}
+			plane.Use(controlplane.NewAutoscaler(cl, cfg))
 			log.Printf("autoscaler watching the ring: %d..%d shards, add above %.0f, remove below %.0f sessions/shard",
-				*autoscaleMin, *autoscaleMax, *autoscaleHigh, *autoscaleLow)
+				cfg.MinShards, cfg.MaxShards, cfg.HighWater, cfg.LowWater)
 		}
 	}
-	if *migrateInterval > 0 {
-		go func() {
-			migrating := false
-			for range time.Tick(*migrateInterval) {
-				plane.Tick()
-				if cl == nil {
-					continue
-				}
-				if m := cl.Migrating(); m != migrating {
-					migrating = m
-					st := cl.Elastic()
-					if m {
-						log.Printf("migrator: ring change v%d draining", st.RingVersion)
-					} else {
-						log.Printf("migrator: ring v%d converged (%d entries moved so far, shards %v)",
-							st.RingVersion, st.Migrated, st.Shards)
-					}
+	go func() {
+		migrating := false
+		for range time.Tick(tickInterval) {
+			plane.Tick()
+			if cl == nil {
+				continue
+			}
+			if m := cl.Migrating(); m != migrating {
+				migrating = m
+				st := cl.Elastic()
+				if m {
+					log.Printf("migrator: ring change v%d draining", st.RingVersion)
+				} else {
+					log.Printf("migrator: ring v%d converged (%d entries moved so far, shards %v)",
+						st.RingVersion, st.Migrated, st.Shards)
 				}
 			}
-		}()
-	}
+		}
+	}()
 
 	front.Plane = plane
 	srv := &http.Server{Addr: *addr, Handler: front.Handler()}

@@ -106,6 +106,10 @@ func (LeastLoadedPolicy) RouteSpill(req *workload.Request, cands []Endpoint) End
 // shedding policy starts refusing new logins.
 const DefaultShedWatermark = 8
 
+// DefaultRetryAfter is the paper's Retry-After hint: the interval a
+// shed or recovering request is told to wait before retrying.
+const DefaultRetryAfter = 2 * time.Second
+
 // SheddingPolicy is admission control at the balancer: when every
 // candidate's queue sits past QueueWatermark, session-establishing
 // requests are rejected with a Retry-After hint instead of joining
@@ -119,8 +123,8 @@ type SheddingPolicy struct {
 	// QueueWatermark is the per-node queue depth that counts as "past
 	// capacity" (DefaultShedWatermark when zero).
 	QueueWatermark int
-	// RetryAfter is the interval advertised to shed clients (default:
-	// the paper's 2 s).
+	// RetryAfter is the interval advertised to shed clients
+	// (DefaultRetryAfter when zero).
 	RetryAfter time.Duration
 }
 
@@ -136,7 +140,7 @@ func (p *SheddingPolicy) watermark() int {
 
 func (p *SheddingPolicy) retryAfter() time.Duration {
 	if p.RetryAfter <= 0 {
-		return 2 * time.Second
+		return DefaultRetryAfter
 	}
 	return p.RetryAfter
 }

@@ -59,11 +59,9 @@ type NodeConfig struct {
 	// that hit a recovering component are retried after the advertised
 	// Retry-After interval instead of failing (Section 6.2).
 	Retry503 bool
-	// RetryAfter overrides the advertised retry interval (default: the
-	// paper's 2 s).
+	// RetryAfter overrides the advertised retry interval
+	// (DefaultRetryAfter when zero).
 	RetryAfter time.Duration
-	// MaxRetries bounds transparent retries per request (default 3).
-	MaxRetries int
 	// MicrorebootEnabled models the µRB-capable server (adds the ~1 ms
 	// interceptor overhead of Table 5). Defaults to true.
 	MicrorebootDisabled bool
@@ -89,12 +87,12 @@ func (c *NodeConfig) fill() {
 		c.RequestTTL = 60 * time.Second
 	}
 	if c.RetryAfter == 0 {
-		c.RetryAfter = 2 * time.Second
-	}
-	if c.MaxRetries == 0 {
-		c.MaxRetries = 3
+		c.RetryAfter = DefaultRetryAfter
 	}
 }
+
+// maxRetries bounds transparent retries per request.
+const maxRetries = 3
 
 // pending tracks one request inside the node.
 type pending struct {
@@ -273,7 +271,7 @@ func (n *Node) start(p *pending) {
 	var ra *core.RetryAfterError
 	if errors.As(err, &ra) {
 		info, _ := ebid.Info(p.req.Op)
-		if n.cfg.Retry503 && info.Idempotent && p.retries < n.cfg.MaxRetries {
+		if n.cfg.Retry503 && info.Idempotent && p.retries < maxRetries {
 			// HTTP/1.1 503 + Retry-After: the servlet container replies
 			// Retry-After and the request is transparently reissued.
 			p.retries++

@@ -199,37 +199,33 @@ type ShardCluster interface {
 	Migrating() bool
 }
 
-// DefaultProbeInterval is how often the cluster probe samples per-shard
+// probeInterval is how often the cluster probe samples per-shard
 // populations and brick heartbeats. Load moves at session-lifetime
 // speed, so probing faster than ~1 s buys nothing — and the population
 // scan is O(sessions), so a fast-ticking plane must not pay it per tick.
-const DefaultProbeInterval = time.Second
+// Ticks between probes still run the controllers.
+const probeInterval = time.Second
 
 // Config parameterizes a Plane.
 type Config struct {
 	// Clock supplies time; required.
 	Clock Clock
-	// Cluster, when set, is probed every ProbeInterval: per-shard
+	// Cluster, when set, is probed every probeInterval: per-shard
 	// populations become SignalShardLoad, missing brick heartbeats
 	// SignalBrickDead.
 	Cluster ShardCluster
 	// Fleet, when set, is probed every Tick: each node's load sample
 	// becomes one SignalNodeLoad.
 	Fleet FleetProbe
-	// ProbeInterval overrides the cluster probe cadence
-	// (DefaultProbeInterval when zero). Ticks between probes still run
-	// the controllers.
-	ProbeInterval time.Duration
 }
 
 // Plane owns the bus, the probes, and the controllers.
 type Plane struct {
-	mu            sync.Mutex
-	clock         Clock
-	bus           *Bus
-	cluster       ShardCluster
-	fleet         FleetProbe
-	probeInterval time.Duration
+	mu      sync.Mutex
+	clock   Clock
+	bus     *Bus
+	cluster ShardCluster
+	fleet   FleetProbe
 
 	controllers []Controller
 	ticks       int64
@@ -242,10 +238,7 @@ func New(cfg Config) *Plane {
 	if cfg.Clock == nil {
 		panic("controlplane: Config.Clock is required")
 	}
-	if cfg.ProbeInterval <= 0 {
-		cfg.ProbeInterval = DefaultProbeInterval
-	}
-	return &Plane{clock: cfg.Clock, bus: &Bus{}, cluster: cfg.Cluster, fleet: cfg.Fleet, probeInterval: cfg.ProbeInterval}
+	return &Plane{clock: cfg.Clock, bus: &Bus{}, cluster: cfg.Cluster, fleet: cfg.Fleet}
 }
 
 // Use attaches a controller: it is subscribed to the bus and ticked on
@@ -291,7 +284,7 @@ func (p *Plane) ReportDiscrepancy(op, detail string) {
 }
 
 // Tick runs one observe–decide–act round: the probes publish what they
-// see (at most once per ProbeInterval), then every controller gets its
+// see (at most once per probeInterval), then every controller gets its
 // decide step; the act closures the controllers return run last, after
 // the plane lock is released. The O(sessions) cluster probe also runs
 // before the lock is taken — so foreground emitters (every live HTTP
@@ -344,7 +337,7 @@ func (p *Plane) Tick() {
 func (p *Plane) probeDue(now time.Duration) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.probed && now-p.lastProbe < p.probeInterval {
+	if p.probed && now-p.lastProbe < probeInterval {
 		return false
 	}
 	p.probed = true

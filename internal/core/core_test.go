@@ -723,45 +723,6 @@ func TestInterceptorSeesComponentAndPath(t *testing.T) {
 	}
 }
 
-func TestLeaseTable(t *testing.T) {
-	var now time.Duration
-	lt := NewLeaseTable(func() time.Duration { return now })
-	released := map[string]int{}
-	id1 := lt.Acquire("A", time.Minute, func() { released["r1"]++ })
-	lt.Acquire("A", time.Hour, func() { released["r2"]++ })
-	lt.Acquire("B", time.Minute, func() { released["r3"]++ })
-	if lt.Live("") != 3 || lt.Live("A") != 2 {
-		t.Fatalf("Live = %d/%d", lt.Live(""), lt.Live("A"))
-	}
-	// Renewal keeps r1 alive past its original expiry.
-	if !lt.Renew(id1, 2*time.Hour) {
-		t.Fatal("Renew failed")
-	}
-	now = 30 * time.Minute
-	if n := lt.Reap(); n != 1 {
-		t.Fatalf("Reap = %d, want 1 (r3)", n)
-	}
-	if released["r3"] != 1 || released["r1"] != 0 {
-		t.Fatalf("released = %v", released)
-	}
-	// µRB force-releases everything A holds.
-	if n := lt.ForceReleaseHolder("A"); n != 2 {
-		t.Fatalf("ForceReleaseHolder = %d, want 2", n)
-	}
-	if released["r1"] != 1 || released["r2"] != 1 {
-		t.Fatalf("released = %v", released)
-	}
-	if lt.Live("") != 0 {
-		t.Fatalf("Live = %d, want 0", lt.Live(""))
-	}
-	if lt.Release(id1) {
-		t.Fatal("Release of dead lease should report false")
-	}
-	if lt.Renew(id1, time.Hour) {
-		t.Fatal("Renew of dead lease should report false")
-	}
-}
-
 // Property: after any sequence of µRBs, every container is running, every
 // binding healthy, and calls succeed — reintegration is always complete.
 func TestPropertyMicrorebootAlwaysReintegrates(t *testing.T) {

@@ -159,10 +159,6 @@ type Server struct {
 	// pooled, so aborts go through the generation-checked AbortIf.
 	txs map[string]map[*db.Tx]uint64
 
-	// delayBeforeCrash is the optional grace delay between sentinel
-	// rebind and the crash phase (Section 6.2's 200 ms experiment).
-	delayBeforeCrash time.Duration
-
 	reboots uint64
 }
 
@@ -183,18 +179,6 @@ func WithCostModel(m CostModel) Option {
 // session store, ...) made available to components through Env.
 func WithResource(key string, v any) Option {
 	return func(s *Server) { s.resources[key] = v }
-}
-
-// WithInterceptors registers invocation interceptors at construction
-// (equivalent to calling Use immediately).
-func WithInterceptors(ins ...Interceptor) Option {
-	return func(s *Server) { s.interceptors = append(s.interceptors, ins...) }
-}
-
-// WithHangParking enables context-aware parking of hung calls; see
-// Server.SetHangParking.
-func WithHangParking() Option {
-	return func(s *Server) { s.hangPark.Store(true) }
 }
 
 // NewServer builds an empty application server.
@@ -220,22 +204,6 @@ func (s *Server) Registry() *Registry { return s.registry }
 
 // Now returns the server's current (virtual) time.
 func (s *Server) Now() time.Duration { return s.now() }
-
-// SetDelayBeforeCrash configures the grace period between binding the
-// sentinel and crashing the component, letting in-flight requests drain
-// (the paper measured a 200 ms delay; see Table 6).
-func (s *Server) SetDelayBeforeCrash(d time.Duration) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.delayBeforeCrash = d
-}
-
-// DelayBeforeCrash returns the configured grace period.
-func (s *Server) DelayBeforeCrash() time.Duration {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.delayBeforeCrash
-}
 
 // SetHangParking controls what Invoke does with a call that reports
 // ErrHang (an injected deadlock or infinite loop). When enabled — the

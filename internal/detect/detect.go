@@ -52,14 +52,10 @@ type ClientSide struct{}
 func (ClientSide) Classify(op string, resp workload.Response, loggedIn bool) Verdict {
 	if resp.Err != nil {
 		msg := resp.Err.Error()
-		switch {
-		case strings.Contains(msg, "connection"):
+		if strings.Contains(msg, "connection") {
 			return Verdict{Faulty: true, Type: NetworkError, Detail: msg}
-		case strings.Contains(msg, "503") || strings.Contains(msg, "retry after"):
-			return Verdict{Faulty: true, Type: HTTPError, Detail: msg}
-		default:
-			return Verdict{Faulty: true, Type: HTTPError, Detail: msg}
 		}
+		return Verdict{Faulty: true, Type: HTTPError, Detail: msg}
 	}
 	lower := strings.ToLower(resp.Body)
 	for _, kw := range []string{"exception", "failed", "error"} {

@@ -234,9 +234,6 @@ func (r *Figure4Result) String() string {
 	return b.String()
 }
 
-// Table4 returns the >8 s counts (it shares Figure 4's run).
-func Table4(o Options) *Figure4Result { return Figure4(o) }
-
 // ---------------------------------------------------------------- §6.1
 
 // Section61Result compares failover schemes and derives the six-nines

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/detect"
 	"repro/internal/ebid"
 	"repro/internal/faults"
 	"repro/internal/workload"
@@ -613,16 +612,3 @@ func (r *Table6Result) String() string {
 	}
 	return b.String()
 }
-
-// firstNonNil is a tiny helper used by the detect-based experiments.
-func firstNonNil(errs ...error) error {
-	for _, e := range errs {
-		if e != nil {
-			return e
-		}
-	}
-	return nil
-}
-
-var _ = detect.ClientSide{} // the detectors are exercised in figures.go
-var _ = firstNonNil

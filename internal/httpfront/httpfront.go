@@ -61,9 +61,6 @@ type Front struct {
 	// Retry-After while more than ShedWatermark requests are in flight.
 	// Established sessions are never shed.
 	ShedWatermark int
-	// ShedRetryAfter overrides the interval advertised to shed clients
-	// (default: the paper's 2 s).
-	ShedRetryAfter time.Duration
 	// Sampler, when set, replays a sampled fraction of idempotent
 	// operations against a known-good shadow instance (the paper's
 	// comparison detector on live traffic).
@@ -71,12 +68,8 @@ type Front struct {
 	// Node overrides how this server identifies itself in fleet-status
 	// and health surfaces (NodeName when empty). A supervised fleet
 	// member is told its name by the supervisor that spawned it.
-	Node string
-	// Degrade, when positive, stalls every operation by this much before
-	// executing it — a deliberately slowed replica for exercising
-	// queue-aware routing against a degraded backend over real sockets.
-	Degrade time.Duration
-	start   time.Time
+	Node  string
+	start time.Time
 
 	inflight atomic.Int64
 	shedded  atomic.Int64
@@ -377,11 +370,7 @@ func (f *Front) serveOp(w http.ResponseWriter, r *http.Request) {
 		// are always served.
 		if SessionID(r.Header) == "" {
 			f.shedded.Add(1)
-			after := f.ShedRetryAfter
-			if after <= 0 {
-				after = 2 * time.Second
-			}
-			w.Header().Set("Retry-After", strconv.Itoa(cluster.RetryAfterSeconds(after)))
+			w.Header().Set("Retry-After", strconv.Itoa(cluster.RetryAfterSeconds(cluster.DefaultRetryAfter)))
 			http.Error(w, "overloaded: new sessions are being shed, retry shortly",
 				http.StatusServiceUnavailable)
 			return
@@ -408,15 +397,6 @@ func (f *Front) serveOp(w http.ResponseWriter, r *http.Request) {
 	// The request context is the root of the call's shepherd: client
 	// disconnects, lease expiry and µRB kills all cancel it.
 	began := time.Now()
-	if f.Degrade > 0 {
-		// The degraded-replica stall charges wall time before the
-		// operation, holding the request in flight so load probes and
-		// queue-aware routing see the slowness as backpressure.
-		select {
-		case <-time.After(f.Degrade):
-		case <-r.Context().Done():
-		}
-	}
 	body, err := f.App.Execute(r.Context(), call)
 	// Measure before the sampled replay: the shadow execution is
 	// detector overhead, not part of this request's latency.

@@ -538,7 +538,6 @@ func TestControlPlaneStatusEndpoint(t *testing.T) {
 func TestAdmissionControlShedsNewSessions(t *testing.T) {
 	f := newFront(t)
 	f.ShedWatermark = 1
-	f.ShedRetryAfter = 3 * time.Second
 	srv := httptest.NewServer(f.Handler())
 	defer srv.Close()
 
@@ -584,8 +583,8 @@ func TestAdmissionControlShedsNewSessions(t *testing.T) {
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("shed status = %d, want 503", resp.StatusCode)
 	}
-	if resp.Header.Get("Retry-After") != "3" {
-		t.Fatalf("Retry-After = %q, want 3", resp.Header.Get("Retry-After"))
+	if resp.Header.Get("Retry-After") != "2" {
+		t.Fatalf("Retry-After = %q, want the 2 s default", resp.Header.Get("Retry-After"))
 	}
 	if len(resp.Cookies()) != 0 {
 		t.Fatal("shed request was issued a session cookie")
@@ -737,28 +736,6 @@ func TestSessionLapse401(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusUnauthorized {
 		t.Fatalf("status = %d (%s), want 401", resp.StatusCode, strings.TrimSpace(string(body)))
-	}
-}
-
-// TestDegradeStallsOps checks the degraded-replica knob holds requests
-// in flight for at least the configured stall.
-func TestDegradeStallsOps(t *testing.T) {
-	f := newFront(t)
-	f.Degrade = 50 * time.Millisecond
-	srv := httptest.NewServer(f.Handler())
-	defer srv.Close()
-
-	start := time.Now()
-	resp, err := http.Get(srv.URL + "/ebid/ViewItem?item=1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if elapsed := time.Since(start); elapsed < 50*time.Millisecond {
-		t.Fatalf("degraded op finished in %v, want >= 50ms", elapsed)
-	}
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status = %d, want 200", resp.StatusCode)
 	}
 }
 

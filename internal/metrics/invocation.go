@@ -46,12 +46,11 @@ type recorderStripe struct {
 	_       [104]byte
 }
 
-// componentRecorder accumulates one component's counters across stripes
-// plus a lock-free latency histogram. Reads sum the stripes; sums are
-// exact (each observation lands in exactly one stripe).
+// componentRecorder accumulates one component's counters across stripes.
+// Reads sum the stripes; sums are exact (each observation lands in
+// exactly one stripe).
 type componentRecorder struct {
 	stripes [recorderStripes]recorderStripe
-	hist    AtomicHistogram
 }
 
 func (r *componentRecorder) record(d time.Duration, err error) {
@@ -64,7 +63,6 @@ func (r *componentRecorder) record(d time.Duration, err error) {
 	}
 	if d > 0 {
 		s.latency.Add(int64(d))
-		r.hist.Observe(d)
 	}
 }
 
@@ -127,15 +125,6 @@ func (s *InvocationStats) Component(name string) ComponentStats {
 		return v.(*componentRecorder).snapshot()
 	}
 	return ComponentStats{}
-}
-
-// LatencyQuantile returns an upper bound for the q-quantile of one
-// component's hop latency, from its lock-free histogram.
-func (s *InvocationStats) LatencyQuantile(name string, q float64) time.Duration {
-	if v, ok := s.recorders.Load(name); ok {
-		return v.(*componentRecorder).hist.Quantile(q)
-	}
-	return 0
 }
 
 // Components returns the names of all components observed so far, sorted.

@@ -139,15 +139,6 @@ func (r *Recorder) Action(ops []Op, failed bool) {
 	}
 }
 
-// ObserveLatency records a response time outside of action accounting (used
-// for steady-state performance measurements, Table 5).
-func (r *Recorder) ObserveLatency(d time.Duration) {
-	r.latencies.Observe(d)
-	if r.threshold > 0 && d > r.threshold {
-		r.overThreshold++
-	}
-}
-
 // GoodOps and BadOps return total operation counts.
 func (r *Recorder) GoodOps() int64 { return r.totalGoodOps }
 
@@ -161,7 +152,7 @@ func (r *Recorder) GoodActions() int64 { return r.goodActions }
 func (r *Recorder) FailedActions() int64 { return r.failedActions }
 
 // OverThreshold returns how many successful operations exceeded the slow
-// threshold (plus failed ops recorded via ObserveLatency).
+// threshold.
 func (r *Recorder) OverThreshold() int64 { return r.overThreshold }
 
 // Latencies exposes the latency histogram of successful operations.
@@ -238,23 +229,4 @@ func mergeSpans(spans []span) []Interval {
 		cur = Interval{s.from, s.to}
 	}
 	return append(out, cur)
-}
-
-// DipArea estimates the "area of the dip" in good Taw over [from, to):
-// the shortfall of good throughput relative to the supplied steady-state
-// baseline (ops/bucket), clamped at zero. The paper uses dip area as the
-// visual measure of service disruption.
-func (r *Recorder) DipArea(from, to time.Duration, baseline float64) float64 {
-	lo, hi := r.bucketOf(from), r.bucketOf(to)
-	var area float64
-	for i := lo; i < hi; i++ {
-		var g float64
-		if i < len(r.good) {
-			g = float64(r.good[i])
-		}
-		if short := baseline - g; short > 0 {
-			area += short
-		}
-	}
-	return area
 }

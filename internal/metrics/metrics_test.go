@@ -105,21 +105,6 @@ func TestUnavailabilityMerging(t *testing.T) {
 	}
 }
 
-func TestDipArea(t *testing.T) {
-	r := NewRecorder(time.Second, 0)
-	// 5 ops/s for 4 seconds, then nothing for 2 seconds.
-	for s := 0; s < 4; s++ {
-		for i := 0; i < 5; i++ {
-			st := time.Duration(s) * time.Second
-			r.Action([]Op{op(st, st+time.Millisecond, "x", "g", true)}, false)
-		}
-	}
-	area := r.DipArea(0, 6*time.Second, 5)
-	if area != 10 { // two empty seconds × baseline 5
-		t.Fatalf("dip area = %v, want 10", area)
-	}
-}
-
 // Property: good + bad operation totals equal the number of ops submitted.
 func TestPropertyTawConservation(t *testing.T) {
 	f := func(counts []uint8, fails []bool) bool {

@@ -12,23 +12,27 @@ import "repro/internal/ebid"
 // Diagnosis holds no policy: what to do about a diagnosed target is the
 // EscalationPolicy's job.
 type Diagnosis struct {
-	threshold     float64
-	warWeight     float64
-	sessionWeight float64
-	entityWeight  float64
+	threshold float64
 
 	scores map[string]float64
 }
+
+// Weights for path scoring. The WAR sits on every path, so it gets a
+// low weight; the operation's own session component is the most
+// suspicious; entities are shared across operations and accumulate
+// across distinct failing URLs.
+const (
+	warWeight     = 0.25
+	sessionWeight = 1.0
+	entityWeight  = 0.6
+)
 
 // NewDiagnosis builds a diagnosis engine from a (filled) manager config.
 func NewDiagnosis(cfg Config) *Diagnosis {
 	cfg.fill()
 	return &Diagnosis{
-		threshold:     cfg.Threshold,
-		warWeight:     cfg.WARWeight,
-		sessionWeight: cfg.SessionWeight,
-		entityWeight:  cfg.EntityWeight,
-		scores:        map[string]float64{},
+		threshold: cfg.Threshold,
+		scores:    map[string]float64{},
 	}
 }
 
@@ -39,10 +43,10 @@ func (d *Diagnosis) ObserveFailure(r Report) (target string, triggered bool) {
 	path := ebid.PathFor(r.Op)
 	if len(path) == 0 {
 		// Unknown URL: all we can blame is the web tier, at full weight.
-		d.scores[ebid.WAR] += d.sessionWeight
+		d.scores[ebid.WAR] += sessionWeight
 	}
 	for _, comp := range path {
-		d.scores[comp] += d.weightOf(comp, r.Op)
+		d.scores[comp] += weightOf(comp, r.Op)
 	}
 	return d.check()
 }
@@ -50,7 +54,7 @@ func (d *Diagnosis) ObserveFailure(r Report) (target string, triggered bool) {
 // ObserveBrick scores one brick heartbeat-loss observation. Brick names
 // score like components: crossing the threshold triggers recovery.
 func (d *Diagnosis) ObserveBrick(brick string) (target string, triggered bool) {
-	d.scores[brick] += d.sessionWeight
+	d.scores[brick] += sessionWeight
 	return d.check()
 }
 
@@ -61,14 +65,14 @@ func (d *Diagnosis) check() (string, bool) {
 	return "", false
 }
 
-func (d *Diagnosis) weightOf(comp, op string) float64 {
+func weightOf(comp, op string) float64 {
 	if comp == ebid.WAR {
-		return d.warWeight
+		return warWeight
 	}
 	if comp == op {
-		return d.sessionWeight
+		return sessionWeight
 	}
-	return d.entityWeight
+	return entityWeight
 }
 
 // Top returns the highest-scoring suspect in a single pass over the score

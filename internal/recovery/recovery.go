@@ -58,16 +58,6 @@ type Config struct {
 	// EscalationWindow: a repeat recovery of the same target within this
 	// window escalates to the next policy level (default 90 s).
 	EscalationWindow time.Duration
-	// RecurringLimit: after this many full escalations RM gives up and
-	// notifies a human (default 1 — i.e. after the OS reboot fails).
-	RecurringLimit int
-	// Weights for path scoring. The WAR sits on every path, so it gets a
-	// low weight; the operation's own session component is the most
-	// suspicious; entities are shared across operations and accumulate
-	// across distinct failing URLs.
-	WARWeight     float64
-	SessionWeight float64
-	EntityWeight  float64
 	// DetectionDelay postpones the recovery action after the threshold
 	// is crossed (models Tdet in the Figure 5 experiments).
 	DetectionDelay time.Duration
@@ -91,18 +81,6 @@ func (c *Config) fill() {
 	}
 	if c.EscalationWindow == 0 {
 		c.EscalationWindow = 90 * time.Second
-	}
-	if c.RecurringLimit == 0 {
-		c.RecurringLimit = 1
-	}
-	if c.WARWeight == 0 {
-		c.WARWeight = 0.25
-	}
-	if c.SessionWeight == 0 {
-		c.SessionWeight = 1.0
-	}
-	if c.EntityWeight == 0 {
-		c.EntityWeight = 0.6
 	}
 	if c.Policy == nil {
 		if c.ForceScope != 0 {
@@ -155,8 +133,8 @@ type Manager struct {
 	// "RM notifies LB" failover, as an observe–decide–act hop.
 	OnRecoveryStart func()
 	OnRecoveryEnd   func()
-	// NotifyHuman fires when the policy is exhausted or failures recur
-	// beyond RecurringLimit.
+	// NotifyHuman fires when the policy is exhausted or a recovery
+	// action fails.
 	NotifyHuman func(reason string)
 
 	humanNotified bool

@@ -249,3 +249,24 @@ func TestKindTokensCoverInjectorVocabulary(t *testing.T) {
 		}
 	}
 }
+
+// FuzzScenarioParse: Parse never panics, and any spec it accepts
+// round-trips through Marshal to a structurally identical spec — the
+// property TestGoldenRoundTrip checks on the shipped specs, over
+// arbitrary input. The checked-in corpus holds every scenarios/*.toml
+// plus malformed inputs.
+func FuzzScenarioParse(f *testing.F) {
+	f.Fuzz(func(t *testing.T, src string) {
+		s, err := Parse("fuzz.toml", src)
+		if err != nil {
+			return
+		}
+		round, err := Parse("fuzz.toml#roundtrip", s.Marshal())
+		if err != nil {
+			t.Fatalf("re-parse of marshalled spec failed: %v\ninput:\n%s\nmarshal:\n%s", err, src, s.Marshal())
+		}
+		if !reflect.DeepEqual(s, round) {
+			t.Fatalf("round-trip drift:\noriginal: %+v\nround:    %+v\nmarshal:\n%s", s, round, s.Marshal())
+		}
+	})
+}

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"io"
 	"sync"
-	"time"
 )
 
 // recKind enumerates WAL record kinds.
@@ -64,10 +63,6 @@ type WAL struct {
 	// reuse (only batches no follower ever waited on). Guarded by mu.
 	cur  *walBatch
 	free *walBatch
-	// window, when positive, is how long a batch leader lingers before
-	// flushing so followers can pile in (group-commit window). Guarded by
-	// mu.
-	window time.Duration
 
 	// flushMu serializes sink flushes; buf and enc belong to the flusher.
 	flushMu sync.Mutex
@@ -171,16 +166,6 @@ func (w *WAL) AttachSink(sink io.Writer) {
 	w.enc = json.NewEncoder(&w.buf)
 }
 
-// SetCommitWindow sets how long a group-commit leader waits for followers
-// before flushing to the sink. Zero (the default) flushes immediately;
-// batching then still happens whenever commits arrive while a flush is in
-// flight.
-func (w *WAL) SetCommitWindow(d time.Duration) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.window = d
-}
-
 // GroupCommitStats reports sink batching: batches flushed, records
 // flushed, and the largest batch seen.
 func (w *WAL) GroupCommitStats() (batches, records uint64, maxBatch int) {
@@ -268,17 +253,11 @@ func (w *WAL) stageLocked(n int) walWait {
 	return walWait{w: w, b: b, leader: true}
 }
 
-// flushBatch is the leader's wait: linger for the commit window, seal the
-// batch, and push it to the sink in one write. flushMu makes flushes
-// strictly sequential, so a new leader formed during this flush cannot
-// overtake it.
+// flushBatch is the leader's wait: seal the batch and push it to the
+// sink in one write. Commits staged while an earlier flush holds flushMu
+// join this batch. flushMu makes flushes strictly sequential, so a new
+// leader formed during this flush cannot overtake it.
 func (w *WAL) flushBatch(b *walBatch) {
-	w.mu.Lock()
-	window := w.window
-	w.mu.Unlock()
-	if window > 0 {
-		time.Sleep(window)
-	}
 	w.flushMu.Lock()
 	// Seal: stagers from here on start the next batch. No follower can
 	// join after this point, so b's range and done channel are final.

@@ -164,12 +164,8 @@ type SSMCluster struct {
 	// one was routed around.
 	slowBypasses atomic.Int64
 	// slowServed counts reads actually served by a degraded brick (no
-	// healthy replica was available, or routing was disabled).
+	// healthy replica was available).
 	slowServed atomic.Int64
-	// slowRoutingOff disables the slow-replica read routing, so reads hit
-	// replicas in natural order even when one is degraded — the
-	// fail-stutter baseline the brick-slow experiment measures against.
-	slowRoutingOff atomic.Bool
 
 	mu        sync.Mutex
 	nextShard int
@@ -720,24 +716,20 @@ const stackReplicas = 8
 // readShard serves id from one replica set, returning the decoded
 // session and the raw entry (for dual-read promotion).
 func (c *SSMCluster) readShard(shard []*Brick, id string, now time.Duration) (*Session, ssmEntry, error) {
-	routing := !c.slowRoutingOff.Load()
-	order := shard
 	slow := 0
 	var orderBuf, repairBuf [stackReplicas]*Brick
-	if routing {
-		order = orderBuf[:0]
+	order := orderBuf[:0]
+	for _, b := range shard {
+		if b.Slow() {
+			slow++
+			continue
+		}
+		order = append(order, b)
+	}
+	if slow > 0 { // degraded replicas are the readers of last resort
 		for _, b := range shard {
 			if b.Slow() {
-				slow++
-				continue
-			}
-			order = append(order, b)
-		}
-		if slow > 0 { // degraded replicas are the readers of last resort
-			for _, b := range shard {
-				if b.Slow() {
-					order = append(order, b)
-				}
+				order = append(order, b)
 			}
 		}
 	}
@@ -890,19 +882,6 @@ func (c *SSMCluster) SlowServedReads() int {
 	return int(c.slowServed.Load())
 }
 
-// SetSlowReadRouting enables (the default) or disables the slow-replica
-// read routing. With routing off, reads hit a shard's replicas in natural
-// order even when one is degraded — the baseline configuration of the
-// fail-stutter experiment.
-func (c *SSMCluster) SetSlowReadRouting(on bool) {
-	c.slowRoutingOff.Store(!on)
-}
-
-// SlowReadRouting reports whether slow-replica read routing is enabled.
-func (c *SSMCluster) SlowReadRouting() bool {
-	return !c.slowRoutingOff.Load()
-}
-
 // ShardPopulations reports the distinct session population per live
 // shard (the union over each shard's live replicas, so a missed
 // replication does not undercount). The control plane's load probe
@@ -928,27 +907,13 @@ func (c *SSMCluster) ShardPopulations() map[int]int {
 // reads away from slow replicas instead of waiting them out.
 const SlowBrickPenalty = 250 * time.Millisecond
 
-// ReadPenalty reports the fail-stutter latency a read of id would pay
-// under the current routing policy: zero when a healthy replica serves
-// it, SlowBrickPenalty when the replica the routing would pick is
-// degraded (with routing on, that only happens when every live replica
-// of the owner shard is slow; with routing off, whenever the first live
-// replica in natural order is). The cluster node's service-time model
-// charges this per session access.
+// ReadPenalty reports the fail-stutter latency a read of id would pay:
+// zero when a healthy replica serves it, SlowBrickPenalty when every
+// live replica of the owner shard is degraded, since reads route around
+// slow replicas. The cluster node's service-time model charges this per
+// session access.
 func (c *SSMCluster) ReadPenalty(id string) time.Duration {
 	shard, _ := c.state.Load().owners(id)
-	if c.slowRoutingOff.Load() {
-		for _, b := range shard {
-			if !b.Up() {
-				continue
-			}
-			if b.Slow() {
-				return SlowBrickPenalty
-			}
-			return 0
-		}
-		return 0
-	}
 	sawLive := false
 	for _, b := range shard {
 		if !b.Up() {

@@ -260,14 +260,17 @@ func TestClusterSlowBrickBypass(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if c.SlowBypasses() != 5 {
-		t.Fatalf("SlowBypasses = %d, want 5", c.SlowBypasses())
+	if c.SlowBypasses() != 5 || c.SlowServedReads() != 0 {
+		t.Fatalf("bypasses=%d served=%d, want 5/0", c.SlowBypasses(), c.SlowServedReads())
 	}
 	// A slow brick is still the reader of last resort.
 	_ = c.CrashBrick("ssm/s0-r1")
 	_ = c.CrashBrick("ssm/s0-r2")
 	if _, err := c.Read("s"); err != nil {
 		t.Fatalf("read from slow last resort: %v", err)
+	}
+	if c.SlowServedReads() != 1 {
+		t.Fatalf("SlowServedReads = %d, want 1", c.SlowServedReads())
 	}
 }
 
@@ -405,56 +408,6 @@ func TestReapCleansTombstones(t *testing.T) {
 	}
 }
 
-func TestFastSStripesConfigurable(t *testing.T) {
-	f := NewFastSStripes(0)
-	if f.Stripes() != 1 {
-		t.Fatalf("stripes = %d, want 1", f.Stripes())
-	}
-	if NewFastS().Stripes() != DefaultStripes {
-		t.Fatalf("default stripes = %d, want %d", NewFastS().Stripes(), DefaultStripes)
-	}
-	for i := 0; i < 100; i++ {
-		_ = f.Write(sampleSession(fmt.Sprintf("s%d", i)))
-	}
-	if f.Len() != 100 {
-		t.Fatalf("Len = %d", f.Len())
-	}
-}
-
-func TestSlowRoutingDisabledServesFromSlowBrick(t *testing.T) {
-	c := mustCluster(t, 1, 3, 2, nil, 0)
-	if err := c.Write(sampleSession("s")); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.SetBrickSlow("ssm/s0-r0", true); err != nil {
-		t.Fatal(err)
-	}
-	if !c.SlowReadRouting() {
-		t.Fatal("routing should default on")
-	}
-	c.SetSlowReadRouting(false)
-	for i := 0; i < 4; i++ {
-		if _, err := c.Read("s"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Natural order starts at the slow replica 0: every read stutters.
-	if c.SlowServedReads() != 4 {
-		t.Fatalf("SlowServedReads = %d, want 4", c.SlowServedReads())
-	}
-	if c.SlowBypasses() != 0 {
-		t.Fatalf("SlowBypasses = %d, want 0 with routing off", c.SlowBypasses())
-	}
-	c.SetSlowReadRouting(true)
-	if _, err := c.Read("s"); err != nil {
-		t.Fatal(err)
-	}
-	if c.SlowServedReads() != 4 || c.SlowBypasses() != 1 {
-		t.Fatalf("after re-enabling: served=%d bypasses=%d, want 4/1",
-			c.SlowServedReads(), c.SlowBypasses())
-	}
-}
-
 func TestReadPenaltyFollowsRoutingPolicy(t *testing.T) {
 	c := mustCluster(t, 1, 3, 2, nil, 0)
 	if err := c.Write(sampleSession("s")); err != nil {
@@ -468,20 +421,8 @@ func TestReadPenaltyFollowsRoutingPolicy(t *testing.T) {
 	if got := c.ReadPenalty("s"); got != 0 {
 		t.Fatalf("routed penalty = %v, want 0", got)
 	}
-	// Routing off: the natural first replica is the slow one.
-	c.SetSlowReadRouting(false)
-	if got := c.ReadPenalty("s"); got != SlowBrickPenalty {
-		t.Fatalf("unrouted penalty = %v, want %v", got, SlowBrickPenalty)
-	}
-	// With the slow brick second in natural order, no penalty either way.
-	_ = c.SetBrickSlow("ssm/s0-r0", false)
-	_ = c.SetBrickSlow("ssm/s0-r1", true)
-	if got := c.ReadPenalty("s"); got != 0 {
-		t.Fatalf("unrouted penalty behind healthy head = %v, want 0", got)
-	}
 	// Every live replica slow: even routing has to wait.
-	c.SetSlowReadRouting(true)
-	_ = c.SetBrickSlow("ssm/s0-r0", true)
+	_ = c.SetBrickSlow("ssm/s0-r1", true)
 	_ = c.SetBrickSlow("ssm/s0-r2", true)
 	if got := c.ReadPenalty("s"); got != SlowBrickPenalty {
 		t.Fatalf("all-slow penalty = %v, want %v", got, SlowBrickPenalty)

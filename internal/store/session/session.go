@@ -92,10 +92,10 @@ type ReadPenalized interface {
 	ReadPenalty(id string) time.Duration
 }
 
-// DefaultStripes is the stripe count used by NewFastS. Sixteen stripes
-// keep lock contention negligible for the worker counts the node model
-// uses while costing only a few hundred bytes of overhead.
-const DefaultStripes = 16
+// fastStripes is FastS's lock stripe count. Sixteen stripes keep lock
+// contention negligible for the worker counts the node model uses while
+// costing only a few hundred bytes of overhead.
+const fastStripes = 16
 
 // fastStripe is one lock-protected shard of FastS.
 type fastStripe struct {
@@ -107,20 +107,12 @@ type fastStripe struct {
 // different sessions do not serialize on one lock. The zero value is not
 // usable; use NewFastS.
 type FastS struct {
-	stripes []*fastStripe
+	stripes [fastStripes]*fastStripe
 }
 
-// NewFastS returns an empty in-process session store with DefaultStripes
-// stripes.
-func NewFastS() *FastS { return NewFastSStripes(DefaultStripes) }
-
-// NewFastSStripes returns an empty store with n lock stripes (n < 1 is
-// treated as 1).
-func NewFastSStripes(n int) *FastS {
-	if n < 1 {
-		n = 1
-	}
-	f := &FastS{stripes: make([]*fastStripe, n)}
+// NewFastS returns an empty in-process session store.
+func NewFastS() *FastS {
+	f := &FastS{}
 	for i := range f.stripes {
 		f.stripes[i] = &fastStripe{sessions: map[string]*Session{}}
 	}
@@ -136,7 +128,7 @@ func (f *FastS) stripe(id string) *fastStripe {
 		h ^= uint32(id[i])
 		h *= 16777619
 	}
-	return f.stripes[h%uint32(len(f.stripes))]
+	return f.stripes[h%fastStripes]
 }
 
 // Name implements Store.
@@ -144,9 +136,6 @@ func (f *FastS) Name() string { return "FastS" }
 
 // SurvivesProcessRestart implements Store: FastS lives inside the process.
 func (f *FastS) SurvivesProcessRestart() bool { return false }
-
-// Stripes reports the stripe count (diagnostic aid).
-func (f *FastS) Stripes() int { return len(f.stripes) }
 
 // Read implements Store.
 func (f *FastS) Read(id string) (*Session, error) {

@@ -70,7 +70,7 @@ func (c *client) nextOp() (string, any) {
 		// the previous session ended — lets the Logout op still carry the
 		// id it is logging out, so the server really deletes it.
 		c.sessionSeq++
-		c.quick = rng.Float64() < c.e.cfg.QuickVisitP
+		c.quick = rng.Float64() < quickVisitP
 		c.quickN = 0
 		return ebid.OpHome, nil
 	case phaseLogin:
@@ -208,14 +208,14 @@ func (c *client) complete(op string, issued time.Duration, resp Response) {
 			c.phase = phaseBrowsing
 		}
 	} else {
-		if info.CommitPoint || len(c.action) >= c.e.cfg.MaxActionLen && c.phase != phaseFlow {
+		if info.CommitPoint || len(c.action) >= maxActionLen && c.phase != phaseFlow {
 			c.closeAction(false)
 		}
 	}
 	if c.e.stopped {
 		return
 	}
-	think := c.e.kernel.Exponential(c.e.cfg.ThinkMean, c.e.cfg.ThinkCap)
+	think := c.e.kernel.Exponential(c.e.cfg.ThinkMean, thinkCap)
 	c.e.kernel.Schedule(think, c.step)
 }
 

@@ -56,25 +56,30 @@ type Frontend interface {
 	Submit(req *Request)
 }
 
+const (
+	// thinkCap caps each think-time draw.
+	thinkCap = 70 * time.Second
+	// maxActionLen closes pure-browsing actions after this many ops,
+	// standing in for "the customized summary screen" at the end of a
+	// browsing action.
+	maxActionLen = 4
+	// quickVisitP is the probability a session is a short
+	// login-check-logout visit.
+	quickVisitP = 0.2
+)
+
 // Config parameterizes the emulator.
 type Config struct {
 	// Clients is the concurrent emulated-user population.
 	Clients int
-	// ThinkMean and ThinkCap shape think time; defaults: 7 s / 70 s.
+	// ThinkMean is the mean think time (default 7 s); draws are capped
+	// at thinkCap.
 	ThinkMean time.Duration
-	ThinkCap  time.Duration
 	// Dataset cardinalities for argument synthesis.
 	Users      int64
 	Items      int64
 	Categories int64
 	Regions    int64
-	// MaxActionLen closes pure-browsing actions after this many ops
-	// (default 4), standing in for "the customized summary screen" at
-	// the end of a browsing action.
-	MaxActionLen int
-	// QuickVisitP is the probability a session is a short
-	// login-check-logout visit (default 0.2).
-	QuickVisitP float64
 	// StartStagger spreads client start times uniformly over this window
 	// (default: ThinkMean) so load ramps smoothly.
 	StartStagger time.Duration
@@ -88,9 +93,6 @@ func (c *Config) fill() {
 	if c.ThinkMean == 0 {
 		c.ThinkMean = 7 * time.Second
 	}
-	if c.ThinkCap == 0 {
-		c.ThinkCap = 70 * time.Second
-	}
 	if c.Users == 0 {
 		c.Users = 250
 	}
@@ -102,12 +104,6 @@ func (c *Config) fill() {
 	}
 	if c.Regions == 0 {
 		c.Regions = 62
-	}
-	if c.MaxActionLen == 0 {
-		c.MaxActionLen = 4
-	}
-	if c.QuickVisitP == 0 {
-		c.QuickVisitP = 0.2
 	}
 	if c.StartStagger == 0 {
 		c.StartStagger = c.ThinkMean
