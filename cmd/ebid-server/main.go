@@ -9,8 +9,8 @@
 // Try it:
 //
 //	curl localhost:8080/ebid/Authenticate?user=3
-//	curl -X POST 'localhost:8080/admin/microreboot?component=ViewItem'
-//	curl -i localhost:8080/ebid/ViewItem?item=1   # 503 + Retry-After while recovering
+//	curl -X POST 'localhost:8080/admin/microreboot?component=ViewItem'   # returns once ViewItem is back; duration_ms is the measured work
+//	curl -i localhost:8080/ebid/ViewItem?item=1   # 200 again at once; only requests that race the µRB get 503 + Retry-After
 //
 // With -store ssm-cluster the brick ring is elastic at runtime:
 //

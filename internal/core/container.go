@@ -186,6 +186,10 @@ func (c *Container) CorruptTxMethodMap(mode string) error {
 func (c *Container) TxAttrFor(op string) (TxAttr, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	return c.txAttrLocked(op)
+}
+
+func (c *Container) txAttrLocked(op string) (TxAttr, error) {
 	if c.txMethods == nil {
 		return "", fmt.Errorf("%w: %s transaction method map missing", ErrComponentFault, c.desc.Name)
 	}
@@ -261,10 +265,13 @@ func (c *Container) Serve(ctx context.Context, call *Call) (any, error) {
 	idx := c.next % len(c.instances)
 	inst := c.instances[idx]
 	c.next++
+	// The transaction method map must be intact for any declared op. It
+	// is read under the same lock as the state, so a µRB that crashes
+	// the container after this point finds the call in flight and kills
+	// it, instead of the call seeing the crash's discarded metadata.
+	_, err := c.txAttrLocked(call.Op)
 	c.mu.Unlock()
-
-	// The transaction method map must be intact for any declared op.
-	if _, err := c.TxAttrFor(call.Op); err != nil {
+	if err != nil {
 		return nil, err
 	}
 

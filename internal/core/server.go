@@ -619,9 +619,10 @@ func (s *Server) BindSentinels(names ...string) ([]string, error) {
 // cancelled with cause ErrKilled), open transactions aborted, leaked
 // resources released, and per-component metadata discarded.
 //
-// The returned Reboot carries the modeled phase durations; the caller
-// waits out Duration() (really or in virtual time) and then calls
-// CompleteMicroreboot. Use Microreboot for the one-shot form.
+// The returned Reboot carries the modeled phase durations. Only
+// simulation drivers wait out Duration(), on the virtual clock, before
+// calling CompleteMicroreboot; a live server uses Microreboot, whose µRB
+// lasts as long as its work.
 func (s *Server) BeginMicroreboot(names ...string) (*Reboot, error) {
 	return s.beginScoped(ScopeComponent, names...)
 }
@@ -757,8 +758,9 @@ func (s *Server) CompleteMicroreboot(rb *Reboot) error {
 }
 
 // Microreboot performs a full microreboot synchronously (crash + reinit
-// with no pause). Simulation drivers that must model the passage of
-// recovery time use the Begin/Complete pair instead.
+// with no pause): on a live server a µRB lasts as long as its work. Only
+// simulation drivers, which must model the passage of recovery time, use
+// the Begin/Complete pair and wait out Duration() in virtual time.
 func (s *Server) Microreboot(names ...string) (*Reboot, error) {
 	rb, err := s.BeginMicroreboot(names...)
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -493,6 +494,45 @@ func TestIdentityManagerSequential(t *testing.T) {
 	}
 	if res.(int64) != prev+1 {
 		t.Fatalf("post-µRB id = %v, want %d", res, prev+1)
+	}
+}
+
+// Concurrent id allocations must never hand out the same id twice. The
+// store fails fast on a lock conflict, so some calls error; every id from
+// a call that succeeded is distinct. Reading the counter without locking
+// its row (a plain Get) loses updates and fails this test.
+func TestIdentityManagerConcurrentIDsUnique(t *testing.T) {
+	app, _ := newApp(t)
+	const workers, calls = 8, 300
+	var (
+		mu   sync.Mutex
+		seen = map[int64]int{}
+		wg   sync.WaitGroup
+	)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < calls; i++ {
+				res, err := app.Server.Invoke(context.Background(), IdentityManager,
+					&core.Call{Op: "next", Args: &EntityArgs{Kind: "bid"}})
+				if err != nil {
+					continue
+				}
+				mu.Lock()
+				seen[res.(int64)]++
+				mu.Unlock()
+			}
+		}()
+	}
+	wg.Wait()
+	if len(seen) == 0 {
+		t.Fatal("no allocation succeeded")
+	}
+	for id, n := range seen {
+		if n > 1 {
+			t.Fatalf("id %d handed out %d times", id, n)
+		}
 	}
 }
 

@@ -67,12 +67,6 @@ func AblationDelay(o Options, component string) *AblationDelayResult {
 			}
 			e.kernel.RunFor(20 * time.Second)
 		}
-		if c, err := e.node.Server().Container(component); err == nil {
-			_ = c
-		}
-		if info, ok := ebid.Info(component); ok {
-			_ = info
-		}
 		rbDur = ebid.CostModel{}.CrashTime(component) + ebid.CostModel{}.ReinitTime(component)
 		e.emulator.Stop()
 		e.emulator.FlushActions()

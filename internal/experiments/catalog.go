@@ -18,10 +18,10 @@ func Catalog() []CatalogEntry {
 		{"figure2", "goodput timeline around a fault, microreboot vs restart"},
 		{"figure3", "cluster goodput under rolling faults, with/without microreboots"},
 		{"figure4", "failover + microreboot vs failover + restart (also table4)"},
-		{"table5", "disk-backed vs SSM session state under recovery"},
-		{"table6", "fault-model coverage summary"},
-		{"figure5", "recovery cost vs cluster size; amortized engineering cost"},
-		{"figure6", "proactive rolling rejuvenation vs reactive recovery"},
+		{"table5", "fault-free throughput and latency: JBoss vs JBoss+µRB, FastS vs SSM"},
+		{"table6", "failed requests per µRB with and without Retry-After masking"},
+		{"figure5", "detection-delay (Tdet) curve and false-positive tolerance"},
+		{"figure6", "microrejuvenation vs JVM-restart rejuvenation under leaks"},
 		{"ablation", "extension: sentinel-to-crash detection delay sweep"},
 		{"section61", "section 6.1 cost/benefit arithmetic from measured results"},
 	}

@@ -1,11 +1,14 @@
 // Package httpfront serves a deployed eBid application over real HTTP,
 // the way the paper's prototype served it from JBoss's embedded web
 // server. End-user operations map to URLs; sessions ride on cookies; a
-// component mid-microreboot yields HTTP 503 with a Retry-After header
+// request that reaches a component while it is being microrebooted, or
+// that a microreboot kills, yields HTTP 503 with a Retry-After header
 // (Section 6.2); and the microreboot method is exposed over HTTP for
-// remote invocation by a recovery manager, exactly as the paper's
-// prototype allowed µRBs "programmatically from within the server, or
-// remotely, over HTTP".
+// remote invocation by a recovery manager, as the paper's prototype
+// allowed µRBs "programmatically from within the server, or remotely,
+// over HTTP". A microreboot over HTTP is synchronous and lasts as long
+// as its crash and reinit work; the Table 3 cost model is an input to
+// the simulator only.
 //
 // Every request is executed under its http.Request context: the server
 // binds the execution lease (TTL) as a context deadline, and a
@@ -113,16 +116,15 @@ func New(app *ebid.App) *Front {
 }
 
 // Handler returns the HTTP handler: /ebid/<Operation> for end-user
-// operations, /admin/microreboot, /admin/reboot, /admin/components,
-// /debug/pprof/, and — when the store is the SSM brick cluster — the
+// operations, /healthz, /admin/microreboot, /admin/components,
+// /admin/controlplane/status, /admin/fleet/status, /debug/pprof/, and the
 // elastic-ring controls /admin/ssm/addshard, /admin/ssm/removeshard and
-// /admin/ssm/elastic.
+// /admin/ssm/elastic (404 unless the store is the SSM brick cluster).
 func (f *Front) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/ebid/", f.serveOp)
 	mux.HandleFunc("/healthz", f.serveHealthz)
 	mux.HandleFunc("/admin/microreboot", f.serveMicroreboot)
-	mux.HandleFunc("/admin/reboot", f.serveReboot)
 	mux.HandleFunc("/admin/components", f.serveComponents)
 	mux.HandleFunc("/admin/ssm/addshard", f.serveAddShard)
 	mux.HandleFunc("/admin/ssm/removeshard", f.serveRemoveShard)
@@ -479,7 +481,9 @@ func (f *Front) writeOpError(w http.ResponseWriter, err error) {
 }
 
 // serveMicroreboot handles POST /admin/microreboot?component=Name — the
-// remotely invocable microreboot method added to the server.
+// remotely invocable microreboot method added to the server. The µRB is
+// synchronous: the reply is sent once every member has been crashed and
+// reinitialized, and duration_ms is the measured wall time of that work.
 func (f *Front) serveMicroreboot(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST required", http.StatusMethodNotAllowed)
@@ -490,55 +494,24 @@ func (f *Front) serveMicroreboot(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "component parameter required", http.StatusBadRequest)
 		return
 	}
-	rb, err := f.App.Server.BeginMicroreboot(comp)
-	if err != nil {
+	began := time.Now()
+	rb, err := f.App.Server.Microreboot(comp)
+	took := time.Since(began)
+	switch {
+	case errors.Is(err, core.ErrNotBound):
 		http.Error(w, err.Error(), http.StatusNotFound)
 		return
+	case err != nil:
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
 	}
-	// In real-time mode the modeled recovery interval elapses on the
-	// wall clock before reintegration.
-	go func() {
-		time.Sleep(rb.Duration())
-		_ = f.App.Server.CompleteMicroreboot(rb)
-	}()
 	writeJSON(w, map[string]any{
 		"members":      rb.Members,
-		"duration_ms":  rb.Duration().Milliseconds(),
+		"duration_ms":  float64(took) / float64(time.Millisecond),
 		"freed_bytes":  rb.FreedBytes,
 		"aborted_txs":  rb.AbortedTxs,
 		"killed_calls": len(rb.KilledCalls),
 	})
-}
-
-// serveReboot handles POST /admin/reboot?scope=war|app|process.
-func (f *Front) serveReboot(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST required", http.StatusMethodNotAllowed)
-		return
-	}
-	var scope core.Scope
-	switch r.URL.Query().Get("scope") {
-	case "war":
-		scope = core.ScopeWAR
-	case "app":
-		scope = core.ScopeApp
-	case "process":
-		scope = core.ScopeProcess
-	default:
-		http.Error(w, "scope must be war, app or process", http.StatusBadRequest)
-		return
-	}
-	rb, err := f.App.Server.BeginScopedReboot(scope, "eBid")
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	go func() {
-		time.Sleep(rb.Duration())
-		_ = f.App.Server.CompleteMicroreboot(rb)
-	}()
-	writeJSON(w, map[string]any{"scope": scope.String(), "members": rb.Members,
-		"duration_ms": rb.Duration().Milliseconds()})
 }
 
 // serveComponents lists deployed components with their states. Outcome

@@ -4,13 +4,17 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"net/http/cookiejar"
 	"net/http/httptest"
 	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/controlplane"
+	"repro/internal/core"
 	"repro/internal/detect"
 	"repro/internal/ebid"
 	"repro/internal/faults"
@@ -91,56 +95,146 @@ func TestEndToEndHTTPFlow(t *testing.T) {
 	}
 }
 
-func TestMicrorebootOverHTTPAnd503(t *testing.T) {
+// A live µRB is synchronous and costs only its work. While six logged-in
+// clients loop over browse and bid operations, 300 remote microreboots
+// over the bench's rota each return 200 only after every member is back,
+// and every client request either succeeds or is told to retry (503 +
+// Retry-After). A 401 would mean a µRB lost a FastS session.
+func TestMicrorebootUnderLoad(t *testing.T) {
 	f := newFront(t)
 	srv := httptest.NewServer(f.Handler())
 	defer srv.Close()
 
-	// Trigger a µRB remotely.
-	resp, err := http.Post(srv.URL+"/admin/microreboot?component=ViewItem", "", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rb struct {
+	type urbReply struct {
 		Members    []string `json:"members"`
-		DurationMs int64    `json:"duration_ms"`
+		DurationMs float64  `json:"duration_ms"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&rb); err != nil {
-		t.Fatal(err)
+	microreboot := func(comp string) urbReply {
+		resp, err := http.Post(srv.URL+"/admin/microreboot?component="+comp, "", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			body, _ := io.ReadAll(resp.Body)
+			t.Fatalf("µRB %s: %d %q", comp, resp.StatusCode, body)
+		}
+		var rb urbReply
+		if err := json.NewDecoder(resp.Body).Decode(&rb); err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range rb.Members {
+			if c, err := f.App.Server.Container(m); err != nil || c.State() != core.StateRunning {
+				t.Fatalf("µRB %s returned before %s was running again", comp, m)
+			}
+		}
+		return rb
 	}
-	resp.Body.Close()
-	if len(rb.Members) != 1 || rb.Members[0] != "ViewItem" || rb.DurationMs != 446 {
+
+	// The reply reports the members and the measured work, far below
+	// ViewItem's modeled 446 ms, and the component serves at once.
+	rb := microreboot(ebid.ViewItem)
+	if len(rb.Members) != 1 || rb.Members[0] != ebid.ViewItem || rb.DurationMs <= 0 || rb.DurationMs >= 446 {
 		t.Fatalf("reboot = %+v", rb)
 	}
-	// While recovering: 503 + Retry-After.
-	resp, err = http.Get(srv.URL + "/ebid/ViewItem?item=1")
+	resp, err := http.Get(srv.URL + "/ebid/ViewItem?item=1")
 	if err != nil {
 		t.Fatal(err)
 	}
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("during µRB: %d, want 503", resp.StatusCode)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("ViewItem right after µRB: %d, want 200", resp.StatusCode)
 	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Fatal("missing Retry-After header")
-	}
-	// Other components keep serving.
-	resp, err = http.Get(srv.URL + "/ebid/BrowseCategories")
+	// GET on the admin endpoint is rejected.
+	resp, err = http.Get(srv.URL + "/admin/microreboot?component=ViewItem")
 	if err != nil {
 		t.Fatal(err)
 	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != 200 {
-		t.Fatalf("BrowseCategories during ViewItem µRB: %d", resp.StatusCode)
-	}
-	// GET on admin endpoint rejected.
-	resp, _ = http.Get(srv.URL + "/admin/microreboot?component=ViewItem")
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("GET admin: %d", resp.StatusCode)
+	}
+
+	var (
+		mu       sync.Mutex
+		bad      []string
+		served   atomic.Int64
+		loggedIn sync.WaitGroup
+		clients  sync.WaitGroup
+	)
+	stop := make(chan struct{})
+	var stopOnce sync.Once
+	stopClients := func() {
+		stopOnce.Do(func() { close(stop) })
+		clients.Wait()
+	}
+	defer stopClients()
+	for c := 1; c <= 6; c++ {
+		loggedIn.Add(1)
+		clients.Add(1)
+		go func(c int) {
+			defer clients.Done()
+			jar, _ := cookiejar.New(nil)
+			client := &http.Client{Jar: jar}
+			get := func(path string) int {
+				resp, err := client.Get(srv.URL + path)
+				if err != nil {
+					mu.Lock()
+					bad = append(bad, path+": "+err.Error())
+					mu.Unlock()
+					return 0
+				}
+				body, _ := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				switch {
+				case resp.StatusCode == http.StatusOK:
+					served.Add(1)
+				case resp.StatusCode == http.StatusServiceUnavailable && resp.Header.Get("Retry-After") != "":
+				// Concurrent CommitBids race for the one id_seq row and
+				// the loser fails fast: the store's known behaviour
+				// (ROADMAP item 7), not a recovery failure.
+				case resp.StatusCode == http.StatusInternalServerError &&
+					strings.HasPrefix(path, "/ebid/CommitBid") &&
+					strings.Contains(string(body), "db: lock conflict") &&
+					strings.Contains(string(body), "id_seq"):
+				default:
+					mu.Lock()
+					bad = append(bad, path+": "+strconv.Itoa(resp.StatusCode)+" "+strings.TrimSpace(string(body)))
+					mu.Unlock()
+				}
+				return resp.StatusCode
+			}
+			id := strconv.Itoa(c)
+			get("/ebid/Authenticate?user=" + id)
+			loggedIn.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				get("/ebid/ViewItem?item=" + id)
+				get("/ebid/BrowseCategories")
+				if get("/ebid/MakeBid?item="+id) == http.StatusOK {
+					get("/ebid/CommitBid?amount=" + id)
+				}
+				get("/ebid/AboutMe")
+			}
+		}(c)
+	}
+	loggedIn.Wait()
+	rota := []string{ebid.ViewItem, ebid.EntItem, ebid.MakeBid, ebid.Authenticate, ebid.AboutMe, ebid.WAR}
+	for i := 0; i < 300; i++ {
+		microreboot(rota[i%len(rota)])
+	}
+	stopClients()
+	if len(bad) > 0 {
+		t.Fatalf("%d requests failed under µRB load, first: %s", len(bad), bad[0])
+	}
+	if served.Load() == 0 {
+		t.Fatal("no request served during the µRB run")
 	}
 }
 
@@ -167,6 +261,16 @@ func TestRetryAfterPropagation(t *testing.T) {
 	}
 	if got := resp.Header.Get("Retry-After"); got != "1" {
 		t.Fatalf("Retry-After = %q, want \"1\" (ceil of 446ms)", got)
+	}
+	// Other components keep serving while ViewItem is down.
+	resp, err = http.Get(srv.URL + "/ebid/BrowseCategories")
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != 200 {
+		t.Fatalf("BrowseCategories during ViewItem µRB: %d", resp.StatusCode)
 	}
 	if err := f.App.Server.CompleteMicroreboot(rb); err != nil {
 		t.Fatal(err)
