@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	ebid-server [-addr :8080] [-node name] [-drain-timeout D] [-store fasts|ssm-cluster] [-shards S] [-replicas N] [-write-quorum W] [-users N] [-items N] [-wal file] [-autoscale] [-shed-watermark N] [-detect-sample N]
+//	ebid-server [-addr :8080] [-node name] [-drain-timeout D] [-store fasts|ssm-cluster] [-shards S] [-replicas N] [-write-quorum W] [-users N] [-items N] [-wal file] [-shed-watermark N] [-detect-sample N]
 //
 // Try it:
 //
@@ -12,22 +12,16 @@
 //	curl -X POST 'localhost:8080/admin/microreboot?component=ViewItem'   # returns once ViewItem is back; duration_ms is the measured work
 //	curl -i localhost:8080/ebid/ViewItem?item=1   # 200 again at once; only requests that race the µRB get 503 + Retry-After
 //
-// With -store ssm-cluster the brick ring is elastic at runtime:
-//
-//	curl -X POST localhost:8080/admin/ssm/addshard
-//	curl -X POST 'localhost:8080/admin/ssm/removeshard?shard=0'
-//	curl localhost:8080/admin/ssm/elastic
+// With -store ssm-cluster sessions live on a fixed ring of S shards × N
+// replica bricks, set at start by -shards and -replicas.
 //
 // A control plane ticks every 100 ms: its probes sample the front's
-// in-flight load and (with a brick cluster) per-shard load, a
-// load-adaptive migration pacer streams entries to their new owner
-// shards after every ring change (backing off when client p95 latency
-// rises past 500 ms), and with -autoscale the ring resizes itself
-// between 2 and 8 shards, adding one above 5000 and removing one below
-// 500 mean sessions per shard. Inspect it at /admin/controlplane/status
-// and /admin/fleet/status. With -shed-watermark N the front sheds
-// session-starting requests (503 + Retry-After) past N in-flight
-// requests; with -detect-sample N one in N idempotent operations is
+// in-flight load and (with a brick cluster) brick heartbeats, and every
+// failed request is reported on its bus. Inspect it at
+// /admin/controlplane/status and /admin/fleet/status. With
+// -shed-watermark N the front sheds session-starting requests (503 +
+// Retry-After) past N in-flight requests; with -detect-sample N one in
+// N idempotent operations is
 // replayed against a known-good shadow instance and any discrepancy is
 // published on the bus. With a brick cluster a lease reaper
 // garbage-collects lapsed sessions every minute.
@@ -71,8 +65,8 @@ const (
 )
 
 const (
-	// tickInterval is the control plane's cadence: migration pacing and
-	// load probes.
+	// tickInterval is the control plane's cadence: load and brick
+	// heartbeat probes.
 	tickInterval = 100 * time.Millisecond
 	// reapInterval is how often the lease reaper garbage-collects
 	// expired SSM sessions.
@@ -91,8 +85,6 @@ func main() {
 	users := flag.Int("users", 250, "dataset users")
 	items := flag.Int("items", 3300, "dataset items")
 	walPath := flag.String("wal", "", "mirror the database WAL to this file")
-	autoscale := flag.Bool("autoscale", false,
-		"ssm-cluster: let the control plane add/remove shards (2..8) against the load watermarks (5000/500 mean sessions per shard)")
 	shedWatermark := flag.Int("shed-watermark", 0,
 		"admission control: shed session-starting requests with 503 + Retry-After while more than this many requests are in flight (0 disables)")
 	detectSample := flag.Int64("detect-sample", 0,
@@ -196,22 +188,16 @@ func main() {
 		log.Printf("lease reaper running every %v", reapInterval)
 	}
 	front := httpfront.New(app)
-	front.Cluster = cl
 	front.Node = *nodeName
 	front.ShedWatermark = *shedWatermark
 	if *shedWatermark > 0 {
 		log.Printf("admission control: shedding new sessions past %d in-flight requests", *shedWatermark)
 	}
 
-	// The control plane: every request's latency and failure feed its
-	// bus through the HTTP front end, and the front's own in-flight
-	// count is probed as a one-node fleet (visible at
-	// /admin/fleet/status). With an SSM brick cluster the probes also
-	// sample per-shard load, the migration pacer replaces the old
-	// fixed-budget migrator (backing off when client p95 rises, full
-	// throttle when idle), and -autoscale closes the elasticity loop.
-	// The plane always ticks: without it a ring change started at
-	// /admin/ssm/addshard could never drain.
+	// The control plane: every failed request feeds its bus through the
+	// HTTP front end, and the front's own in-flight count is probed as a
+	// one-node fleet (visible at /admin/fleet/status). With an SSM brick
+	// cluster the probes also report dead bricks.
 	plane := controlplane.New(controlplane.Config{Clock: clock, Cluster: clusterOrNil(cl), Fleet: front})
 	// An observe-only fleet controller (no balancer to actuate on a
 	// single node) keeps the per-node samples for the status surface.
@@ -234,43 +220,9 @@ func main() {
 		}
 		log.Printf("comparison detector sampling 1 in %d idempotent operations", *detectSample)
 	}
-	if cl != nil {
-		plane.Use(controlplane.NewMigrationPacer(cl, controlplane.PacerConfig{}))
-		if *autoscale {
-			cfg := controlplane.AutoscalerConfig{MinShards: 2, MaxShards: 8, HighWater: 5000, LowWater: 500}
-			cfg.OnResize = func(act controlplane.ResizeAction) {
-				verb := "removed"
-				if act.Added {
-					verb = "added"
-				}
-				if act.Err != "" {
-					log.Printf("autoscaler: resize failed at %.0f sessions/shard: %s", act.AvgLoad, act.Err)
-					return
-				}
-				log.Printf("autoscaler: %s shard %d at %.0f sessions/shard", verb, act.Shard, act.AvgLoad)
-			}
-			plane.Use(controlplane.NewAutoscaler(cl, cfg))
-			log.Printf("autoscaler watching the ring: %d..%d shards, add above %.0f, remove below %.0f sessions/shard",
-				cfg.MinShards, cfg.MaxShards, cfg.HighWater, cfg.LowWater)
-		}
-	}
 	go func() {
-		migrating := false
 		for range time.Tick(tickInterval) {
 			plane.Tick()
-			if cl == nil {
-				continue
-			}
-			if m := cl.Migrating(); m != migrating {
-				migrating = m
-				st := cl.Elastic()
-				if m {
-					log.Printf("migrator: ring change v%d draining", st.RingVersion)
-				} else {
-					log.Printf("migrator: ring v%d converged (%d entries moved so far, shards %v)",
-						st.RingVersion, st.Migrated, st.Shards)
-				}
-			}
 		}
 	}()
 

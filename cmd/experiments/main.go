@@ -142,8 +142,6 @@ func main() {
 // experiment -only used to accept.
 var movedToScenarios = map[string]string{
 	"brickcrash": "scenarios/brickcrash.toml",
-	"elastic":    "scenarios/elastic.toml",
-	"autoscale":  "scenarios/autoscale.toml",
 	"brickslow":  "scenarios/brickslow.toml",
 	"fleet":      "scenarios/fleet.toml (control arm: scenarios/fleet-roundrobin.toml)",
 }

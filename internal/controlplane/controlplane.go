@@ -1,20 +1,15 @@
 // Package controlplane unifies the system's self-management loops —
-// failure diagnosis/recovery, brick heartbeat monitoring, elastic ring
-// resizing, and migration pacing — into one observe–decide–act control
-// plane.
+// failure diagnosis/recovery, brick heartbeat monitoring, and fleet
+// drain/rejuvenation — into one observe–decide–act control plane.
 //
 // The observe half is a signal bus: client monitors publish failure
-// reports, the latency tap publishes per-operation response times,
-// recovery managers publish node recovery lifecycles, the comparison
-// detector publishes sampled discrepancies, and the plane's own probes
-// publish per-shard session populations, brick heartbeat loss, and
-// per-node load samples (queue depth, busy workers). The decide/act half
-// is a set of controllers that subscribe to the bus: a
-// RecoveryController feeds the recovery manager's diagnosis engine, an
-// Autoscaler resizes the SSM brick ring against load watermarks, a
-// MigrationPacer adapts the background migrator's per-step budget to
-// foreground client latency, and a FleetController drives the load
-// balancer's drain/failover state and orchestrates rolling node
+// reports, recovery managers publish node recovery lifecycles, the
+// comparison detector publishes sampled discrepancies, and the plane's
+// own probes publish brick heartbeat loss and per-node load samples
+// (queue depth, busy workers). The decide/act half is a set of
+// controllers that subscribe to the bus: a RecoveryController feeds the
+// recovery manager's diagnosis engine, and a FleetController drives the
+// load balancer's drain/failover state and orchestrates rolling node
 // rejuvenation. Components stop calling each other directly; they meet
 // on the bus.
 //
@@ -44,10 +39,6 @@ const (
 	SignalFailure SignalKind = iota
 	// SignalBrickDead is one brick heartbeat-loss observation.
 	SignalBrickDead
-	// SignalShardLoad is one sample of per-shard session populations.
-	SignalShardLoad
-	// SignalLatency is one client-observed operation response time.
-	SignalLatency
 	// SignalNodeLoad is one node's load/health sample from the fleet
 	// probe (queue depth, busy workers, outcome counters).
 	SignalNodeLoad
@@ -61,7 +52,7 @@ const (
 )
 
 // signalKinds is the number of distinct kinds (bus counter array size).
-const signalKinds = 7
+const signalKinds = 5
 
 // String names the kind for status surfaces.
 func (k SignalKind) String() string {
@@ -70,10 +61,6 @@ func (k SignalKind) String() string {
 		return "failure"
 	case SignalBrickDead:
 		return "brick-dead"
-	case SignalShardLoad:
-		return "shard-load"
-	case SignalLatency:
-		return "latency"
 	case SignalNodeLoad:
 		return "node-load"
 	case SignalNodeRecovery:
@@ -97,15 +84,6 @@ type Signal struct {
 
 	// SignalBrickDead: the brick whose heartbeat is missing.
 	Brick string
-
-	// SignalShardLoad: shard id → session population, plus totals.
-	Shards    map[int]int
-	Sessions  int
-	Migrating bool
-
-	// SignalLatency: one operation's response time and outcome.
-	Latency time.Duration
-	OK      bool
 
 	// SignalNodeLoad / SignalNodeRecovery: the node concerned.
 	Node string
@@ -139,9 +117,7 @@ type NodeStat struct {
 }
 
 // FleetProbe is the per-node view the plane samples every tick;
-// *cluster.LoadBalancer implements it. Unlike the O(sessions) cluster
-// probe, a fleet sample is a handful of integer reads per node, so it
-// runs on every tick rather than on the probe interval.
+// *cluster.LoadBalancer implements it.
 type FleetProbe interface {
 	FleetStats() []NodeStat
 }
@@ -181,7 +157,7 @@ func (b *Bus) Counts() map[string]int64 {
 // Controller is one decide/act loop on the plane. OnSignal observes (it
 // must not block); Tick decides under the plane lock and may return the
 // act half as a closure, which the plane runs after releasing its lock —
-// so a slow actuator (a migration step, a ring change) never stalls the
+// so a slow actuator (a brick restart, a node reboot) never stalls the
 // foreground emitters serializing on that lock. Status is a JSON-able
 // snapshot for operators.
 type Controller interface {
@@ -191,28 +167,23 @@ type Controller interface {
 	Status() any
 }
 
-// ShardCluster is the view of the SSM brick cluster the plane's probes
-// sample; *session.SSMCluster implements it.
+// ShardCluster is the view of the SSM brick cluster the plane's probe
+// samples; *session.SSMCluster implements it.
 type ShardCluster interface {
-	ShardPopulations() map[int]int
 	DeadBricks() []string
-	Migrating() bool
 }
 
-// probeInterval is how often the cluster probe samples per-shard
-// populations and brick heartbeats. Load moves at session-lifetime
-// speed, so probing faster than ~1 s buys nothing — and the population
-// scan is O(sessions), so a fast-ticking plane must not pay it per tick.
-// Ticks between probes still run the controllers.
+// probeInterval is how often the cluster probe samples brick heartbeats:
+// each dead brick is reported once per interval, however fast the plane
+// ticks. Ticks between probes still run the controllers.
 const probeInterval = time.Second
 
 // Config parameterizes a Plane.
 type Config struct {
 	// Clock supplies time; required.
 	Clock Clock
-	// Cluster, when set, is probed every probeInterval: per-shard
-	// populations become SignalShardLoad, missing brick heartbeats
-	// SignalBrickDead.
+	// Cluster, when set, is probed every probeInterval: missing brick
+	// heartbeats become SignalBrickDead.
 	Cluster ShardCluster
 	// Fleet, when set, is probed every Tick: each node's load sample
 	// becomes one SignalNodeLoad.
@@ -265,11 +236,6 @@ func (p *Plane) ReportFailure(op, kind string) {
 	p.Publish(Signal{Kind: SignalFailure, Op: op, FailureKind: kind})
 }
 
-// ObserveOp publishes one operation's client-observed response time.
-func (p *Plane) ObserveOp(latency time.Duration, ok bool) {
-	p.Publish(Signal{Kind: SignalLatency, Latency: latency, OK: ok})
-}
-
 // ReportNodeRecovery publishes a node's recovery lifecycle edge — the
 // recovery manager's entry point onto the bus (the fleet controller
 // actuates the load balancer's drain from these; nobody calls the LB
@@ -286,10 +252,10 @@ func (p *Plane) ReportDiscrepancy(op, detail string) {
 // Tick runs one observe–decide–act round: the probes publish what they
 // see (at most once per probeInterval), then every controller gets its
 // decide step; the act closures the controllers return run last, after
-// the plane lock is released. The O(sessions) cluster probe also runs
-// before the lock is taken — so foreground emitters (every live HTTP
-// request reports its latency) only ever wait on controller
-// bookkeeping, never on store scans or actuators.
+// the plane lock is released. The probes also run before the lock is
+// taken, so foreground emitters (every failed live HTTP request reports
+// itself) only ever wait on controller bookkeeping, never on probes or
+// actuators.
 func (p *Plane) Tick() {
 	now := p.clock()
 	var probes []Signal
@@ -299,18 +265,6 @@ func (p *Plane) Tick() {
 		}
 	}
 	if p.cluster != nil && p.probeDue(now) {
-		pops := p.cluster.ShardPopulations()
-		total := 0
-		for _, n := range pops {
-			total += n
-		}
-		probes = append(probes, Signal{
-			Kind:      SignalShardLoad,
-			At:        now,
-			Shards:    pops,
-			Sessions:  total,
-			Migrating: p.cluster.Migrating(),
-		})
 		for _, brick := range p.cluster.DeadBricks() {
 			probes = append(probes, Signal{Kind: SignalBrickDead, At: now, Brick: brick})
 		}

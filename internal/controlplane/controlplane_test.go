@@ -21,234 +21,13 @@ func TestBusFanOutAndCounts(t *testing.T) {
 	b.Subscribe(func(s Signal) { got = append(got, s.Kind) })
 	b.Subscribe(func(s Signal) { got = append(got, s.Kind) })
 	b.Publish(Signal{Kind: SignalFailure})
-	b.Publish(Signal{Kind: SignalLatency})
-	if len(got) != 4 || got[0] != SignalFailure || got[3] != SignalLatency {
+	b.Publish(Signal{Kind: SignalNodeLoad})
+	if len(got) != 4 || got[0] != SignalFailure || got[3] != SignalNodeLoad {
 		t.Fatalf("fan-out = %v", got)
 	}
 	counts := b.Counts()
-	if counts["failure"] != 1 || counts["latency"] != 1 || counts["shard-load"] != 0 {
+	if counts["failure"] != 1 || counts["node-load"] != 1 || counts["brick-dead"] != 0 {
 		t.Fatalf("counts = %v", counts)
-	}
-}
-
-// fakeResizer records autoscaler actuation.
-type fakeResizer struct {
-	added   int
-	removed []int
-	next    int
-	err     error
-}
-
-func (f *fakeResizer) AddShard() (int, error) {
-	if f.err != nil {
-		return 0, f.err
-	}
-	f.added++
-	f.next++
-	return f.next - 1, nil
-}
-
-func (f *fakeResizer) RemoveShard(id int) error {
-	if f.err != nil {
-		return f.err
-	}
-	f.removed = append(f.removed, id)
-	return nil
-}
-
-// loadSignal builds one shard-load sample with even population.
-func loadSignal(at time.Duration, shards, perShard int, migrating bool) Signal {
-	pops := map[int]int{}
-	for i := 0; i < shards; i++ {
-		pops[i] = perShard
-	}
-	return Signal{
-		Kind: SignalShardLoad, At: at,
-		Shards: pops, Sessions: shards * perShard, Migrating: migrating,
-	}
-}
-
-func TestAutoscalerAddsAfterSustainedHighLoad(t *testing.T) {
-	fr := &fakeResizer{next: 2}
-	a := NewAutoscaler(fr, AutoscalerConfig{
-		MinShards: 2, MaxShards: 3, HighWater: 100, LowWater: 20, Sustain: 3, Cooldown: time.Minute,
-	})
-	// Two high samples: not sustained yet.
-	a.OnSignal(loadSignal(1*time.Second, 2, 150, false))
-	a.OnSignal(loadSignal(2*time.Second, 2, 150, false))
-	if fr.added != 0 {
-		t.Fatal("resized before the sustain threshold")
-	}
-	// A normal sample resets the counter.
-	a.OnSignal(loadSignal(3*time.Second, 2, 50, false))
-	a.OnSignal(loadSignal(4*time.Second, 2, 150, false))
-	a.OnSignal(loadSignal(5*time.Second, 2, 150, false))
-	if fr.added != 0 {
-		t.Fatal("sustain counter survived a normal sample")
-	}
-	a.OnSignal(loadSignal(6*time.Second, 2, 150, false))
-	if fr.added != 1 {
-		t.Fatalf("added = %d, want 1 after 3 sustained samples", fr.added)
-	}
-	if len(a.Actions) != 1 || !a.Actions[0].Added || a.Actions[0].Shard != 2 {
-		t.Fatalf("actions = %+v", a.Actions)
-	}
-	// Still hot, but inside the cooldown — and then capped by MaxShards.
-	a.OnSignal(loadSignal(7*time.Second, 3, 140, false))
-	a.OnSignal(loadSignal(8*time.Second, 3, 140, false))
-	a.OnSignal(loadSignal(9*time.Second, 3, 140, false))
-	if fr.added != 1 {
-		t.Fatal("resized during cooldown")
-	}
-	a.OnSignal(loadSignal(2*time.Minute, 3, 140, false))
-	a.OnSignal(loadSignal(2*time.Minute+time.Second, 3, 140, false))
-	a.OnSignal(loadSignal(2*time.Minute+2*time.Second, 3, 140, false))
-	if fr.added != 1 {
-		t.Fatal("grew past MaxShards")
-	}
-}
-
-func TestAutoscalerRemovesLeastPopulatedShard(t *testing.T) {
-	fr := &fakeResizer{}
-	a := NewAutoscaler(fr, AutoscalerConfig{
-		MinShards: 2, MaxShards: 4, HighWater: 100, LowWater: 30, Sustain: 2, Cooldown: time.Second,
-	})
-	low := Signal{
-		Kind: SignalShardLoad, At: time.Second,
-		Shards: map[int]int{0: 30, 1: 5, 2: 25}, Sessions: 60,
-	}
-	a.OnSignal(low)
-	low.At = 2 * time.Second
-	a.OnSignal(low)
-	if len(fr.removed) != 1 || fr.removed[0] != 1 {
-		t.Fatalf("removed = %v, want the least-populated shard 1", fr.removed)
-	}
-	// MinShards floor: 2 shards left, still cold → no further removal.
-	cold := Signal{
-		Kind: SignalShardLoad, At: time.Minute,
-		Shards: map[int]int{0: 10, 2: 10}, Sessions: 20,
-	}
-	a.OnSignal(cold)
-	cold.At = time.Minute + time.Second
-	a.OnSignal(cold)
-	cold.At = time.Minute + 2*time.Second
-	a.OnSignal(cold)
-	if len(fr.removed) != 1 {
-		t.Fatalf("removed = %v, shrank below MinShards", fr.removed)
-	}
-}
-
-func TestAutoscalerHoldsDuringMigration(t *testing.T) {
-	fr := &fakeResizer{next: 2}
-	a := NewAutoscaler(fr, AutoscalerConfig{
-		MinShards: 1, MaxShards: 4, HighWater: 100, LowWater: 10, Sustain: 2, Cooldown: time.Second,
-	})
-	a.OnSignal(loadSignal(1*time.Second, 2, 200, true))
-	a.OnSignal(loadSignal(2*time.Second, 2, 200, true))
-	a.OnSignal(loadSignal(3*time.Second, 2, 200, true))
-	if fr.added != 0 {
-		t.Fatal("resized while a migration was draining")
-	}
-	// Mid-migration samples are inflated (entries sit on both owners),
-	// so they must NOT count toward the sustain threshold: the first
-	// post-migration sample alone cannot resize.
-	a.OnSignal(loadSignal(4*time.Second, 2, 200, false))
-	if fr.added != 0 {
-		t.Fatal("acted on a single post-migration sample (mid-migration evidence leaked)")
-	}
-	a.OnSignal(loadSignal(5*time.Second, 2, 200, false))
-	if fr.added != 1 {
-		t.Fatal("did not act after Sustain post-migration samples")
-	}
-}
-
-func TestAutoscalerRecordsActuatorErrors(t *testing.T) {
-	fr := &fakeResizer{err: errors.New("ring change already in progress")}
-	a := NewAutoscaler(fr, AutoscalerConfig{
-		MinShards: 1, MaxShards: 4, HighWater: 10, LowWater: 1, Sustain: 1,
-	})
-	a.OnSignal(loadSignal(time.Second, 2, 50, false))
-	if len(a.Actions) != 1 || a.Actions[0].Err == "" {
-		t.Fatalf("actions = %+v, want one errored action", a.Actions)
-	}
-}
-
-// fakePump records migration step budgets.
-type fakePump struct{ budgets []int }
-
-func (f *fakePump) MigrateStep(max int) (int, bool) {
-	f.budgets = append(f.budgets, max)
-	return max, false
-}
-
-func TestPacerBacksOffUnderLatencyAndRecovers(t *testing.T) {
-	fp := &fakePump{}
-	p := NewMigrationPacer(fp, PacerConfig{
-		TargetP95: 100 * time.Millisecond, Window: 10 * time.Second,
-		MinBudget: 16, MaxBudget: 1024, StartBudget: 256,
-	})
-	// Foreground latency well over target: multiplicative decrease.
-	now := time.Second
-	for i := 0; i < 20; i++ {
-		p.OnSignal(Signal{Kind: SignalLatency, At: now, Latency: 400 * time.Millisecond, OK: true})
-	}
-	tickPacer(p, now)
-	if got := p.Budget(); got != 128 {
-		t.Fatalf("budget after one hot tick = %d, want 128", got)
-	}
-	tickPacer(p, now+time.Second)
-	tickPacer(p, now+2*time.Second)
-	tickPacer(p, now+3*time.Second)
-	if got := p.Budget(); got != 16 {
-		t.Fatalf("budget did not floor at MinBudget: %d", got)
-	}
-	// Latency back under target: additive increase.
-	now += 15 * time.Second
-	for i := 0; i < 20; i++ {
-		p.OnSignal(Signal{Kind: SignalLatency, At: now, Latency: 10 * time.Millisecond, OK: true})
-	}
-	tickPacer(p, now)
-	if got := p.Budget(); got <= 16 || got > 16+(1024-16)/8 {
-		t.Fatalf("budget after recovery tick = %d, want one additive step up", got)
-	}
-	// Idle (window drains): straight to MaxBudget.
-	tickPacer(p, now+time.Minute)
-	if got := p.Budget(); got != 1024 {
-		t.Fatalf("idle budget = %d, want MaxBudget", got)
-	}
-	if p.MinBudgetUsed() != 16 || p.MaxBudgetUsed() != 1024 {
-		t.Fatalf("budget extremes = %d..%d", p.MinBudgetUsed(), p.MaxBudgetUsed())
-	}
-	// Every tick advanced the migrator with the then-current budget.
-	if len(fp.budgets) != 6 || fp.budgets[len(fp.budgets)-1] != 1024 {
-		t.Fatalf("pump budgets = %v", fp.budgets)
-	}
-}
-
-func TestPacerAllFailingTrafficBacksOff(t *testing.T) {
-	// Zero successful ops with traffic present is an outage, not an idle
-	// system: the pacer must back off, never sprint to MaxBudget — and
-	// the failures' pathological latencies must not pollute the p95.
-	fp := &fakePump{}
-	p := NewMigrationPacer(fp, PacerConfig{
-		TargetP95: 100 * time.Millisecond, MinBudget: 16, MaxBudget: 1024, StartBudget: 256,
-	})
-	p.OnSignal(Signal{Kind: SignalLatency, At: time.Second, Latency: time.Minute, OK: false})
-	tickPacer(p, time.Second)
-	st := p.Status().(PacerStatus)
-	if st.Idle {
-		t.Fatal("all-failing traffic classified as idle")
-	}
-	if st.Budget != 128 || st.Backoffs != 1 {
-		t.Fatalf("budget = %d backoffs = %d, want a backoff to 128", st.Budget, st.Backoffs)
-	}
-	if st.LastP95 != 0 {
-		t.Fatalf("failed op latency entered the p95 window: %v", st.LastP95)
-	}
-	// Once even the failures stop, the system really is idle.
-	tickPacer(p, time.Minute)
-	if got := p.Budget(); got != 1024 {
-		t.Fatalf("idle budget = %d, want MaxBudget", got)
 	}
 }
 
@@ -266,7 +45,7 @@ func TestRecoveryControllerBridgesSignals(t *testing.T) {
 	rc := NewRecoveryController(fs)
 	rc.OnSignal(Signal{Kind: SignalFailure, Op: "MakeBid", FailureKind: "http-error"})
 	rc.OnSignal(Signal{Kind: SignalBrickDead, Brick: "ssm/s0-r1"})
-	rc.OnSignal(Signal{Kind: SignalLatency, Latency: time.Millisecond, OK: true})
+	rc.OnSignal(Signal{Kind: SignalNodeLoad, Node: "n0"})
 	// OnSignal only observes: the sink must see nothing until the act
 	// closure from Tick runs — a Report can synchronously trigger a
 	// recovery that re-enters the plane, so it must run lock-free.
@@ -300,26 +79,15 @@ func TestPlaneProbesClusterAndTicksControllers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, id := range []string{"a", "b", "c", "d", "e"} {
-		if err := cl.Write(&session.Session{ID: id}); err != nil {
-			t.Fatal(err)
-		}
-	}
 	if err := cl.CrashBrick("ssm/s0-r0"); err != nil {
 		t.Fatal(err)
 	}
 	p := New(Config{Clock: clock.Now, Cluster: cl})
-	var loads, deadBricks int
+	var deadBricks int
 	probeWatcher := &funcController{
 		name: "watcher",
 		onSignal: func(s Signal) {
-			switch s.Kind {
-			case SignalShardLoad:
-				loads++
-				if s.Sessions != 5 {
-					t.Errorf("sessions = %d, want 5", s.Sessions)
-				}
-			case SignalBrickDead:
+			if s.Kind == SignalBrickDead {
 				deadBricks++
 				if s.Brick != "ssm/s0-r0" {
 					t.Errorf("brick = %q", s.Brick)
@@ -332,14 +100,14 @@ func TestPlaneProbesClusterAndTicksControllers(t *testing.T) {
 	p.Tick()
 	clock.Advance(time.Second)
 	p.Tick()
-	if loads != 2 || deadBricks != 2 {
-		t.Fatalf("loads = %d deadBricks = %d, want 2/2", loads, deadBricks)
+	if deadBricks != 2 {
+		t.Fatalf("deadBricks = %d, want 2", deadBricks)
 	}
 	if probeWatcher.ticks != 2 {
 		t.Fatalf("controller ticks = %d", probeWatcher.ticks)
 	}
 	st := p.Status()
-	if st.Ticks != 2 || st.Signals["shard-load"] != 2 || st.Signals["brick-dead"] != 2 {
+	if st.Ticks != 2 || st.Signals["brick-dead"] != 2 {
 		t.Fatalf("status = %+v", st)
 	}
 	if _, ok := st.Controllers["watcher"]; !ok {
@@ -353,15 +121,15 @@ func TestPlaneEmitterHelpersStampTime(t *testing.T) {
 	var got []Signal
 	p.Use(&funcController{name: "rec", onSignal: func(s Signal) { got = append(got, s) }})
 	p.ReportFailure("ViewItem", "keyword")
-	p.ObserveOp(7*time.Millisecond, true)
+	p.ReportDiscrepancy("AboutMe", "body differs")
 	if len(got) != 2 {
 		t.Fatalf("signals = %d", len(got))
 	}
 	if got[0].Kind != SignalFailure || got[0].Op != "ViewItem" || got[0].At != 42*time.Second {
 		t.Fatalf("failure signal = %+v", got[0])
 	}
-	if got[1].Kind != SignalLatency || got[1].Latency != 7*time.Millisecond || !got[1].OK {
-		t.Fatalf("latency signal = %+v", got[1])
+	if got[1].Kind != SignalDiscrepancy || got[1].Op != "AboutMe" || got[1].At != 42*time.Second {
+		t.Fatalf("discrepancy signal = %+v", got[1])
 	}
 }
 
@@ -376,38 +144,6 @@ func (f *funcController) Name() string              { return f.name }
 func (f *funcController) OnSignal(s Signal)         { f.onSignal(s) }
 func (f *funcController) Tick(time.Duration) func() { f.ticks++; return nil }
 func (f *funcController) Status() any               { return map[string]int{"ticks": f.ticks} }
-
-// tickPacer runs one decide+act round the way the plane does.
-func tickPacer(p *MigrationPacer, now time.Duration) {
-	if act := p.Tick(now); act != nil {
-		act()
-	}
-}
-
-func TestAutoscalerRetriesAfterActuatorError(t *testing.T) {
-	// A failed resize must not start the cooldown or burn the sustain
-	// evidence: the next sample retries, and once the actuator heals the
-	// resize happens.
-	fr := &fakeResizer{next: 2, err: errors.New("ring change already in progress")}
-	a := NewAutoscaler(fr, AutoscalerConfig{
-		MinShards: 1, MaxShards: 4, HighWater: 10, LowWater: 1, Sustain: 1, Cooldown: time.Minute,
-	})
-	a.OnSignal(loadSignal(time.Second, 2, 50, false))
-	a.OnSignal(loadSignal(2*time.Second, 2, 50, false))
-	if len(a.Actions) != 2 {
-		t.Fatalf("actions = %+v, want a retry per sample while erroring", a.Actions)
-	}
-	fr.err = nil
-	a.OnSignal(loadSignal(3*time.Second, 2, 50, false))
-	if fr.added != 1 {
-		t.Fatalf("added = %d, want the resize once the actuator healed", fr.added)
-	}
-	// And only now does the cooldown bite.
-	a.OnSignal(loadSignal(4*time.Second, 3, 50, false))
-	if fr.added != 1 {
-		t.Fatal("resized during the post-success cooldown")
-	}
-}
 
 // fakeFleet records drain flips and reboots, and lets tests shape the
 // node-load samples the controller sees.
@@ -638,36 +374,5 @@ func TestRecoveryControllerBridgesDiscrepancies(t *testing.T) {
 	}
 	if st := rc.Status().(RecoveryStatus); st.Discrepancies != 1 {
 		t.Fatalf("status = %+v", st)
-	}
-}
-
-func TestAutoscalerWarmUpHoldoffChargesGrow(t *testing.T) {
-	fr := &fakeResizer{next: 2}
-	a := NewAutoscaler(fr, AutoscalerConfig{
-		MinShards: 1, MaxShards: 4, HighWater: 100, LowWater: 60, Sustain: 1,
-		Cooldown: time.Second, WarmUp: time.Minute,
-	})
-	a.OnSignal(loadSignal(time.Second, 2, 150, false))
-	if fr.added != 1 {
-		t.Fatal("grow did not fire")
-	}
-	// 3 shards × 80 sessions: the raw mean (80) sits between the
-	// watermarks, but during warm-up the new shard absorbs nothing —
-	// the charged mean is 240/2 = 120, still past the high water, so
-	// the dip the new denominator would fake cannot trigger a shrink
-	// and the controller still sees the pressure it paid to relieve.
-	a.OnSignal(loadSignal(3*time.Second, 3, 80, false))
-	st := a.Status().(AutoscalerStatus)
-	if !st.Warming || st.AvgLoad != 120 {
-		t.Fatalf("warm-up mean = %.0f (warming=%v), want 120 over 2 shards", st.AvgLoad, st.Warming)
-	}
-	// After the holdoff the full ring counts again.
-	a.OnSignal(loadSignal(2*time.Minute, 3, 80, false))
-	st = a.Status().(AutoscalerStatus)
-	if st.Warming || st.AvgLoad != 80 {
-		t.Fatalf("post-warm-up mean = %.0f (warming=%v), want 80 over 3 shards", st.AvgLoad, st.Warming)
-	}
-	if len(fr.removed) != 0 {
-		t.Fatalf("warm-up dip triggered a shrink: %v", fr.removed)
 	}
 }

@@ -134,8 +134,7 @@ func (f *FleetController) Rejuvenations() int64 { return atomic.LoadInt64(&f.rej
 
 // OnSignal implements Controller. Node-load samples refresh the fleet
 // view; recovery edges actuate the drain immediately (a map flip on the
-// balancer, same cost class as the autoscaler's in-signal ring change —
-// failover must not wait for the next tick).
+// balancer — failover must not wait for the next tick).
 func (f *FleetController) OnSignal(s Signal) {
 	switch s.Kind {
 	case SignalNodeLoad:

@@ -9,8 +9,8 @@
 // every result (who wins, by what factor, where crossovers fall) is
 // preserved.
 //
-// The repo's extensions beyond the paper (brick crash, elastic ring,
-// autoscaler, fail-stutter brick, fleet routing) are scenario specs under
+// The repo's extensions beyond the paper (brick crash, fail-stutter
+// brick, fleet routing) are scenario specs under
 // scenarios/, run by internal/scenario on the same Harness that Figures 3
 // and 4 and Section 6.1 use.
 package experiments

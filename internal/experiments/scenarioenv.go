@@ -157,24 +157,6 @@ func (h *Harness) PumpPlane(plane *controlplane.Plane, every time.Duration) {
 	h.PumpEvery(every, plane.Tick)
 }
 
-// PumpMigration advances the brick migrator on a recurring schedule; a
-// step is a cheap no-op while no ring change is in flight (and the pump
-// is a no-op on a harness without a brick cluster).
-func (h *Harness) PumpMigration(every time.Duration, batch int) {
-	if h.Bricks != nil {
-		h.PumpEvery(every, func() { h.Bricks.MigrateStep(batch) })
-	}
-}
-
-// PumpReaper runs recurring lease GC on the brick cluster. Without it, a
-// load-watching controller would keep counting sessions whose leases
-// lapsed long ago.
-func (h *Harness) PumpReaper(every time.Duration) {
-	if h.Bricks != nil {
-		h.PumpEvery(every, func() { h.Bricks.ReapExpired() })
-	}
-}
-
 // BrickRestarts sums restart counts across live bricks.
 func (h *Harness) BrickRestarts() int {
 	if h.Bricks == nil {

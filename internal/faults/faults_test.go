@@ -3,7 +3,6 @@ package faults
 import (
 	"context"
 	"errors"
-	"fmt"
 	"testing"
 	"time"
 
@@ -433,63 +432,6 @@ func TestBrickCrashMaskedByQuorumAndCuredByRestart(t *testing.T) {
 	if len(cl.DeadBricks()) != 0 {
 		t.Fatalf("DeadBricks = %v after restart", cl.DeadBricks())
 	}
-}
-
-func TestBrickCrashMidMigrationConvergesWithoutLoss(t *testing.T) {
-	// Elasticity meets the fault campaign: a brick crash (faults.BrickCrash)
-	// lands in the middle of an add-shard migration. The ring change must
-	// still converge, the crashed brick restarts and re-replicates, and no
-	// session is lost at any point.
-	cl := newBrickCluster(t)
-	app, inj := newTarget(t, cl)
-	var ids []string
-	for i := 0; i < 120; i++ {
-		id := fmt.Sprintf("sess-%d", i)
-		login(t, app, id, int64(3+i%20))
-		ids = append(ids, id)
-	}
-	readAll := func(stage string) {
-		t.Helper()
-		for _, id := range ids {
-			if _, err := cl.Read(id); err != nil {
-				t.Fatalf("%s: session %s lost: %v", stage, id, err)
-			}
-		}
-	}
-
-	if _, err := cl.AddShard(); err != nil {
-		t.Fatal(err)
-	}
-	if _, done := cl.MigrateStep(10); done {
-		t.Fatal("migration finished in one small step — crash would not be mid-migration")
-	}
-	// Crash a brick of an old shard — a migration source — mid-stream.
-	victim := cl.Bricks()[0]
-	f, err := inj.Inject(Spec{Kind: BrickCrash, Component: victim.Name()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	readAll("mid-migration with a brick down")
-	if _, done := cl.MigrateAll(); !done {
-		t.Fatal("migration did not converge with a source brick down")
-	}
-	readAll("after convergence")
-	// Session ops through the application keep working throughout.
-	if _, err := app.Execute(context.Background(), call(ebid.AboutMe, ids[0], nil)); err != nil {
-		t.Fatalf("session op during migration chaos: %v", err)
-	}
-	// The brick restart (RM's brick µRB) clears the fault and
-	// re-replicates whatever its shard still owns post-migration.
-	if _, err := cl.RestartBrick(victim.Name()); err != nil {
-		t.Fatal(err)
-	}
-	if f.Active() {
-		t.Fatal("brick-crash fault still active after brick restart")
-	}
-	if victim.Len() == 0 {
-		t.Fatal("restarted brick re-replicated nothing")
-	}
-	readAll("after brick restart")
 }
 
 func TestBrickSlowRoutedAroundAndCleared(t *testing.T) {

@@ -37,7 +37,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/detect"
 	"repro/internal/ebid"
-	"repro/internal/store/session"
 	"repro/internal/workload"
 )
 
@@ -51,13 +50,8 @@ type Front struct {
 	// RequestTTL overrides the execution lease on incoming requests
 	// (DefaultRequestTTL when zero).
 	RequestTTL time.Duration
-	// Cluster, when the session store is the SSM brick cluster, exposes
-	// the elastic-ring control surface under /admin/ssm/ (shard add,
-	// shard remove, ring status). Nil for the other stores.
-	Cluster *session.SSMCluster
-	// Plane, when set, receives every request's outcome as bus signals
-	// (op latency, failure reports) and serves its operator status at
-	// /admin/controlplane/status.
+	// Plane, when set, receives every failed request as a failure report
+	// and serves its operator status at /admin/controlplane/status.
 	Plane *controlplane.Plane
 	// ShedWatermark, when positive, enables admission control: a request
 	// that would start a session (no cookie yet) is answered 503 +
@@ -117,18 +111,13 @@ func New(app *ebid.App) *Front {
 
 // Handler returns the HTTP handler: /ebid/<Operation> for end-user
 // operations, /healthz, /admin/microreboot, /admin/components,
-// /admin/controlplane/status, /admin/fleet/status, /debug/pprof/, and the
-// elastic-ring controls /admin/ssm/addshard, /admin/ssm/removeshard and
-// /admin/ssm/elastic (404 unless the store is the SSM brick cluster).
+// /admin/controlplane/status, /admin/fleet/status and /debug/pprof/.
 func (f *Front) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/ebid/", f.serveOp)
 	mux.HandleFunc("/healthz", f.serveHealthz)
 	mux.HandleFunc("/admin/microreboot", f.serveMicroreboot)
 	mux.HandleFunc("/admin/components", f.serveComponents)
-	mux.HandleFunc("/admin/ssm/addshard", f.serveAddShard)
-	mux.HandleFunc("/admin/ssm/removeshard", f.serveRemoveShard)
-	mux.HandleFunc("/admin/ssm/elastic", f.serveElastic)
 	mux.HandleFunc("/admin/controlplane/status", f.serveControlPlane)
 	mux.HandleFunc("/admin/fleet/status", f.serveFleet)
 	MountPprof(mux)
@@ -217,104 +206,6 @@ func (f *Front) serveControlPlane(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// cluster gates the elastic endpoints on a brick-cluster store.
-func (f *Front) cluster(w http.ResponseWriter) *session.SSMCluster {
-	if f.Cluster == nil {
-		http.Error(w, "session store is not an SSM brick cluster", http.StatusNotFound)
-		return nil
-	}
-	return f.Cluster
-}
-
-// serveAddShard handles POST /admin/ssm/addshard: grow the ring by one
-// shard; the server's background migrator drains entries to it.
-func (f *Front) serveAddShard(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST required", http.StatusMethodNotAllowed)
-		return
-	}
-	cl := f.cluster(w)
-	if cl == nil {
-		return
-	}
-	shard, err := cl.AddShard()
-	if err != nil {
-		status := http.StatusInternalServerError
-		if errors.Is(err, session.ErrResizing) {
-			status = http.StatusConflict
-		}
-		http.Error(w, err.Error(), status)
-		return
-	}
-	var bricks []string
-	for _, b := range cl.Bricks() {
-		if b.Shard() == shard {
-			bricks = append(bricks, b.Name())
-		}
-	}
-	writeJSON(w, map[string]any{
-		"shard":        shard,
-		"bricks":       bricks,
-		"ring_version": cl.RingVersion(),
-	})
-}
-
-// serveRemoveShard handles POST /admin/ssm/removeshard?shard=N: the
-// shard stops owning keys immediately and drains in the background; its
-// bricks retire once the drain converges.
-func (f *Front) serveRemoveShard(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST required", http.StatusMethodNotAllowed)
-		return
-	}
-	cl := f.cluster(w)
-	if cl == nil {
-		return
-	}
-	shard, err := strconv.Atoi(r.URL.Query().Get("shard"))
-	if err != nil {
-		http.Error(w, "shard parameter required", http.StatusBadRequest)
-		return
-	}
-	if err := cl.RemoveShard(shard); err != nil {
-		status := http.StatusBadRequest
-		if errors.Is(err, session.ErrResizing) {
-			status = http.StatusConflict
-		}
-		http.Error(w, err.Error(), status)
-		return
-	}
-	writeJSON(w, map[string]any{
-		"shard":        shard,
-		"draining":     true,
-		"ring_version": cl.RingVersion(),
-	})
-}
-
-// serveElastic handles GET /admin/ssm/elastic: the ring status plus a
-// per-brick population listing.
-func (f *Front) serveElastic(w http.ResponseWriter, r *http.Request) {
-	cl := f.cluster(w)
-	if cl == nil {
-		return
-	}
-	type brick struct {
-		Name    string `json:"name"`
-		Shard   int    `json:"shard"`
-		Up      bool   `json:"up"`
-		Entries int    `json:"entries"`
-	}
-	var bricks []brick
-	for _, b := range cl.Bricks() {
-		bricks = append(bricks, brick{Name: b.Name(), Shard: b.Shard(), Up: b.Up(), Entries: b.Len()})
-	}
-	writeJSON(w, map[string]any{
-		"status":   cl.Elastic(),
-		"sessions": cl.Len(),
-		"bricks":   bricks,
-	})
-}
-
 // SessionCookie names the cookie a session id rides on.
 const SessionCookie = "EBIDSESSION"
 
@@ -398,19 +289,12 @@ func (f *Front) serveOp(w http.ResponseWriter, r *http.Request) {
 	}
 	// The request context is the root of the call's shepherd: client
 	// disconnects, lease expiry and µRB kills all cancel it.
-	began := time.Now()
 	body, err := f.App.Execute(r.Context(), call)
-	// Measure before the sampled replay: the shadow execution is
-	// detector overhead, not part of this request's latency.
-	elapsed := time.Since(began)
 	f.Sampler.Observe(call, workload.Response{Body: body, Err: err})
-	if f.Plane != nil {
-		f.Plane.ObserveOp(elapsed, err == nil)
-		if err != nil {
+	if err != nil {
+		if f.Plane != nil {
 			f.Plane.ReportFailure(op, failureKind(err))
 		}
-	}
-	if err != nil {
 		f.writeOpError(w, err)
 		return
 	}

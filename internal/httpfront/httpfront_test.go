@@ -449,148 +449,6 @@ func TestComponentsEndpoint(t *testing.T) {
 	}
 }
 
-// newClusterFront builds a front whose store is the SSM brick cluster,
-// with the elastic control surface enabled.
-func newClusterFront(t *testing.T) (*Front, *session.SSMCluster) {
-	t.Helper()
-	d := db.New(nil)
-	cfg := ebid.DatasetConfig{Users: 20, Items: 50, BidsPerItem: 2, Categories: 5, Regions: 5, OldItems: 5}
-	if err := ebid.LoadDataset(d, cfg); err != nil {
-		t.Fatal(err)
-	}
-	cl, err := session.NewSSMCluster(session.ClusterConfig{Shards: 2, Replicas: 3, WriteQuorum: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	app, err := ebid.New(d, cl, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := New(app)
-	f.Cluster = cl
-	return f, cl
-}
-
-func TestElasticEndpointsDriveTheRing(t *testing.T) {
-	f, cl := newClusterFront(t)
-	srv := httptest.NewServer(f.Handler())
-	defer srv.Close()
-
-	// Populate some sessions through the app so migration has work.
-	for i := 0; i < 40; i++ {
-		resp, err := http.Get(srv.URL + "/ebid/Authenticate?user=3")
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-	}
-
-	// Grow the ring.
-	resp, err := http.Post(srv.URL+"/admin/ssm/addshard", "", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var added struct {
-		Shard       int      `json:"shard"`
-		Bricks      []string `json:"bricks"`
-		RingVersion uint64   `json:"ring_version"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&added); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != 200 || added.Shard != 2 || len(added.Bricks) != 3 || added.RingVersion != 2 {
-		t.Fatalf("addshard: status=%d %+v", resp.StatusCode, added)
-	}
-
-	// A second ring change mid-migration is refused with 409.
-	resp, err = http.Post(srv.URL+"/admin/ssm/removeshard?shard=0", "", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusConflict {
-		t.Fatalf("removeshard mid-migration status = %d, want 409", resp.StatusCode)
-	}
-
-	// The live server drives migration from a goroutine; stand in for it.
-	if _, done := cl.MigrateAll(); !done {
-		t.Fatal("migration did not converge")
-	}
-
-	// Status reflects the converged ring.
-	resp, err = http.Get(srv.URL + "/admin/ssm/elastic")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var status struct {
-		Status struct {
-			RingVersion uint64 `json:"ring_version"`
-			Shards      []int  `json:"shards"`
-			Migrating   bool   `json:"migrating"`
-			Migrated    int    `json:"migrated_entries"`
-		} `json:"status"`
-		Sessions int `json:"sessions"`
-		Bricks   []struct {
-			Name string `json:"name"`
-		} `json:"bricks"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&status); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if status.Status.Migrating || status.Status.RingVersion != 2 || len(status.Status.Shards) != 3 {
-		t.Fatalf("elastic status = %+v", status.Status)
-	}
-	if status.Sessions == 0 || len(status.Bricks) != 9 {
-		t.Fatalf("sessions=%d bricks=%d, want populated 9-brick view", status.Sessions, len(status.Bricks))
-	}
-
-	// Shrink back down; drain and verify retirement.
-	resp, err = http.Post(srv.URL+"/admin/ssm/removeshard?shard=0", "", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != 200 {
-		t.Fatalf("removeshard status = %d", resp.StatusCode)
-	}
-	if _, done := cl.MigrateAll(); !done {
-		t.Fatal("drain did not converge")
-	}
-	if got := cl.ShardIDs(); len(got) != 2 {
-		t.Fatalf("shards after drain = %v", got)
-	}
-	// Sessions survived both ring changes.
-	if cl.Len() == 0 {
-		t.Fatal("sessions lost across elastic resize")
-	}
-}
-
-func TestElasticEndpointsRequireClusterStore(t *testing.T) {
-	f := newFront(t) // FastS-backed
-	srv := httptest.NewServer(f.Handler())
-	defer srv.Close()
-	for _, ep := range []string{"/admin/ssm/addshard", "/admin/ssm/removeshard?shard=0"} {
-		resp, err := http.Post(srv.URL+ep, "", nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusNotFound {
-			t.Fatalf("%s status = %d, want 404 without a cluster store", ep, resp.StatusCode)
-		}
-	}
-	resp, err := http.Get(srv.URL + "/admin/ssm/elastic")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("elastic status = %d, want 404 without a cluster store", resp.StatusCode)
-	}
-}
-
 func TestControlPlaneStatusEndpoint(t *testing.T) {
 	f := newFront(t)
 	srv := httptest.NewServer(f.Handler())
@@ -609,7 +467,8 @@ func TestControlPlaneStatusEndpoint(t *testing.T) {
 	start := time.Now()
 	f.Plane = controlplane.New(controlplane.Config{Clock: func() time.Duration { return time.Since(start) }})
 
-	// Requests now stream signals onto the bus: one success, one failure.
+	// A failed request reports itself on the bus; a successful one does
+	// not.
 	if _, err := http.Get(srv.URL + "/ebid/ViewItem?item=1"); err != nil {
 		t.Fatal(err)
 	}
@@ -631,11 +490,15 @@ func TestControlPlaneStatusEndpoint(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		t.Fatal(err)
 	}
-	if st.Signals["latency"] != 2 {
-		t.Fatalf("latency signals = %d, want 2", st.Signals["latency"])
-	}
 	if st.Signals["failure"] != 1 {
 		t.Fatalf("failure signals = %d, want 1 (AboutMe without a session)", st.Signals["failure"])
+	}
+	var total int64
+	for _, n := range st.Signals {
+		total += n
+	}
+	if total != 1 {
+		t.Fatalf("signals = %v, want only the one failure", st.Signals)
 	}
 }
 

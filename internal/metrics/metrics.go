@@ -51,11 +51,6 @@ type Recorder struct {
 	firstFail      time.Duration
 	haveFirstFail  bool
 	lastCompletion time.Duration
-
-	// onOp, when set, observes every completed operation as its action is
-	// accounted — the tap control loops use to stream latency and failure
-	// signals out of the recorder instead of polling it.
-	onOp func(Op)
 }
 
 type span struct{ from, to time.Duration }
@@ -74,12 +69,6 @@ func NewRecorder(bucket, slowThreshold time.Duration) *Recorder {
 		groupBad:  map[string][]span{},
 	}
 }
-
-// SetOnOp installs an observer invoked once per completed operation (at
-// action-accounting time, so an op's observation carries its action's
-// retroactive verdict in Op.OK only for individually failed ops). Pass
-// nil to remove it.
-func (r *Recorder) SetOnOp(fn func(Op)) { r.onOp = fn }
 
 func (r *Recorder) bucketOf(t time.Duration) int {
 	if t < 0 {
@@ -108,9 +97,6 @@ func (r *Recorder) Action(ops []Op, failed bool) {
 		r.goodActions++
 	}
 	for _, op := range ops {
-		if r.onOp != nil {
-			r.onOp(op)
-		}
 		i := r.bucketOf(op.End)
 		r.grow(i)
 		if op.End > r.lastCompletion {

@@ -257,11 +257,9 @@ func (m *Manager) recover(name string) {
 // recoverBricks restarts every dead brick (they recover in parallel, so
 // the modeled duration is the slowest restart) and logs one EJB-scope
 // action with the restarted bricks as members. A brick that refuses to
-// restart is skipped rather than aborting the whole action: with an
-// elastic ring, a brick can vanish between the heartbeat-loss report and
-// the recovery action (its shard drained and retired), and that is a
-// healthy outcome, not an emergency. Only when no dead brick could be
-// restarted at all does RM escalate to a human.
+// restart is skipped rather than aborting the whole action, so one bad
+// brick does not keep its healthy peers down. Only when no dead brick
+// could be restarted at all does RM escalate to a human.
 func (m *Manager) recoverBricks(dead []string) {
 	m.lastTarget = "ssm-bricks"
 	m.lastLevel = 0

@@ -192,8 +192,7 @@ type fakeBricks struct {
 	dead      []string
 	restarted []string
 	fail      bool
-	// failNames makes specific bricks refuse to restart (a retired brick
-	// whose shard was removed from the elastic ring).
+	// failNames makes specific bricks refuse to restart.
 	failNames map[string]bool
 }
 
@@ -286,15 +285,14 @@ func TestForceScopeOverridesBrickRecovery(t *testing.T) {
 }
 
 func TestRetiredBrickSkippedDuringBrickRecovery(t *testing.T) {
-	// A brick can vanish between the heartbeat-loss report and the
-	// recovery action — its shard was drained and retired by an elastic
-	// ring change. RM must restart the bricks that still exist and not
-	// treat the vanished one as an emergency.
+	// A brick that refuses to restart must not keep its dead peers down:
+	// RM restarts the bricks it can and does not treat the one refusal
+	// as an emergency.
 	k := sim.NewKernel(1)
 	fr := &fakeRebooter{}
 	fb := &fakeBricks{
 		dead:      []string{"ssm/s0-r0", "ssm/s1-r2"},
-		failNames: map[string]bool{"ssm/s0-r0": true}, // retired mid-flight
+		failNames: map[string]bool{"ssm/s0-r0": true},
 	}
 	var human []string
 	m := NewManager(k, fr, Config{Threshold: 1})
@@ -303,7 +301,7 @@ func TestRetiredBrickSkippedDuringBrickRecovery(t *testing.T) {
 	m.ReportBrickFailure("ssm/s1-r2")
 	k.Drain()
 	if len(human) != 0 {
-		t.Fatalf("human notified for a retired brick: %v", human)
+		t.Fatalf("human notified for one refused restart: %v", human)
 	}
 	if len(fb.restarted) != 1 || fb.restarted[0] != "ssm/s1-r2" {
 		t.Fatalf("restarted = %v, want just the live dead brick", fb.restarted)

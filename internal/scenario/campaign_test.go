@@ -43,7 +43,7 @@ func TestLoadDirShippedLibrary(t *testing.T) {
 		t.Fatal("library carries no negative-control (expect_fail) scenario")
 	}
 	// The extension experiments exist only as these specs.
-	for _, ported := range []string{"brickcrash", "elastic", "autoscale", "brickslow", "fleet", "fleet-roundrobin"} {
+	for _, ported := range []string{"brickcrash", "brickslow", "fleet", "fleet-roundrobin"} {
 		if !names[ported] {
 			t.Errorf("extension experiment scenario %q missing from library", ported)
 		}

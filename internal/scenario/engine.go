@@ -12,7 +12,6 @@ import (
 	"repro/internal/ebid"
 	"repro/internal/experiments"
 	"repro/internal/faults"
-	"repro/internal/metrics"
 	"repro/internal/recovery"
 	"repro/internal/workload"
 )
@@ -49,8 +48,6 @@ type Outcome struct {
 	Shed          int64
 	Rejuvenations int64
 	BrickRestarts int
-	RingVersion   int
-	Converged     bool
 	ActiveFaults  int
 	Sessions      int
 	Seed          int64
@@ -138,41 +135,8 @@ func Run(spec *Spec, o experiments.Options) (*Outcome, error) {
 		plane.Use(fleet)
 	}
 
-	if p.Autoscale {
-		plane.Use(controlplane.NewAutoscaler(h.Bricks, controlplane.AutoscalerConfig{
-			MinShards: p.AutoscaleMin, MaxShards: p.AutoscaleMax,
-			HighWater: float64(p.HighWater), LowWater: float64(p.LowWater),
-			Sustain: p.Sustain, Cooldown: o.Scaled(p.Cooldown),
-			WarmUp: o.Scaled(p.ResizeWarmup),
-		}))
-	}
-	if p.Pacer {
-		plane.Use(controlplane.NewMigrationPacer(h.Bricks, controlplane.PacerConfig{
-			TargetP95: p.PacerTargetP95,
-		}))
-	}
 	h.PumpPlane(plane, tick)
 
-	// Migration pump: a pacer owns the migrator when present; otherwise
-	// ring events and autoscaling need a fixed-rate pump or RemoveShard
-	// drains would never converge.
-	if h.Bricks != nil && !p.Pacer {
-		every, batch := p.MigrateEvery, p.MigrateBatch
-		if every == 0 && (len(spec.Ring) > 0 || p.Autoscale) {
-			every = 50 * time.Millisecond
-		}
-		if every > 0 {
-			if batch == 0 {
-				batch = 128
-			}
-			h.PumpMigration(every, batch)
-		}
-	}
-	if p.ReapEvery > 0 {
-		h.PumpReaper(p.ReapEvery)
-	}
-
-	h.Recorder.SetOnOp(func(op metrics.Op) { plane.ObserveOp(op.Latency(), op.OK) })
 	onFailure := func(clientID int, op string, resp workload.Response) {
 		// Session-loss failures after a recovery are knock-on effects of
 		// the recovery itself; reporting them would loop the manager.
@@ -211,7 +175,7 @@ func Run(spec *Spec, o experiments.Options) (*Outcome, error) {
 		}
 	}
 
-	// Scheduled fault injections and ring events. Event errors become
+	// Scheduled fault injections. Injection errors become
 	// failed checks, not aborts — a scenario that can't inject its fault
 	// must not report a vacuous pass.
 	var active []*faults.ActiveFault
@@ -238,30 +202,6 @@ func Run(spec *Spec, o experiments.Options) (*Outcome, error) {
 			}
 		})
 	}
-	for i := range spec.Ring {
-		r := spec.Ring[i]
-		h.Kernel.Schedule(o.Scaled(r.At), func() {
-			var err error
-			if r.Action == "add" {
-				_, err = h.Bricks.AddShard()
-			} else {
-				id := r.Shard
-				if !r.shardSet {
-					ids := h.Bricks.ShardIDs()
-					id = ids[len(ids)-1]
-				}
-				err = h.Bricks.RemoveShard(id)
-			}
-			if err != nil {
-				eventChecks = append(eventChecks, Check{
-					Name: "ring:" + r.Action, Got: err.Error(), Want: "applied",
-				})
-				return
-			}
-			out.LostSessions += unreadable(h, h.Bricks.SessionIDs())
-		})
-	}
-
 	// Timeline: warmup (baseline probe at its end), measured run, stop,
 	// flush, cooldown drain.
 	warmup, run := o.Scaled(l.Warmup), o.Scaled(l.Run)
@@ -295,8 +235,6 @@ func Run(spec *Spec, o experiments.Options) (*Outcome, error) {
 	}
 	if h.Bricks != nil {
 		out.BrickRestarts = h.BrickRestarts()
-		out.RingVersion = int(h.Bricks.RingVersion())
-		out.Converged = !h.Bricks.Migrating()
 		out.Sessions = h.Bricks.Len()
 	}
 	for _, af := range active {
@@ -359,8 +297,7 @@ func preEventIDs(h *experiments.Harness) []string {
 }
 
 // unreadable counts sessions from ids that can no longer be read — the
-// zero-session-loss probe the brick figures run after every crash and
-// ring event.
+// zero-session-loss probe the brick figures run after every crash.
 func unreadable(h *experiments.Harness, ids []string) int {
 	lost := 0
 	for _, id := range ids {
@@ -399,14 +336,6 @@ func evaluate(spec *Spec, out *Outcome) {
 	if a.MinGoodOps > 0 {
 		add("min_good_ops", out.GoodOps >= a.MinGoodOps,
 			fmt.Sprint(out.GoodOps), fmt.Sprintf(">= %d", a.MinGoodOps))
-	}
-	if a.Converged != nil {
-		add("converged", out.Converged == *a.Converged,
-			fmt.Sprint(out.Converged), fmt.Sprint(*a.Converged))
-	}
-	if a.RingVersion != nil {
-		add("ring_version", out.RingVersion == *a.RingVersion,
-			fmt.Sprint(out.RingVersion), fmt.Sprint(*a.RingVersion))
 	}
 	if a.MinBrickRestarts > 0 {
 		add("min_brick_restarts", out.BrickRestarts >= a.MinBrickRestarts,
@@ -454,9 +383,9 @@ func (o *Outcome) String() string {
 	fmt.Fprintf(&b, "  ops good/bad %d/%d (Δfail %d)  p50/p95/p99 %v/%v/%v  goodput %.2f ops/s\n",
 		o.GoodOps, o.BadOps, o.FailuresDelta,
 		o.P50.Round(time.Millisecond), o.P95.Round(time.Millisecond), o.P99.Round(time.Millisecond), o.Goodput)
-	if o.Sessions > 0 || o.RingVersion > 0 {
-		fmt.Fprintf(&b, "  bricks: %d sessions, ring v%d, converged=%t, restarts %d, lost %d\n",
-			o.Sessions, o.RingVersion, o.Converged, o.BrickRestarts, o.LostSessions)
+	if o.Sessions > 0 || o.BrickRestarts > 0 || o.LostSessions > 0 {
+		fmt.Fprintf(&b, "  bricks: %d sessions, restarts %d, lost %d\n",
+			o.Sessions, o.BrickRestarts, o.LostSessions)
 	}
 	if o.Shed > 0 || o.Rejuvenations > 0 || o.HumanPages > 0 {
 		fmt.Fprintf(&b, "  shed %d, rejuvenations %d, human pages %d\n", o.Shed, o.Rejuvenations, o.HumanPages)

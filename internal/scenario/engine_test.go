@@ -115,47 +115,6 @@ func TestScenarioBrickCrashMatchesFigure(t *testing.T) {
 	}
 }
 
-func TestScenarioElasticMatchesFigure(t *testing.T) {
-	out, err := Run(loadScenario(t, "elastic"), quick())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !out.Passed {
-		t.Fatalf("scenario failed:\n%s", out)
-	}
-	if out.RingVersion != 3 {
-		t.Fatalf("ring version = %d after add+remove, want 3", out.RingVersion)
-	}
-	if !out.Converged {
-		t.Fatal("migration did not converge by scenario end")
-	}
-	if out.LostSessions != 0 || out.FailuresDelta != 0 {
-		t.Fatalf("resharding was not invisible: lost=%d Δfail=%d", out.LostSessions, out.FailuresDelta)
-	}
-	if out.Sessions == 0 {
-		t.Fatal("vacuous run: no live sessions on the ring")
-	}
-}
-
-func TestScenarioAutoscaleResizesInvisibly(t *testing.T) {
-	out, err := Run(loadScenario(t, "autoscale"), quick())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !out.Passed {
-		t.Fatalf("scenario failed:\n%s", out)
-	}
-	// Two shards, bounded to [2, 3]: ring version 3 is exactly one
-	// controller add followed by one controller remove.
-	if out.RingVersion != 3 || !out.Converged {
-		t.Fatalf("ring v%d converged=%t, want v3 converged", out.RingVersion, out.Converged)
-	}
-	if out.FailuresDelta != 0 {
-		t.Fatalf("autoscaling surfaced %d client-visible failures, want 0", out.FailuresDelta)
-	}
-	checkByName(t, out, "max_failures")
-}
-
 func TestScenarioBrickSlowHoldsTheTail(t *testing.T) {
 	out, err := Run(loadScenario(t, "brickslow"), quick())
 	if err != nil {

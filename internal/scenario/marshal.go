@@ -67,23 +67,6 @@ func (s *Spec) Marshal() string {
 		w.kvInt("recovery_threshold", p.RecoveryThreshold)
 		w.kvDur("rejuvenate_every", p.RejuvenateEvery)
 		w.kvDur("drain_timeout", p.DrainTimeout)
-		if p.Autoscale {
-			w.kv("autoscale", true)
-		}
-		w.kvInt("autoscale_min", p.AutoscaleMin)
-		w.kvInt("autoscale_max", p.AutoscaleMax)
-		w.kvInt("high_water", p.HighWater)
-		w.kvInt("low_water", p.LowWater)
-		w.kvInt("sustain", p.Sustain)
-		w.kvDur("cooldown", p.Cooldown)
-		w.kvDur("resize_warmup", p.ResizeWarmup)
-		if p.Pacer {
-			w.kv("pacer", true)
-		}
-		w.kvDur("pacer_target_p95", p.PacerTargetP95)
-		w.kvDur("migrate_every", p.MigrateEvery)
-		w.kvInt("migrate_batch", p.MigrateBatch)
-		w.kvDur("reap_every", p.ReapEvery)
 	})
 
 	for _, f := range s.Faults {
@@ -104,15 +87,6 @@ func (s *Spec) Marshal() string {
 		w.kvInt("node", f.Node)
 	}
 
-	for _, r := range s.Ring {
-		w.header("[[ring]]")
-		w.kvDur("at", r.At)
-		w.kv("action", r.Action)
-		if r.shardSet {
-			w.kv("shard", int64(r.Shard))
-		}
-	}
-
 	a := s.Assert
 	w.section("assert", func() {
 		if a.LostSessions != nil {
@@ -130,12 +104,6 @@ func (s *Spec) Marshal() string {
 		}
 		if a.MinGoodOps != 0 {
 			w.kv("min_good_ops", a.MinGoodOps)
-		}
-		if a.Converged != nil {
-			w.kv("converged", *a.Converged)
-		}
-		if a.RingVersion != nil {
-			w.kv("ring_version", int64(*a.RingVersion))
 		}
 		w.kvInt("min_brick_restarts", a.MinBrickRestarts)
 		w.kvInt("min_rejuvenations", a.MinRejuvenations)

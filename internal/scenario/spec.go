@@ -28,7 +28,6 @@ type Spec struct {
 	Surges  []SurgeSpec
 	Plane   PlaneSpec
 	Faults  []FaultSpec
-	Ring    []RingSpec
 	Assert  AssertSpec
 }
 
@@ -83,20 +82,6 @@ type PlaneSpec struct {
 
 	RejuvenateEvery time.Duration // fleet rolling rejuvenation period
 	DrainTimeout    time.Duration
-
-	Autoscale                  bool
-	AutoscaleMin, AutoscaleMax int
-	HighWater, LowWater        int
-	Sustain                    int
-	Cooldown                   time.Duration
-	ResizeWarmup               time.Duration
-
-	Pacer          bool
-	PacerTargetP95 time.Duration
-
-	MigrateEvery time.Duration // fixed-rate migration pump
-	MigrateBatch int
-	ReapEvery    time.Duration // lease GC period
 }
 
 // FaultSpec is one [[fault]] schedule entry.
@@ -118,14 +103,6 @@ type FaultSpec struct {
 	Node int
 }
 
-// RingSpec is one [[ring]] event.
-type RingSpec struct {
-	At       time.Duration
-	Action   string // add | remove
-	Shard    int    // shard id for remove (default: highest live shard)
-	shardSet bool
-}
-
 // AssertSpec is the [assert] table: the invariant vocabulary. Pointer
 // fields distinguish "not asserted" from "asserted zero".
 type AssertSpec struct {
@@ -135,8 +112,6 @@ type AssertSpec struct {
 	MaxFailures      *int64        // bound on BadOps growth after warmup
 	MinGoodput       float64       // Taw floor over the last quarter of the run
 	MinGoodOps       int64         // absolute completed-ops floor
-	Converged        *bool         // brick migration finished by scenario end
-	RingVersion      *int          // exact final ring version
 	MinBrickRestarts int
 	MinRejuvenations int
 	MinShed          *int64
@@ -303,19 +278,6 @@ func Parse(file, src string) (*Spec, error) {
 		p.RecoveryThreshold = b.i(t, "recovery_threshold", 0)
 		p.RejuvenateEvery = b.dur(t, "rejuvenate_every", 0)
 		p.DrainTimeout = b.dur(t, "drain_timeout", 0)
-		p.Autoscale = b.boolean(t, "autoscale", false)
-		p.AutoscaleMin = b.i(t, "autoscale_min", 0)
-		p.AutoscaleMax = b.i(t, "autoscale_max", 0)
-		p.HighWater = b.i(t, "high_water", 0)
-		p.LowWater = b.i(t, "low_water", 0)
-		p.Sustain = b.i(t, "sustain", 0)
-		p.Cooldown = b.dur(t, "cooldown", 0)
-		p.ResizeWarmup = b.dur(t, "resize_warmup", 0)
-		p.Pacer = b.boolean(t, "pacer", false)
-		p.PacerTargetP95 = b.dur(t, "pacer_target_p95", 0)
-		p.MigrateEvery = b.dur(t, "migrate_every", 0)
-		p.MigrateBatch = b.i(t, "migrate_batch", 0)
-		p.ReapEvery = b.dur(t, "reap_every", 0)
 	}
 
 	// [[fault]]
@@ -344,25 +306,6 @@ func Parse(file, src string) (*Spec, error) {
 		s.Faults = append(s.Faults, f)
 	}
 
-	// [[ring]]
-	for _, t := range b.array("ring") {
-		r := RingSpec{At: b.dur(t, "at", 0), Action: b.str(t, "action", "")}
-		switch r.Action {
-		case "add", "remove":
-		default:
-			b.fail(t.line, "ring: unknown action %q (want add or remove)", r.Action)
-		}
-		if v, line, ok := b.take(t, "shard"); ok {
-			n, err := asInt(v)
-			if err != nil {
-				b.fail(line, "ring: shard: %v", err)
-			}
-			r.Shard = int(n)
-			r.shardSet = true
-		}
-		s.Ring = append(s.Ring, r)
-	}
-
 	// [assert]
 	if t := b.table("assert"); t != nil {
 		a := &s.Assert
@@ -372,8 +315,6 @@ func Parse(file, src string) (*Spec, error) {
 		a.MaxFailures = b.i64Ptr(t, "max_failures")
 		a.MinGoodput = b.f64(t, "min_goodput", 0)
 		a.MinGoodOps = b.i64(t, "min_good_ops", 0)
-		a.Converged = b.boolPtr(t, "converged")
-		a.RingVersion = b.intPtr(t, "ring_version")
 		a.MinBrickRestarts = b.i(t, "min_brick_restarts", 0)
 		a.MinRejuvenations = b.i(t, "min_rejuvenations", 0)
 		a.MinShed = b.i64Ptr(t, "min_shed")
@@ -399,8 +340,8 @@ func Parse(file, src string) (*Spec, error) {
 }
 
 // validate enforces cross-field consistency a single binder call can't
-// see (brick-dependent faults, ring events and assertions need the
-// shared brick-cluster store, and so on).
+// see (brick-dependent faults and assertions need the shared
+// brick-cluster store, and so on).
 func (s *Spec) validate(file string) error {
 	bad := func(format string, args ...any) error {
 		return fmt.Errorf("%s: scenario %q: %s", file, s.Name, fmt.Sprintf(format, args...))
@@ -421,18 +362,9 @@ func (s *Spec) validate(file string) error {
 			return bad("fault node %d out of range", f.Node)
 		}
 	}
-	if len(s.Ring) > 0 && !onBricks {
-		return bad("[[ring]] events require cluster store ssm-cluster")
-	}
-	if s.Plane.Autoscale && !onBricks {
-		return bad("controlplane autoscale requires cluster store ssm-cluster")
-	}
-	if s.Plane.Pacer && !onBricks {
-		return bad("controlplane pacer requires cluster store ssm-cluster")
-	}
 	a := s.Assert
-	if (a.LostSessions != nil || a.RingVersion != nil || a.Converged != nil || a.MinBrickRestarts > 0) && !onBricks {
-		return bad("brick-level assertions (lost_sessions, ring_version, converged, min_brick_restarts) require cluster store ssm-cluster")
+	if (a.LostSessions != nil || a.MinBrickRestarts > 0) && !onBricks {
+		return bad("brick-level assertions (lost_sessions, min_brick_restarts) require cluster store ssm-cluster")
 	}
 	if a.MinShed != nil && !strings.HasPrefix(s.Cluster.Routing, "shed") {
 		return bad("min_shed requires a shedding routing policy")

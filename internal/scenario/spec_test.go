@@ -33,6 +33,11 @@ func TestParseMinimal(t *testing.T) {
 	}
 }
 
+// bricksSpec is minimalSpec on the SSM brick cluster.
+const bricksSpec = minimalSpec + `[cluster]
+store = "ssm-cluster"
+`
+
 // wantParseErr asserts the parse fails and the error names the file and
 // every fragment — with the line number when lineHint > 0.
 func wantParseErr(t *testing.T, src string, lineHint int, fragments ...string) {
@@ -119,11 +124,6 @@ store = "ssm"
 clients = 10
 run = "1m"
 `, 0, `unknown store "ssm"`, "fasts", "ssm-cluster")
-
-	wantParseErr(t, minimalSpec+`[[ring]]
-at = "1m"
-action = "explode"
-`, 0, `unknown action "explode"`)
 }
 
 func TestParseDuplicateKeysRejected(t *testing.T) {
@@ -181,10 +181,20 @@ func TestValidateCrossFieldRules(t *testing.T) {
 	}{
 		{"brick fault without bricks", minimalSpec + "[[fault]]\nat = \"1s\"\nkind = \"brick-crash\"\n",
 			"requires cluster store ssm-cluster"},
+		// The brick ring is fixed: its resize vocabulary is unknown on
+		// every store.
 		{"ring without bricks", minimalSpec + "[[ring]]\nat = \"1s\"\naction = \"add\"\n",
-			"[[ring]] events require cluster store ssm-cluster"},
+			"unknown table [[ring]]"},
 		{"autoscale without bricks", minimalSpec + "[controlplane]\nautoscale = true\n",
-			"autoscale requires cluster store ssm-cluster"},
+			`unknown key [controlplane] "autoscale"`},
+		{"ring on bricks", bricksSpec + "[[ring]]\nat = \"1s\"\naction = \"add\"\n",
+			"unknown table [[ring]]"},
+		{"autoscale on bricks", bricksSpec + "[controlplane]\nautoscale = true\n",
+			`unknown key [controlplane] "autoscale"`},
+		{"pacer on bricks", bricksSpec + "[controlplane]\npacer = true\n",
+			`unknown key [controlplane] "pacer"`},
+		{"migrate_every on bricks", bricksSpec + "[controlplane]\nmigrate_every = \"50ms\"\n",
+			`unknown key [controlplane] "migrate_every"`},
 		{"min_shed without shed routing", minimalSpec + "[assert]\nmin_shed = 1\n",
 			"min_shed requires a shedding routing policy"},
 		{"shed routing without watermark",

@@ -46,9 +46,6 @@ type Brick struct {
 	tombs   map[string]tombstone
 	down    bool
 	slow    bool
-	// retired marks a brick whose shard was removed from the ring and
-	// fully drained: it holds nothing and will never come back.
-	retired bool
 	// discarded counts checksum failures auto-discarded on read.
 	discarded int
 	// restarts counts completed crash/restart cycles.
@@ -133,32 +130,12 @@ func (b *Brick) Crash() int {
 	return n
 }
 
-// Retired reports whether the brick's shard was removed from the ring.
-func (b *Brick) Retired() bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.retired
-}
-
-// retire shuts the brick down permanently after its shard drained. Every
-// operation fails with ErrDown from here on, and Restart refuses to bring
-// it back.
-func (b *Brick) retire() {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.retired = true
-	b.down = true
-	b.entries = map[string]ssmEntry{}
-	b.tombs = map[string]tombstone{}
-}
-
 // Restart brings a crashed brick back up, empty and healthy. The cluster
-// re-replicates the shard into it (see SSMCluster.RestartBrick). A
-// retired brick stays down: its shard no longer exists.
+// re-replicates the shard into it (see SSMCluster.RestartBrick).
 func (b *Brick) Restart() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if !b.down || b.retired {
+	if !b.down {
 		return
 	}
 	b.down = false
@@ -172,8 +149,8 @@ func (b *Brick) Restart() {
 // put older than the replica's current copy (or than a deletion
 // tombstone) is dropped, and an equal-version put keeps whichever lease
 // expires later — renewal extends expires without bumping the version,
-// so a migration or repair copy carrying the un-renewed expiry must not
-// shorten an active session's lease. The drop still acks — the replica
+// so a re-replication or repair copy carrying the un-renewed expiry must
+// not shorten an active session's lease. The drop still acks — the replica
 // holds state at least as new as the put.
 func (b *Brick) put(id string, e ssmEntry) error {
 	b.mu.Lock()
@@ -213,35 +190,6 @@ func (b *Brick) renew(id string, expires time.Duration) bool {
 		return true
 	}
 	return false
-}
-
-// forget drops the local copy of id if it is no older than version — the
-// migration handoff removal after the entry was copied to its new owner
-// shard. Unlike del it leaves no tombstone: ownership moved, the data did
-// not die. A copy newer than the migrated version is kept (it would only
-// exist if a writer raced the ring change; the sweep revisits it).
-func (b *Brick) forget(id string, version uint64) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.down {
-		return
-	}
-	if e, ok := b.entries[id]; ok && e.version <= version {
-		delete(b.entries, id)
-	}
-}
-
-// peek returns the raw entry for id without lease or corruption
-// side effects — the migrator validates and version-filters the copy
-// itself and must not discard or expire anything while doing so.
-func (b *Brick) peek(id string) (ssmEntry, bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.down {
-		return ssmEntry{}, false
-	}
-	e, ok := b.entries[id]
-	return e, ok
 }
 
 // get returns the entry for id, verifying its checksum and lease. A

@@ -429,30 +429,104 @@ func TestReadPenaltyFollowsRoutingPolicy(t *testing.T) {
 	}
 }
 
-func TestShardPopulationsSumToDistinctSessions(t *testing.T) {
-	c := mustCluster(t, 4, 3, 2, nil, 0)
-	for i := 0; i < 60; i++ {
-		if err := c.Write(sampleSession(fmt.Sprintf("sess-%d", i))); err != nil {
+func TestRestartSnapshotCannotShortenRenewedLease(t *testing.T) {
+	// Renewal extends expires without bumping the entry version. A
+	// RestartBrick merge snapshots its peers before it puts, so a read
+	// that renews the lease in between races it with an equal-version
+	// copy carrying the un-renewed expiry; that copy must not shorten the
+	// renewed lease.
+	var now time.Duration
+	c := mustCluster(t, 1, 3, 2, func() time.Duration { return now }, time.Minute)
+	if err := c.Write(sampleSession("x")); err != nil {
+		t.Fatal(err)
+	}
+	snap, _ := c.Bricks()[0].snapshot() // expires at 60s
+	now = 30 * time.Second
+	if _, err := c.Read("x"); err != nil {
+		t.Fatal(err)
+	}
+	if c.RenewalWrites() == 0 {
+		t.Fatal("read at 50% TTL did not renew — test is vacuous")
+	}
+	// The snapshot put lands after the renewal (expires at 90s).
+	for _, b := range c.Bricks() {
+		_ = b.put("x", snap["x"])
+	}
+	now = 70 * time.Second
+	if _, err := c.Read("x"); err != nil {
+		t.Fatalf("renewed session expired early after a snapshot put: %v", err)
+	}
+}
+
+func TestFailedWriteLeavesNoTrace(t *testing.T) {
+	// A write that cannot reach its quorum must not land on the replicas
+	// that are up: re-replication would later spread the failed value to
+	// the rest of the shard.
+	c := mustCluster(t, 1, 3, 2, nil, 0)
+	if err := c.Write(sampleSession("x")); err != nil {
+		t.Fatal(err)
+	}
+	bricks := c.Bricks()
+	bricks[1].Crash()
+	bricks[2].Crash()
+	v2 := sampleSession("x")
+	v2.UserID = 99
+	if err := c.Write(v2); !errors.Is(err, ErrDown) {
+		t.Fatalf("write with 1/3 replicas up = %v, want ErrDown", err)
+	}
+	for _, b := range bricks[1:] {
+		if _, err := c.RestartBrick(b.Name()); err != nil {
 			t.Fatal(err)
 		}
 	}
-	pops := c.ShardPopulations()
-	if len(pops) != 4 {
-		t.Fatalf("shards = %d, want 4", len(pops))
+	got, err := c.Read("x")
+	if err != nil {
+		t.Fatal(err)
 	}
-	total := 0
-	for sid, n := range pops {
-		if n == 0 {
-			t.Errorf("shard %d empty — ring not spreading", sid)
+	if want := sampleSession("x").UserID; got.UserID != want {
+		t.Fatalf("failed write surfaced after restart: UserID = %d, want %d", got.UserID, want)
+	}
+}
+
+func TestDeferredLeaseRenewalCounts(t *testing.T) {
+	var now time.Duration
+	c := mustCluster(t, 1, 3, 2, func() time.Duration { return now }, time.Minute)
+	if err := c.Write(sampleSession("s")); err != nil {
+		t.Fatal(err)
+	}
+	// Fresh lease: reads must not renew (writes would amplify 3×), even
+	// once a little of it has elapsed.
+	for i := 0; i < 5; i++ {
+		now += time.Second
+		if _, err := c.Read("s"); err != nil {
+			t.Fatal(err)
 		}
-		total += n
 	}
-	if total != c.Len() {
-		t.Fatalf("population sum = %d, want Len = %d", total, c.Len())
+	if got := c.RenewalWrites(); got != 0 {
+		t.Fatalf("renewal writes on fresh lease = %d, want 0", got)
 	}
-	// A crashed replica must not undercount the shard: survivors hold it.
-	_ = c.CrashBrick("ssm/s0-r0")
-	if got := c.ShardPopulations(); got[0] != pops[0] {
-		t.Fatalf("shard 0 after crash = %d, want %d", got[0], pops[0])
+	// Past a quarter of the TTL the next read renews on every replica…
+	now = 16 * time.Second
+	if _, err := c.Read("s"); err != nil {
+		t.Fatal(err)
+	}
+	if got := c.RenewalWrites(); got != 3 {
+		t.Fatalf("renewal writes after 25%% TTL = %d, want 3", got)
+	}
+	// …and the renewed lease suppresses the rounds that follow.
+	for i := 0; i < 5; i++ {
+		if _, err := c.Read("s"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := c.RenewalWrites(); got != 3 {
+		t.Fatalf("renewal writes after renewal = %d, want still 3", got)
+	}
+	// The deferred policy still keeps an active session alive forever.
+	for i := 0; i < 10; i++ {
+		now += 45 * time.Second
+		if _, err := c.Read("s"); err != nil {
+			t.Fatalf("active session expired under deferred renewal at %v: %v", now, err)
+		}
 	}
 }

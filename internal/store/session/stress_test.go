@@ -97,78 +97,3 @@ func TestStressSSMClusterWithBrickChaos(t *testing.T) {
 		t.Fatalf("bricks left dead: %v", c.DeadBricks())
 	}
 }
-
-func TestStressSSMClusterWithElasticChaos(t *testing.T) {
-	var clock int64
-	now := func() time.Duration { return time.Duration(atomic.AddInt64(&clock, 1)) }
-	c, err := NewSSMCluster(ClusterConfig{Shards: 4, Replicas: 3, WriteQuorum: 2, Now: now, LeaseTTL: time.Hour})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Maintenance goroutine: a rolling grow/shrink cycle — add a shard,
-	// drain, remove it again — with lease GC and a single-brick
-	// crash/restart thrown mid-migration. Workers hammer the store
-	// throughout; under -race this is the elasticity concurrency net.
-	stressStore(t, c, func(stop <-chan struct{}) {
-		stopped := func() bool {
-			select {
-			case <-stop:
-				return true
-			default:
-				return false
-			}
-		}
-		// A competing migrator pump, like a second server instance driving
-		// the same cluster: MigrateStep is single-flighted, so concurrent
-		// steps must never complete someone else's ring change.
-		var pump sync.WaitGroup
-		pump.Add(1)
-		go func() {
-			defer pump.Done()
-			for !stopped() {
-				c.MigrateStep(32)
-			}
-		}()
-		defer pump.Wait()
-		for i := 0; !stopped(); i++ {
-			c.ReapExpired()
-			shard, err := c.AddShard()
-			if err != nil {
-				t.Errorf("AddShard: %v", err)
-				return
-			}
-			// Crash one pre-existing brick mid-migration, then restart it,
-			// so re-replication interleaves with the drain.
-			victim := c.Bricks()[i%(4*3)]
-			victim.Crash()
-			_, _ = c.MigrateStep(64)
-			if _, err := c.RestartBrick(victim.Name()); err != nil {
-				t.Errorf("restart %s: %v", victim.Name(), err)
-				return
-			}
-			for done := false; !done && !stopped(); {
-				_, done = c.MigrateStep(256)
-			}
-			if stopped() {
-				return
-			}
-			if err := c.RemoveShard(shard); err != nil {
-				t.Errorf("RemoveShard(%d): %v", shard, err)
-				return
-			}
-			for done := false; !done && !stopped(); {
-				_, done = c.MigrateStep(256)
-			}
-		}
-	})
-	if len(c.DeadBricks()) != 0 {
-		t.Fatalf("bricks left dead: %v", c.DeadBricks())
-	}
-	// Whatever state the chaos ended in, every surviving entry must sit
-	// on (or be en route to) a live shard and stay readable.
-	for _, id := range c.SessionIDs() {
-		if _, err := c.Read(id); err != nil && !errors.Is(err, ErrNotFound) {
-			t.Fatalf("read %s after chaos: %v", id, err)
-		}
-	}
-}
