@@ -244,6 +244,7 @@ func runScenarios(o experiments.Options, path string, matrix bool, out string) i
 	}
 	fmt.Println()
 	fmt.Print(c.Table())
+	fmt.Fprintf(os.Stderr, "campaign completed in %v\n", c.Elapsed)
 	if out != "" {
 		blob, err := c.JSON()
 		if err == nil {

@@ -7,11 +7,13 @@
 // comparison detector publishes sampled discrepancies, and the plane's
 // own probes publish brick heartbeat loss and per-node load samples
 // (queue depth, busy workers). The decide/act half is a set of
-// controllers that subscribe to the bus: a RecoveryController feeds the
-// recovery manager's diagnosis engine, and a FleetController drives the
-// load balancer's drain/failover state and orchestrates rolling node
-// rejuvenation. Components stop calling each other directly; they meet
-// on the bus.
+// controllers that subscribe to the bus: the recovery manager
+// (recovery.Manager implements Controller) diagnoses failures and climbs
+// its recovery ladder, and a FleetController drives the load balancer's
+// drain/failover state and orchestrates rolling node rejuvenation.
+// Components stop calling each other directly; they meet on the bus.
+// The package imports no other package of this repository: controllers
+// depend on it, never the reverse.
 //
 // The plane is driven the same way the rest of this codebase is: a host
 // calls Tick periodically (a simulation-kernel event in experiments, a

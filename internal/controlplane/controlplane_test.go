@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/recovery"
 	"repro/internal/store/session"
 )
 
@@ -28,48 +27,6 @@ func TestBusFanOutAndCounts(t *testing.T) {
 	counts := b.Counts()
 	if counts["failure"] != 1 || counts["node-load"] != 1 || counts["brick-dead"] != 0 {
 		t.Fatalf("counts = %v", counts)
-	}
-}
-
-// fakeSink records what the recovery controller forwards.
-type fakeSink struct {
-	reports []recovery.Report
-	bricks  []string
-}
-
-func (f *fakeSink) Report(r recovery.Report)    { f.reports = append(f.reports, r) }
-func (f *fakeSink) ReportBrickFailure(b string) { f.bricks = append(f.bricks, b) }
-
-func TestRecoveryControllerBridgesSignals(t *testing.T) {
-	fs := &fakeSink{}
-	rc := NewRecoveryController(fs)
-	rc.OnSignal(Signal{Kind: SignalFailure, Op: "MakeBid", FailureKind: "http-error"})
-	rc.OnSignal(Signal{Kind: SignalBrickDead, Brick: "ssm/s0-r1"})
-	rc.OnSignal(Signal{Kind: SignalNodeLoad, Node: "n0"})
-	// OnSignal only observes: the sink must see nothing until the act
-	// closure from Tick runs — a Report can synchronously trigger a
-	// recovery that re-enters the plane, so it must run lock-free.
-	if len(fs.reports) != 0 || len(fs.bricks) != 0 {
-		t.Fatalf("sink fed before tick: reports=%+v bricks=%v", fs.reports, fs.bricks)
-	}
-	act := rc.Tick(time.Second)
-	if act == nil {
-		t.Fatal("Tick returned no act closure with pending evidence")
-	}
-	act()
-	if len(fs.reports) != 1 || fs.reports[0] != (recovery.Report{Op: "MakeBid", Kind: "http-error"}) {
-		t.Fatalf("reports = %+v", fs.reports)
-	}
-	if len(fs.bricks) != 1 || fs.bricks[0] != "ssm/s0-r1" {
-		t.Fatalf("bricks = %v", fs.bricks)
-	}
-	st := rc.Status().(RecoveryStatus)
-	if st.FailureReports != 1 || st.BrickFailures != 1 {
-		t.Fatalf("status = %+v", st)
-	}
-	// The buffer drained: a quiet tick has nothing to act on.
-	if rc.Tick(time.Second) != nil {
-		t.Fatal("Tick re-delivered drained evidence")
 	}
 }
 
@@ -361,18 +318,3 @@ func TestPlaneFleetProbePublishesNodeLoad(t *testing.T) {
 type fleetProbeFunc func() []NodeStat
 
 func (f fleetProbeFunc) FleetStats() []NodeStat { return f() }
-
-func TestRecoveryControllerBridgesDiscrepancies(t *testing.T) {
-	fs := &fakeSink{}
-	rc := NewRecoveryController(fs)
-	rc.OnSignal(Signal{Kind: SignalDiscrepancy, Op: "ViewItem", Detail: "body differs"})
-	if act := rc.Tick(time.Second); act != nil {
-		act()
-	}
-	if len(fs.reports) != 1 || fs.reports[0] != (recovery.Report{Op: "ViewItem", Kind: "comparison-mismatch"}) {
-		t.Fatalf("reports = %+v", fs.reports)
-	}
-	if st := rc.Status().(RecoveryStatus); st.Discrepancies != 1 {
-		t.Fatalf("status = %+v", st)
-	}
-}

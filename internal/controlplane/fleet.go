@@ -4,8 +4,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"repro/internal/recovery"
 )
 
 // FleetActuator is the load-balancer side the fleet controller drives;
@@ -283,13 +281,4 @@ func (f *FleetController) Status() any {
 	st.Reboots = append([]FleetReboot(nil), f.Reboots...)
 	f.rmu.Unlock()
 	return st
-}
-
-// BindRecoveryLifecycle routes a recovery manager's lifecycle onto the
-// bus as node-recovery signals: the manager announces, and whatever
-// fleet controller is listening actuates the balancer. This replaces
-// the old direct manager→LoadBalancer.SetRedirect coupling.
-func BindRecoveryLifecycle(p *Plane, m *recovery.Manager, node string) {
-	m.OnRecoveryStart = func() { p.ReportNodeRecovery(node, true) }
-	m.OnRecoveryEnd = func() { p.ReportNodeRecovery(node, false) }
 }

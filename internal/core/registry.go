@@ -143,18 +143,6 @@ func (r *Registry) Corrupt(name, mode string) error {
 	return nil
 }
 
-// Names returns all bound names, sorted.
-func (r *Registry) Names() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	names := make([]string, 0, len(r.bindings))
-	for n := range r.bindings {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
 // Healthy reports whether the binding for name is present and undamaged.
 func (r *Registry) Healthy(name string) bool {
 	r.mu.Lock()

@@ -94,9 +94,9 @@ func newClusterHarness(o Options, nNodes int, node cluster.NodeConfig) *Harness 
 // µRB-curable fault into node0, allow 2 s of detection latency, then
 // recover node0 by microreboot or process restart while a control-plane
 // fleet controller drains its traffic — experiments publish node-recovery
-// signals, exactly as a recovery manager bound via
-// controlplane.BindRecoveryLifecycle would, instead of flipping the
-// balancer directly.
+// signals, exactly as a recovery manager whose OnRecoveryStart/End call
+// Plane.ReportNodeRecovery would, instead of flipping the balancer
+// directly.
 func failOverNode0(h *Harness, useRestart bool) {
 	bad := h.Nodes[0]
 	if _, err := h.Injectors[0].Inject(faults.Spec{

@@ -302,7 +302,7 @@ func TestBrickCrashZeroSessionLoss(t *testing.T) {
 	rm := recovery.NewManager(h.Kernel, h.Nodes[0], recovery.Config{Threshold: 3})
 	rm.Bricks = h.Bricks
 	plane := controlplane.New(controlplane.Config{Clock: h.Kernel.Now, Cluster: h.Bricks})
-	plane.Use(controlplane.NewRecoveryController(rm))
+	plane.Use(rm)
 	h.PumpPlane(plane, time.Second)
 	em := h.NewEmulator(quick.clients(500), 0, workload.Config{})
 	em.Start()

@@ -11,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/ebid"
 	"repro/internal/faults"
+	"repro/internal/recovery"
 	"repro/internal/workload"
 )
 
@@ -302,33 +303,22 @@ func driveRecursiveRecovery(e *env, f *faults.ActiveFault, tc table2Case) string
 	if target == "" {
 		target = ebid.WAR
 	}
-	type step struct {
-		label string
-		act   func() (*core.Reboot, error)
-	}
-	var steps []step
-	if target != ebid.WAR {
-		steps = append(steps, step{"EJB", func() (*core.Reboot, error) { return e.node.Microreboot(target) }})
-	}
-	steps = append(steps,
-		step{"WAR", func() (*core.Reboot, error) { return e.node.RebootScope(core.ScopeWAR) }},
-		step{"application", func() (*core.Reboot, error) { return e.node.RebootScope(core.ScopeApp) }},
-		step{"JVM/JBoss", func() (*core.Reboot, error) { return e.node.RebootScope(core.ScopeProcess) }},
-		step{"OS kernel", func() (*core.Reboot, error) { return e.node.RebootScope(core.ScopeNode) }},
-	)
+	// Climb the recovery manager's own ladder, one rung per recurrence.
 	cured := ""
 	sawEJB := false
-	for _, s := range steps {
-		rb, err := s.act()
+	for level := 0; ; level++ {
+		scope, ok := recovery.Ladder(target, level)
+		if !ok {
+			break
+		}
+		rb, err := recovery.RebootRung(e.node, target, scope)
 		if err != nil {
 			break
 		}
-		if s.label == "EJB" {
-			sawEJB = true
-		}
+		sawEJB = sawEJB || scope == core.ScopeComponent
 		e.kernel.RunFor(rb.Duration() + time.Second)
 		if attempt(true) == nil {
-			cured = s.label
+			cured = rungLabels[scope]
 			break
 		}
 	}
@@ -350,6 +340,15 @@ func driveRecursiveRecovery(e *env, f *faults.ActiveFault, tc table2Case) string
 		return "EJB+WAR"
 	}
 	return cured
+}
+
+// rungLabels names the rungs of recovery.Ladder as Table 2 prints them.
+var rungLabels = map[core.Scope]string{
+	core.ScopeComponent: "EJB",
+	core.ScopeWAR:       "WAR",
+	core.ScopeApp:       "application",
+	core.ScopeProcess:   "JVM/JBoss",
+	core.ScopeNode:      "OS kernel",
 }
 
 // String renders the recovery matrix.

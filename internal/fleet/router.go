@@ -54,9 +54,6 @@ func (b *Backend) Healthy() bool { return b.healthy.Load() }
 // Draining reports whether the backend is excluded from new sessions.
 func (b *Backend) Draining() bool { return b.draining.Load() }
 
-// CompletedOps reports requests this backend answered below 500.
-func (b *Backend) CompletedOps() int64 { return b.completed.Load() }
-
 // BackendStatus is one backend's externally visible state on
 // /admin/proxy/status.
 type BackendStatus struct {

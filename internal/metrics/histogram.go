@@ -2,7 +2,6 @@ package metrics
 
 import (
 	"math"
-	"sort"
 	"time"
 )
 
@@ -115,41 +114,4 @@ func (h *Histogram) Quantile(q float64) time.Duration {
 		}
 	}
 	return h.max
-}
-
-// Merge adds all samples of other into h.
-func (h *Histogram) Merge(other *Histogram) {
-	if other == nil || other.n == 0 {
-		return
-	}
-	for i := range h.counts {
-		h.counts[i] += other.counts[i]
-	}
-	h.n += other.n
-	h.sum += other.sum
-	if other.min < h.min {
-		h.min = other.min
-	}
-	if other.max > h.max {
-		h.max = other.max
-	}
-}
-
-// ExactQuantile computes a precise quantile from a raw sample slice. It is
-// a helper for tests and small sample sets; it does not modify samples.
-func ExactQuantile(samples []time.Duration, q float64) time.Duration {
-	if len(samples) == 0 {
-		return 0
-	}
-	s := make([]time.Duration, len(samples))
-	copy(s, samples)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	idx := int(math.Ceil(q*float64(len(s)))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(s) {
-		idx = len(s) - 1
-	}
-	return s[idx]
 }

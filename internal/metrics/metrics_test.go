@@ -170,20 +170,6 @@ func TestHistogramQuantileAccuracy(t *testing.T) {
 	}
 }
 
-func TestHistogramMerge(t *testing.T) {
-	a, b := NewHistogram(), NewHistogram()
-	a.Observe(10 * time.Millisecond)
-	b.Observe(30 * time.Millisecond)
-	a.Merge(b)
-	if a.Count() != 2 || a.Mean() != 20*time.Millisecond {
-		t.Fatalf("merged count=%d mean=%v", a.Count(), a.Mean())
-	}
-	if a.Min() != 10*time.Millisecond || a.Max() != 30*time.Millisecond {
-		t.Fatalf("merged min/max = %v/%v", a.Min(), a.Max())
-	}
-	a.Merge(nil) // must not panic
-}
-
 func TestHistogramExtremes(t *testing.T) {
 	h := NewHistogram()
 	h.Observe(0)
@@ -194,26 +180,6 @@ func TestHistogramExtremes(t *testing.T) {
 	}
 	if h.Quantile(1.0) != time.Hour {
 		t.Fatalf("q1.0 = %v, want capped at max", h.Quantile(1.0))
-	}
-}
-
-func TestExactQuantile(t *testing.T) {
-	s := []time.Duration{5, 1, 3, 2, 4}
-	if got := ExactQuantile(s, 0.5); got != 3 {
-		t.Fatalf("median = %v, want 3", got)
-	}
-	if got := ExactQuantile(s, 1.0); got != 5 {
-		t.Fatalf("max = %v, want 5", got)
-	}
-	if got := ExactQuantile(s, 0.0); got != 1 {
-		t.Fatalf("min quantile = %v, want 1", got)
-	}
-	if got := ExactQuantile(nil, 0.5); got != 0 {
-		t.Fatalf("empty = %v, want 0", got)
-	}
-	// Input must not be mutated.
-	if s[0] != 5 {
-		t.Fatal("ExactQuantile mutated its input")
 	}
 }
 

@@ -10,7 +10,7 @@ import "repro/internal/ebid"
 // point is that cheap recovery makes sloppy diagnosis tolerable (§6.3).
 //
 // Diagnosis holds no policy: what to do about a diagnosed target is the
-// EscalationPolicy's job.
+// Ladder's job.
 type Diagnosis struct {
 	threshold float64
 

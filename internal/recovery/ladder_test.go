@@ -10,30 +10,53 @@ import (
 	"repro/internal/sim"
 )
 
-func TestLadderPolicyDecisions(t *testing.T) {
-	p := LadderPolicy{}
+func TestLadder(t *testing.T) {
 	cases := []struct {
 		target string
 		level  int
-		want   Decision
+		want   core.Scope
+		ok     bool
 	}{
-		{ebid.ViewItem, 0, Decision{Scope: core.ScopeComponent, Microreboot: true}},
-		{ebid.WAR, 0, Decision{Scope: core.ScopeWAR}},
-		{ebid.ViewItem, 1, Decision{Scope: core.ScopeWAR}},
-		{ebid.ViewItem, 2, Decision{Scope: core.ScopeApp}},
-		{ebid.ViewItem, 3, Decision{Scope: core.ScopeProcess}},
-		{ebid.ViewItem, 4, Decision{Scope: core.ScopeNode}},
+		{ebid.ViewItem, -1, 0, false},
+		{ebid.ViewItem, 0, core.ScopeComponent, true},
+		{ebid.ViewItem, 1, core.ScopeWAR, true},
+		{ebid.ViewItem, 2, core.ScopeApp, true},
+		{ebid.ViewItem, 3, core.ScopeProcess, true},
+		{ebid.ViewItem, 4, core.ScopeNode, true},
+		{ebid.ViewItem, 5, 0, false},
+		// The WAR is its own scope: a WAR target starts on the WAR rung
+		// and exhausts the ladder one level sooner.
+		{ebid.WAR, -1, 0, false},
+		{ebid.WAR, 0, core.ScopeWAR, true},
+		{ebid.WAR, 1, core.ScopeApp, true},
+		{ebid.WAR, 2, core.ScopeProcess, true},
+		{ebid.WAR, 3, core.ScopeNode, true},
+		{ebid.WAR, 4, 0, false},
 	}
 	for _, c := range cases {
-		if got := p.Decide(c.target, c.level); got != c.want {
-			t.Errorf("Decide(%s, %d) = %+v, want %+v", c.target, c.level, got, c.want)
+		got, ok := Ladder(c.target, c.level)
+		if ok != c.ok || (ok && got != c.want) {
+			t.Errorf("Ladder(%s, %d) = %v/%t, want %v/%t", c.target, c.level, got, ok, c.want, c.ok)
 		}
 	}
-	if d := p.Decide(ebid.ViewItem, 5); !d.GiveUp || d.Reason == "" {
-		t.Fatalf("level 5 = %+v, want give-up with a reason", p.Decide(ebid.ViewItem, 5))
+}
+
+func TestWARTargetClimbsPastTheWAR(t *testing.T) {
+	// Regression: the WAR-diagnosed target used to be rebooted at WAR
+	// scope on levels 0 and 1, wasting a rung before the application
+	// reboot.
+	k := sim.NewKernel(1)
+	fr := &fakeRebooter{}
+	m := NewManager(k, fr, Config{Threshold: 1, Grace: time.Second, EscalationWindow: 10 * time.Minute})
+	for round := 0; round < 2; round++ {
+		for i := 0; i < 4; i++ {
+			m.Report(Report{Op: ebid.OpHome})
+		}
+		k.RunFor(30 * time.Second)
 	}
-	if !p.BrickRecoveryFirst() {
-		t.Fatal("ladder policy must try brick recovery first")
+	want := []core.Scope{core.ScopeWAR, core.ScopeApp}
+	if !reflect.DeepEqual(fr.scopes, want) {
+		t.Fatalf("scopes = %v, want %v", fr.scopes, want)
 	}
 }
 
@@ -96,13 +119,13 @@ func TestNotifyHumanOnLadderExhaustion(t *testing.T) {
 	}
 }
 
-// replayActions runs the same report stream through a manager built with
-// cfg and returns its action log.
-func replayActions(t *testing.T, cfg Config) []Action {
-	t.Helper()
+func TestForceScopeEveryActionForced(t *testing.T) {
+	// The ForceScope baseline reboots the forced scope on every
+	// recurrence, never climbs the ladder and never takes the cheap
+	// brick-recovery path, even with a dead brick diagnosed each round.
 	k := sim.NewKernel(1)
 	fr := &fakeRebooter{}
-	m := NewManager(k, fr, cfg)
+	m := NewManager(k, fr, Config{Threshold: 3, ForceScope: core.ScopeProcess})
 	m.Bricks = &fakeBricks{dead: []string{"ssm/s0-r0"}}
 	for round := 0; round < 3; round++ {
 		for i := 0; i < 3; i++ {
@@ -111,72 +134,16 @@ func replayActions(t *testing.T, cfg Config) []Action {
 		m.ReportBrickFailure("ssm/s0-r0")
 		k.RunFor(30 * time.Second)
 	}
-	return m.Actions
-}
-
-func TestForceScopePolicyMatchesForceScopeConfig(t *testing.T) {
-	// Regression for the diagnosis/policy split: ForceScope expressed as
-	// a policy must produce the exact action log the legacy ForceScope
-	// config field produced for the same report stream — including NOT
-	// taking the cheap brick-recovery path.
-	legacy := replayActions(t, Config{Threshold: 3, ForceScope: core.ScopeProcess})
-	policy := replayActions(t, Config{Threshold: 3, Policy: ForceScopePolicy{Scope: core.ScopeProcess}})
-	if len(legacy) == 0 {
+	if len(m.Actions) == 0 {
 		t.Fatal("baseline produced no actions")
 	}
-	if !reflect.DeepEqual(actionsSummary(legacy), actionsSummary(policy)) {
-		t.Fatalf("action logs diverge:\nlegacy: %+v\npolicy: %+v", legacy, policy)
-	}
-	for _, a := range legacy {
+	for _, a := range m.Actions {
 		if a.Target == "ssm-bricks" {
 			t.Fatal("ForceScope baseline used brick recovery")
 		}
 		if a.Scope != core.ScopeProcess {
 			t.Fatalf("scope = %v, want forced process restart", a.Scope)
 		}
-	}
-}
-
-// actionsSummary projects the comparable fields of an action log (the
-// Reboot pointers differ across runs by construction).
-func actionsSummary(actions []Action) []Action {
-	out := make([]Action, len(actions))
-	for i, a := range actions {
-		out[i] = Action{At: a.At, Target: a.Target, Scope: a.Scope}
-	}
-	return out
-}
-
-// jumpPolicy is a custom escalation policy: straight to a process
-// restart, give up on the first recurrence.
-type jumpPolicy struct{}
-
-func (jumpPolicy) Name() string             { return "jump" }
-func (jumpPolicy) BrickRecoveryFirst() bool { return true }
-func (jumpPolicy) Decide(target string, level int) Decision {
-	if level > 0 {
-		return Decision{GiveUp: true, Reason: "jump policy: " + target + " recurred"}
-	}
-	return Decision{Scope: core.ScopeProcess}
-}
-
-func TestCustomPolicyPluggedIn(t *testing.T) {
-	// The point of the split: a new policy runs under the stock manager
-	// without forking it.
-	k := sim.NewKernel(1)
-	fr := &fakeRebooter{}
-	var human []string
-	m := NewManager(k, fr, Config{Threshold: 2, Grace: time.Second, Policy: jumpPolicy{}})
-	m.NotifyHuman = func(r string) { human = append(human, r) }
-	driveToLevel(k, m, 2)
-	if len(fr.scopes) != 1 || fr.scopes[0] != core.ScopeProcess {
-		t.Fatalf("scopes = %v, want one process restart", fr.scopes)
-	}
-	if len(human) != 1 || human[0] != "jump policy: "+ebid.ViewItem+" recurred" {
-		t.Fatalf("human = %v", human)
-	}
-	if m.Policy().Name() != "jump" {
-		t.Fatalf("Policy().Name() = %q", m.Policy().Name())
 	}
 }
 

@@ -1,14 +1,13 @@
 // Package recovery implements the paper's recovery manager (RM) as the
-// diagnose/decide half of an observe–decide–act control loop: it listens
-// for failure reports from the client-side monitors, performs simple
-// score-based diagnosis using the static URL→component-path mapping
-// (Diagnosis), and recovers the system through a pluggable
-// EscalationPolicy. The default LadderPolicy is the paper's recursive
-// recovery ladder — always try the cheapest reboot first: EJB
-// microreboot, then the WAR, then the whole application, then a
-// JVM/JBoss process restart, then an operating-system reboot, and
-// finally notify a human. ForceScopePolicy models the legacy "restart
-// the JVM for everything" baseline.
+// decide/act half of an observe–decide–act control loop: it takes
+// failure reports from the client-side monitors (directly, or as a
+// controller on the control plane), performs simple score-based
+// diagnosis using the static URL→component-path mapping (Diagnosis), and
+// recovers the system by climbing the paper's recursive recovery Ladder —
+// always try the cheapest reboot first: EJB microreboot, then the WAR,
+// then the whole application, then a JVM/JBoss process restart, then an
+// operating-system reboot, and finally notify a human. Config.ForceScope
+// models the legacy "restart the JVM for everything" baseline.
 //
 // The diagnosis is deliberately simplistic and yields false positives;
 // part of the paper's point is that cheap recovery makes sloppy diagnosis
@@ -56,19 +55,14 @@ type Config struct {
 	// failure reports before re-diagnosing (default 3 s).
 	Grace time.Duration
 	// EscalationWindow: a repeat recovery of the same target within this
-	// window escalates to the next policy level (default 90 s).
+	// window climbs to the next rung of the Ladder (default 90 s).
 	EscalationWindow time.Duration
 	// DetectionDelay postpones the recovery action after the threshold
 	// is crossed (models Tdet in the Figure 5 experiments).
 	DetectionDelay time.Duration
-	// Policy decides the recovery action for a diagnosed target (default
-	// LadderPolicy, the paper's recursive ladder). Policy wins over
-	// ForceScope when both are set.
-	Policy EscalationPolicy
 	// ForceScope, when non-zero, makes every recovery action use this
-	// scope instead of the recursive policy — shorthand for Policy:
-	// ForceScopePolicy{Scope}, kept to model legacy "restart the JVM for
-	// everything" operation as the baseline.
+	// scope instead of the Ladder, and skips brick recovery — the legacy
+	// "restart the JVM for everything" operation, kept as the baseline.
 	ForceScope core.Scope
 }
 
@@ -82,13 +76,6 @@ func (c *Config) fill() {
 	if c.EscalationWindow == 0 {
 		c.EscalationWindow = 90 * time.Second
 	}
-	if c.Policy == nil {
-		if c.ForceScope != 0 {
-			c.Policy = ForceScopePolicy{Scope: c.ForceScope}
-		} else {
-			c.Policy = LadderPolicy{}
-		}
-	}
 }
 
 // Action describes one recovery action RM took.
@@ -100,21 +87,20 @@ type Action struct {
 }
 
 // Manager is the recovery manager for one node: the Diagnosis engine
-// accumulates evidence, the EscalationPolicy picks actions, and the
-// manager owns the loop state in between (grace muting, escalation
-// level, the action log).
+// accumulates evidence, the Ladder picks actions, and the manager owns
+// the loop state in between (grace muting, escalation level, the action
+// log). It is also a controlplane.Controller (controller.go).
 type Manager struct {
 	kernel *sim.Kernel
 	target Rebooter
 	cfg    Config
 
 	diag            *Diagnosis
-	policy          EscalationPolicy
 	mutedUntil      time.Duration
 	pendingRecovery bool
 
-	// lastTarget/lastLevel drive the escalation-level accounting handed
-	// to the policy.
+	// lastTarget/lastLevel drive the escalation level: the rung of the
+	// Ladder the next recovery of lastTarget climbs to.
 	lastTarget string
 	lastLevel  int
 	lastDone   time.Duration
@@ -122,22 +108,28 @@ type Manager struct {
 	// Actions is the recovery log.
 	Actions []Action
 	// Bricks, when set, lets RM restart dead session-state bricks. It is
-	// consulted before the component policy (when the policy allows): a
-	// dead brick is the cheapest explanation for widespread session
-	// failures, and restarting it is as cheap as an EJB µRB.
+	// consulted before the Ladder (unless ForceScope is set): a dead
+	// brick is the cheapest explanation for widespread session failures,
+	// and restarting it is as cheap as an EJB µRB.
 	Bricks BrickStore
 	// OnRecoveryStart/End announce the recovery lifecycle. The manager
-	// never touches the load balancer itself: hosts bind these to the
-	// control-plane bus (controlplane.BindRecoveryLifecycle), where the
-	// fleet controller turns them into LB drain/restore — the paper's
-	// "RM notifies LB" failover, as an observe–decide–act hop.
+	// never touches the load balancer itself: hosts set these to
+	// Plane.ReportNodeRecovery, where the fleet controller turns them
+	// into LB drain/restore — the paper's "RM notifies LB" failover, as
+	// an observe–decide–act hop.
 	OnRecoveryStart func()
 	OnRecoveryEnd   func()
-	// NotifyHuman fires when the policy is exhausted or a recovery
-	// action fails.
+	// NotifyHuman fires when the Ladder is exhausted or a recovery action
+	// fails.
 	NotifyHuman func(reason string)
 
 	humanNotified bool
+
+	// Evidence delivered by the control plane (OnSignal), held for the
+	// act closure of the next Tick, and its counts for Status.
+	pending                                []Report
+	pendingBricks                          []string
+	failures, brickFailures, discrepancies int64
 }
 
 // NewManager builds a recovery manager driving the given rebooter.
@@ -148,16 +140,8 @@ func NewManager(k *sim.Kernel, target Rebooter, cfg Config) *Manager {
 		target: target,
 		cfg:    cfg,
 		diag:   NewDiagnosis(cfg),
-		policy: cfg.Policy,
 	}
 }
-
-// Policy returns the manager's escalation policy.
-func (m *Manager) Policy() EscalationPolicy { return m.policy }
-
-// Diagnosis exposes the diagnosis engine (operator status surfaces read
-// the live suspicion table through it).
-func (m *Manager) Diagnosis() *Diagnosis { return m.diag }
 
 // HumanNotified reports whether RM has given up on automatic recovery.
 func (m *Manager) HumanNotified() bool { return m.humanNotified }
@@ -192,8 +176,8 @@ func (m *Manager) ReportBrickFailure(brick string) {
 	}
 }
 
-// trigger runs the recovery policy against the diagnosed component,
-// optionally after the configured detection delay.
+// trigger runs recovery against the diagnosed component, optionally
+// after the configured detection delay.
 func (m *Manager) trigger(name string) {
 	m.pendingRecovery = true
 	m.diag.Reset()
@@ -206,15 +190,15 @@ func (m *Manager) trigger(name string) {
 }
 
 // recover computes the escalation level (repeated recovery of the same
-// target within the escalation window moves one level up) and acts on
-// the policy's decision.
+// target within the escalation window moves one level up) and reboots
+// the scope on that rung of the Ladder, or the forced scope.
 func (m *Manager) recover(name string) {
-	// Dead session-state bricks come first when the policy permits: they
-	// are the cheapest recovery (a brick µRB plus re-replication) and the
-	// likeliest cause of store-wide session failures. If the diagnosis
-	// was wrong, the failures persist and the next trigger walks the
-	// component policy.
-	if m.Bricks != nil && m.policy.BrickRecoveryFirst() {
+	// Dead session-state bricks come first: they are the cheapest
+	// recovery (a brick µRB plus re-replication) and the likeliest cause
+	// of store-wide session failures. If the diagnosis was wrong, the
+	// failures persist and the next trigger climbs the Ladder. The
+	// ForceScope baseline must not quietly benefit from them.
+	if m.Bricks != nil && m.cfg.ForceScope == 0 {
 		if dead := m.Bricks.DeadBricks(); len(dead) > 0 {
 			m.recoverBricks(dead)
 			return
@@ -230,28 +214,23 @@ func (m *Manager) recover(name string) {
 	if m.OnRecoveryStart != nil {
 		m.OnRecoveryStart()
 	}
-	d := m.policy.Decide(name, level)
-	if d.GiveUp {
+	scope, ok := m.cfg.ForceScope, true
+	if scope == 0 {
+		scope, ok = Ladder(name, level)
+	}
+	if !ok {
 		m.humanNotified = true
 		m.pendingRecovery = false
 		if m.NotifyHuman != nil {
-			m.NotifyHuman(d.Reason)
+			m.NotifyHuman("recursive recovery policy exhausted for " + name)
 		}
 		if m.OnRecoveryEnd != nil {
 			m.OnRecoveryEnd()
 		}
 		return
 	}
-	var (
-		rb  *core.Reboot
-		err error
-	)
-	if d.Microreboot {
-		rb, err = m.target.Microreboot(name)
-	} else {
-		rb, err = m.target.RebootScope(d.Scope)
-	}
-	m.finishRecovery(name, d.Scope, rb, err)
+	rb, err := RebootRung(m.target, name, scope)
+	m.finishRecovery(name, scope, rb, err)
 }
 
 // recoverBricks restarts every dead brick (they recover in parallel, so

@@ -1,9 +1,11 @@
 package recovery
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
+	"repro/internal/controlplane"
 	"repro/internal/core"
 	"repro/internal/ebid"
 	"repro/internal/sim"
@@ -380,5 +382,63 @@ func TestUnknownOpStillScored(t *testing.T) {
 	// Unknown URLs fall back to blaming the WAR.
 	if len(fr.scopes) != 1 || fr.scopes[0] != core.ScopeWAR {
 		t.Fatalf("scopes = %v, want WAR reboot", fr.scopes)
+	}
+}
+
+func TestManagerBuffersSignalsUntilTick(t *testing.T) {
+	k := sim.NewKernel(1)
+	fr := &fakeRebooter{}
+	m := NewManager(k, fr, Config{Threshold: 100})
+	m.OnSignal(controlplane.Signal{Kind: controlplane.SignalFailure, Op: ebid.MakeBid, FailureKind: "http-error"})
+	m.OnSignal(controlplane.Signal{Kind: controlplane.SignalBrickDead, Brick: "ssm/s0-r1"})
+	m.OnSignal(controlplane.Signal{Kind: controlplane.SignalNodeLoad, Node: "n0"})
+	// OnSignal only observes: the diagnosis must see nothing until the
+	// act closure from Tick runs — a Report can synchronously trigger a
+	// recovery that re-enters the plane, so it must run lock-free.
+	if scores := m.diag.Scores(); len(scores) != 0 {
+		t.Fatalf("diagnosis fed before tick: %v", scores)
+	}
+	if want := []Report{{Op: ebid.MakeBid, Kind: "http-error"}}; !reflect.DeepEqual(m.pending, want) {
+		t.Fatalf("pending = %+v, want %+v", m.pending, want)
+	}
+	if want := []string{"ssm/s0-r1"}; !reflect.DeepEqual(m.pendingBricks, want) {
+		t.Fatalf("pending bricks = %v, want %v", m.pendingBricks, want)
+	}
+	act := m.Tick(time.Second)
+	if act == nil {
+		t.Fatal("Tick returned no act closure with pending evidence")
+	}
+	act()
+	scores := m.diag.Scores()
+	if scores[ebid.MakeBid] != sessionWeight || scores["ssm/s0-r1"] != sessionWeight {
+		t.Fatalf("scores after act = %v, want the failure and the brick", scores)
+	}
+	if st := m.Status().(Status); st != (Status{FailureReports: 1, BrickFailures: 1}) {
+		t.Fatalf("status = %+v", st)
+	}
+	// The buffer drained: a quiet tick has nothing to act on.
+	if m.Tick(time.Second) != nil {
+		t.Fatal("Tick re-delivered drained evidence")
+	}
+}
+
+func TestManagerBuffersDiscrepancies(t *testing.T) {
+	k := sim.NewKernel(1)
+	m := NewManager(k, &fakeRebooter{}, Config{Threshold: 100})
+	m.OnSignal(controlplane.Signal{Kind: controlplane.SignalDiscrepancy, Op: ebid.ViewItem, Detail: "body differs"})
+	want := []Report{{Op: ebid.ViewItem, Kind: "comparison-mismatch"}}
+	if !reflect.DeepEqual(m.pending, want) {
+		t.Fatalf("pending = %+v, want %+v", m.pending, want)
+	}
+	act := m.Tick(time.Second)
+	if act == nil {
+		t.Fatal("Tick returned no act closure for a discrepancy")
+	}
+	act()
+	if got := m.diag.Scores()[ebid.ViewItem]; got != sessionWeight {
+		t.Fatalf("ViewItem score = %v, want the discrepancy delivered", got)
+	}
+	if st := m.Status().(Status); st != (Status{Discrepancies: 1}) {
+		t.Fatalf("status = %+v", st)
 	}
 }

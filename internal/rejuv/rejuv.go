@@ -12,16 +12,9 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/recovery"
 	"repro/internal/sim"
 )
-
-// Rebooter is the node-level recovery interface the service drives
-// (*cluster.Node implements it).
-type Rebooter interface {
-	Microreboot(names ...string) (*core.Reboot, error)
-	RebootScope(scope core.Scope) (*core.Reboot, error)
-	Recovering() bool
-}
 
 // Heap models the JVM heap: fixed size, a baseline in use by the server
 // itself, component leaks tracked by the containers, and an optional
@@ -74,7 +67,7 @@ type Config struct {
 // Service is the rejuvenation service for one node.
 type Service struct {
 	kernel *sim.Kernel
-	node   Rebooter
+	node   recovery.Rebooter
 	heap   *Heap
 	server *core.Server
 	cfg    Config
@@ -103,7 +96,7 @@ type Sample struct {
 }
 
 // NewService builds a rejuvenation service.
-func NewService(k *sim.Kernel, node Rebooter, server *core.Server, heap *Heap, cfg Config) *Service {
+func NewService(k *sim.Kernel, node recovery.Rebooter, server *core.Server, heap *Heap, cfg Config) *Service {
 	if cfg.Interval == 0 {
 		cfg.Interval = 5 * time.Second
 	}

@@ -116,7 +116,7 @@ func (c *Campaign) Table() string {
 			n++
 		}
 	}
-	fmt.Fprintf(&b, "%d/%d scenarios passed in %v\n", n, len(c.Results), c.Elapsed)
+	fmt.Fprintf(&b, "%d/%d scenarios passed\n", n, len(c.Results))
 	return b.String()
 }
 

@@ -120,9 +120,10 @@ func Run(spec *Spec, o experiments.Options) (*Outcome, error) {
 			rm.Bricks = h.Bricks
 		}
 		rm.NotifyHuman = func(reason string) { out.HumanPages++ }
-		plane.Use(controlplane.NewRecoveryController(rm))
+		plane.Use(rm)
 		if c.Nodes > 1 {
-			controlplane.BindRecoveryLifecycle(plane, rm, h.Nodes[0].Name)
+			rm.OnRecoveryStart = func() { plane.ReportNodeRecovery(h.Nodes[0].Name, true) }
+			rm.OnRecoveryEnd = func() { plane.ReportNodeRecovery(h.Nodes[0].Name, false) }
 		}
 	}
 

@@ -38,8 +38,8 @@ type tombstone struct {
 // and a restart brings the brick back empty, ready for the cluster to
 // re-replicate the shard into it.
 type Brick struct {
-	name           string
-	shard, replica int
+	name  string
+	shard int
 
 	mu      sync.Mutex
 	entries map[string]ssmEntry
@@ -56,7 +56,6 @@ func newBrick(shard, replica int) *Brick {
 	return &Brick{
 		name:    fmt.Sprintf("ssm/s%d-r%d", shard, replica),
 		shard:   shard,
-		replica: replica,
 		entries: map[string]ssmEntry{},
 		tombs:   map[string]tombstone{},
 	}
@@ -67,9 +66,6 @@ func (b *Brick) Name() string { return b.name }
 
 // Shard returns the shard this brick replicates.
 func (b *Brick) Shard() int { return b.shard }
-
-// Replica returns the brick's replica index within its shard.
-func (b *Brick) Replica() int { return b.replica }
 
 // Up reports whether the brick is live.
 func (b *Brick) Up() bool {
