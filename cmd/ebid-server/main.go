@@ -42,6 +42,7 @@ package main
 import (
 	"context"
 	"flag"
+	"fmt"
 	"io"
 	"log"
 	"net/http"
@@ -84,56 +85,32 @@ func main() {
 	writeQuorum := flag.Int("write-quorum", 2, "ssm-cluster: write quorum W (W ≤ N)")
 	users := flag.Int("users", 250, "dataset users")
 	items := flag.Int("items", 3300, "dataset items")
-	walPath := flag.String("wal", "", "mirror the database WAL to this file")
+	walPath := flag.String("wal", "", "write the database WAL to this file and recover from it at start (without it the database keeps no log)")
 	shedWatermark := flag.Int("shed-watermark", 0,
 		"admission control: shed session-starting requests with 503 + Retry-After while more than this many requests are in flight (0 disables)")
 	detectSample := flag.Int64("detect-sample", 0,
 		"comparison detector: replay 1 in N idempotent operations against a known-good shadow instance and publish discrepancies (0 disables)")
 	flag.Parse()
 
-	// Crash-safe startup against the WAL: an existing non-empty log file
-	// means a previous incarnation of this node committed state — replay
-	// it (truncating any torn tail from a crash mid-flush) instead of
-	// truncating the file, so a SIGKILL + re-exec recovers everything
-	// that was committed. A fresh or empty file gets the seed dataset.
-	var wal *db.WAL
+	// Crash-safe startup against the WAL: replay what a previous
+	// incarnation of this node committed, so a SIGKILL + re-exec recovers
+	// everything that was committed. A fresh or empty log gets the seed
+	// dataset. Without -wal the database keeps no log at all.
+	var database *db.DB
 	var walFile *os.File
 	recovered := false
 	if *walPath != "" {
-		fh, err := os.OpenFile(*walPath, os.O_RDWR|os.O_CREATE, 0o644)
+		var err error
+		database, walFile, recovered, err = openWAL(*walPath)
 		if err != nil {
 			log.Fatalf("wal: %v", err)
 		}
-		walFile = fh
-		loaded, offset, err := db.LoadWAL(fh)
-		if err != nil {
-			log.Fatalf("wal: reading %s: %v", *walPath, err)
-		}
-		if loaded.Len() > 0 {
-			if err := fh.Truncate(offset); err != nil {
-				log.Fatalf("wal: truncating torn tail: %v", err)
-			}
-			if _, err := fh.Seek(0, io.SeekEnd); err != nil {
-				log.Fatalf("wal: %v", err)
-			}
-			wal = loaded
-			recovered = true
-			log.Printf("wal: recovering %d records from %s", loaded.Len(), *walPath)
-		}
+	} else {
+		database = db.New(nil)
 	}
-	var database *db.DB
 	if recovered {
-		database = db.New(wal)
-		if err := database.Recover(); err != nil {
-			log.Fatalf("wal recovery: %v", err)
-		}
-		wal.AttachSink(walFile)
 		log.Printf("recovered %d tables from the WAL; skipping dataset load", len(database.Tables()))
 	} else {
-		if walFile != nil {
-			wal = db.NewWALWithSink(walFile)
-		}
-		database = db.New(wal)
 		cfg := ebid.DefaultDataset()
 		cfg.Users, cfg.Items = *users, *items
 		log.Printf("loading dataset: %d users, %d items", cfg.Users, cfg.Items)
@@ -265,6 +242,43 @@ func main() {
 	}
 	log.Printf("drained; exiting %d", code)
 	os.Exit(code)
+}
+
+// openWAL opens the WAL file at path, creating it if need be, and
+// returns a database that logs to it. It replays what the file's valid
+// prefix committed; recovered reports whether that prefix held any
+// record. Whatever follows the prefix (a torn or damaged record) is cut
+// off and the file is positioned at its end, so new records never land
+// inside garbage that the next LoadWAL would stop at.
+func openWAL(path string) (d *db.DB, fh *os.File, recovered bool, err error) {
+	fh, err = os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+	if err != nil {
+		return nil, nil, false, err
+	}
+	loaded, offset, err := db.LoadWAL(fh)
+	if err != nil {
+		fh.Close()
+		return nil, nil, false, fmt.Errorf("reading %s: %w", path, err)
+	}
+	if err := fh.Truncate(offset); err != nil {
+		fh.Close()
+		return nil, nil, false, fmt.Errorf("truncating %s to its valid prefix: %w", path, err)
+	}
+	if _, err := fh.Seek(0, io.SeekEnd); err != nil {
+		fh.Close()
+		return nil, nil, false, err
+	}
+	if loaded.Len() == 0 {
+		return db.New(db.NewWALWithSink(fh)), fh, false, nil
+	}
+	log.Printf("wal: recovering %d records from %s", loaded.Len(), path)
+	d = db.New(loaded)
+	if err := d.Recover(); err != nil {
+		fh.Close()
+		return nil, nil, false, fmt.Errorf("recovering %s: %w", path, err)
+	}
+	loaded.AttachSink(fh) // after Recover: it releases the loaded history
+	return d, fh, true, nil
 }
 
 // clusterOrNil avoids the typed-nil interface trap when no brick cluster

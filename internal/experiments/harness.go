@@ -130,7 +130,7 @@ func experimentDataset(o Options) ebid.DatasetConfig {
 // population.
 func newEnv(o Options, clients int, kind storeKind, nodeCfg cluster.NodeConfig) *env {
 	k := sim.NewKernel(o.seed())
-	d := db.New(nil)
+	d := db.New(db.NewWAL()) // the simulator's stable storage: table repair replays it
 	ds := experimentDataset(o)
 	if err := ebid.LoadDataset(d, ds); err != nil {
 		panic("experiments: dataset: " + err.Error())

@@ -65,7 +65,7 @@ func NewHarness(o Options, cfg HarnessConfig) (*Harness, error) {
 		cfg.Nodes = 1
 	}
 	k := sim.NewKernel(o.seed())
-	d := db.New(nil)
+	d := db.New(db.NewWAL()) // the simulator's stable storage: table repair replays it
 	ds := experimentDataset(o)
 	if err := ebid.LoadDataset(d, ds); err != nil {
 		return nil, fmt.Errorf("harness: dataset: %w", err)

@@ -14,7 +14,7 @@ import (
 
 func newTarget(t *testing.T, store session.Store) (*ebid.App, *Injector) {
 	t.Helper()
-	d := db.New(nil)
+	d := db.New(db.NewWAL()) // table repair replays the in-memory history
 	cfg := ebid.DatasetConfig{Users: 50, Items: 100, BidsPerItem: 3, Categories: 5, Regions: 5, OldItems: 10}
 	if err := ebid.LoadDataset(d, cfg); err != nil {
 		t.Fatal(err)

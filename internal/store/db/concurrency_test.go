@@ -16,7 +16,7 @@ import (
 
 func kvDB(t *testing.T) *db.DB {
 	t.Helper()
-	d := db.New(nil)
+	d := db.New(db.NewWAL()) // the tests Crash, Recover and RepairTable it
 	schema := db.Schema{
 		Name:    "kv",
 		Columns: []db.Column{{Name: "v", Type: db.Int}, {Name: "tag", Type: db.Str}},

@@ -312,11 +312,12 @@ type DB struct {
 }
 
 // New creates an empty database writing its log to the given WAL. A nil
-// wal means an in-memory WAL is created (still replayable via Recover).
+// wal means no log at all: commits are not logged, and Recover and
+// RepairTable return ErrNoHistory. A database that must replay its
+// history in-process (the simulator's Crash/Recover, table repair) takes
+// NewWAL(); one whose log must outlive the process takes
+// NewWALWithSink.
 func New(wal *WAL) *DB {
-	if wal == nil {
-		wal = NewWAL()
-	}
 	return &DB{tables: map[string]*table{}, wal: wal}
 }
 
@@ -359,7 +360,8 @@ func (d *DB) Stats() (commits, aborts, conflicts uint64) {
 
 // Crash simulates a machine crash: all volatile state is dropped and every
 // open transaction becomes unusable. Committed data remains in the WAL;
-// call Recover to bring the database back.
+// call Recover to bring the database back (which needs a WAL that keeps
+// its history in memory, see New).
 func (d *DB) Crash() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -368,13 +370,19 @@ func (d *DB) Crash() {
 	d.tables = map[string]*table{}
 }
 
-// Recover replays the WAL, restoring all committed state. It is the
-// analog of MySQL's fast crash recovery.
+// Recover replays the WAL's in-memory history, restoring all committed
+// state. It is the analog of MySQL's fast crash recovery. A database
+// whose log keeps no history (no WAL, or one with a sink) returns
+// ErrNoHistory and is left as it is.
 func (d *DB) Recover() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	recs, err := d.wal.committed()
+	if err != nil {
+		return err
+	}
 	d.tables = map[string]*table{}
-	for _, rec := range d.wal.committed() {
+	for _, rec := range recs {
 		switch rec.Kind {
 		case recCreateTable:
 			d.tables[rec.Table] = newTable(*rec.Schema)
@@ -383,7 +391,7 @@ func (d *DB) Recover() error {
 			if t == nil {
 				return fmt.Errorf("db: WAL references unknown table %q", rec.Table)
 			}
-			t.rows[rec.Key] = rec.Row.clone()
+			t.rows[rec.Key] = rec.Row
 			t.indexAdd(rec.Key, rec.Row)
 			if rec.Key >= t.nextKey {
 				t.nextKey = rec.Key + 1
@@ -396,7 +404,7 @@ func (d *DB) Recover() error {
 			if old, ok := t.rows[rec.Key]; ok {
 				t.indexRemove(rec.Key, old)
 			}
-			t.rows[rec.Key] = rec.Row.clone()
+			t.rows[rec.Key] = rec.Row
 			t.indexAdd(rec.Key, rec.Row)
 		case recDelete:
 			t := d.tables[rec.Table]

@@ -3,6 +3,7 @@ package db
 import (
 	"bytes"
 	"errors"
+	"io"
 	"math/rand"
 	"strings"
 	"sync"
@@ -32,9 +33,11 @@ func mustBegin(t *testing.T, d *DB) *Tx {
 	return tx
 }
 
+// newUserDB builds a database with the users table whose WAL keeps its
+// history in memory, so tests can Crash, Recover and RepairTable it.
 func newUserDB(t *testing.T) *DB {
 	t.Helper()
-	d := New(nil)
+	d := New(NewWAL())
 	if err := d.CreateTable(userSchema()); err != nil {
 		t.Fatalf("CreateTable: %v", err)
 	}
@@ -453,6 +456,35 @@ func TestWALSinkMirrors(t *testing.T) {
 	}
 	if strings.Count(out, "\n") < 3 { // create + insert + commit mark
 		t.Fatalf("WAL sink too short: %q", out)
+	}
+}
+
+// TestNoHistoryMeansNoReplay checks that a database whose log keeps no
+// history — no WAL at all, or one with a sink — answers Recover and
+// RepairTable with ErrNoHistory and keeps its tables, instead of
+// rebuilding them empty.
+func TestNoHistoryMeansNoReplay(t *testing.T) {
+	for name, wal := range map[string]*WAL{"no WAL": nil, "sink": NewWALWithSink(io.Discard)} {
+		d := New(wal)
+		if err := d.CreateTable(userSchema()); err != nil {
+			t.Fatal(err)
+		}
+		tx := mustBegin(t, d)
+		if _, err := tx.Insert("users", Row{"name": "kept", "rating": int64(0), "region": int64(1)}); err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := d.RepairTable("users"); !errors.Is(err, ErrNoHistory) {
+			t.Fatalf("%s: RepairTable err = %v, want ErrNoHistory", name, err)
+		}
+		if err := d.Recover(); !errors.Is(err, ErrNoHistory) {
+			t.Fatalf("%s: Recover err = %v, want ErrNoHistory", name, err)
+		}
+		if n, err := d.RowCount("users"); err != nil || n != 1 {
+			t.Fatalf("%s: RowCount = %d, %v after a refused replay, want 1", name, n, err)
+		}
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -58,10 +57,26 @@ func runConcurrentCommits(t *testing.T, d *DB, workers, per int) {
 	}
 }
 
+// sinkRecords decodes every JSON-line record a WAL wrote to its sink.
+func sinkRecords(t *testing.T, sink []byte) []walRecord {
+	t.Helper()
+	var recs []walRecord
+	dec := json.NewDecoder(bytes.NewReader(sink))
+	for dec.More() {
+		var rec walRecord
+		if err := dec.Decode(&rec); err != nil {
+			t.Fatalf("sink decode: %v", err)
+		}
+		recs = append(recs, rec)
+	}
+	return recs
+}
+
 // TestGroupCommitBatchesAndPreservesOrder checks the two core properties
 // of group commit: concurrent committers coalesce into shared sink
-// flushes (fewer batches than commits), and the sink's record order is
-// identical to the authoritative in-memory log.
+// flushes (fewer batches than commits), and the sink holds every record
+// logged, each transaction's writes contiguous and closed by its commit
+// mark.
 func TestGroupCommitBatchesAndPreservesOrder(t *testing.T) {
 	var sunk bytes.Buffer
 	w := NewWALWithSink(slowSink{&sunk})
@@ -84,38 +99,62 @@ func TestGroupCommitBatchesAndPreservesOrder(t *testing.T) {
 		t.Fatalf("maxBatch = %d records: no batch ever held more than one transaction", maxBatch)
 	}
 
-	// The sink must mirror the in-memory log exactly, in order — group
-	// commit moves the flush boundary, never the contents.
-	var mirrored []walRecord
-	dec := json.NewDecoder(strings.NewReader(sunk.String()))
-	for dec.More() {
-		var rec walRecord
-		if err := dec.Decode(&rec); err != nil {
-			t.Fatalf("sink decode: %v", err)
+	// Group commit moves the flush boundary, never the contents: the
+	// table creation, then one (insert, insert, mark) group per commit.
+	recs := sinkRecords(t, sunk.Bytes())
+	if len(recs) != w.Len() {
+		t.Fatalf("sink has %d records, the WAL logged %d", len(recs), w.Len())
+	}
+	if recs[0].Kind != recCreateTable {
+		t.Fatalf("first sink record %+v, want the table creation", recs[0])
+	}
+	for i := 1; i < len(recs); i += 3 {
+		g := recs[i : i+3]
+		tx := g[2].TxID
+		if g[0].Kind != recInsert || g[1].Kind != recInsert || g[2].Kind != recCommitMark ||
+			g[0].TxID != tx || g[1].TxID != tx {
+			t.Fatalf("sink records %d..%d are not one transaction's group: %+v", i, i+2, g)
 		}
-		mirrored = append(mirrored, rec)
+	}
+}
+
+// TestSinkWALHoldsNothingAfterFlush checks that a WAL with a sink keeps
+// a record in memory only until its group commit flush: after concurrent
+// commits return, no staged record and no row reference remains, while
+// Len still counts every record logged.
+func TestSinkWALHoldsNothingAfterFlush(t *testing.T) {
+	w := NewWALWithSink(slowSink{io.Discard})
+	d := New(w)
+	if err := d.CreateTable(userSchema()); err != nil {
+		t.Fatal(err)
+	}
+	const workers, per = 8, 20
+	runConcurrentCommits(t, d, workers, per)
+
+	if want := 1 + workers*per*3; w.Len() != want {
+		t.Fatalf("Len = %d, want %d (every record logged)", w.Len(), want)
 	}
 	w.mu.Lock()
-	mem := append([]walRecord(nil), w.records...)
-	w.mu.Unlock()
-	if len(mirrored) != len(mem) {
-		t.Fatalf("sink has %d records, memory has %d", len(mirrored), len(mem))
+	defer w.mu.Unlock()
+	if len(w.records) != 0 {
+		t.Fatalf("WAL holds %d records in memory after every flush", len(w.records))
 	}
-	for i := range mem {
-		a, b := mem[i], mirrored[i]
-		if a.Kind != b.Kind || a.Table != b.Table || a.Key != b.Key || a.TxID != b.TxID {
-			t.Fatalf("record %d: memory %+v != sink %+v", i, a, b)
+	for i, rec := range w.spare[:cap(w.spare)] {
+		if rec.Row != nil || rec.Kind != 0 || rec.TxID != 0 {
+			t.Fatalf("spare slot %d still holds a flushed record: %+v", i, rec)
 		}
 	}
 }
 
 // TestGroupCommitCrashMidBatchReplaysOnlyCommitted simulates a crash that
-// cuts the log inside a commit group: the transaction whose commit mark
-// was lost must vanish entirely on Recover (both of its rows), while
-// every transaction whose mark survived is replayed whole — batching must
-// not weaken per-transaction atomicity.
+// cuts the sink file inside a commit group, and restarts as a process
+// does: LoadWAL + Recover. The transaction whose commit mark was lost
+// must vanish entirely (both of its rows), while every transaction whose
+// mark survived is replayed whole — batching must not weaken
+// per-transaction atomicity.
 func TestGroupCommitCrashMidBatchReplaysOnlyCommitted(t *testing.T) {
-	w := NewWALWithSink(slowSink{io.Discard})
+	var sunk bytes.Buffer
+	w := NewWALWithSink(slowSink{&sunk})
 	d := New(w)
 	if err := d.CreateTable(userSchema()); err != nil {
 		t.Fatal(err)
@@ -123,43 +162,46 @@ func TestGroupCommitCrashMidBatchReplaysOnlyCommitted(t *testing.T) {
 	const workers, per = 4, 10
 	runConcurrentCommits(t, d, workers, per)
 
-	// The log always ends with a commit mark (writes+mark append
-	// atomically); dropping it leaves that transaction's two inserts
-	// mark-less — the crash-mid-batch shape.
-	w.mu.Lock()
-	last := w.records[len(w.records)-1]
-	w.mu.Unlock()
+	// The sink always ends with a commit mark (writes+mark stage
+	// atomically); dropping its line leaves that transaction's two
+	// inserts mark-less — the crash-mid-batch shape.
+	file := bytes.TrimSuffix(sunk.Bytes(), []byte("\n"))
+	cut := bytes.LastIndexByte(file, '\n') + 1
+	recs := sinkRecords(t, file)
+	last := recs[len(recs)-1]
 	if last.Kind != recCommitMark {
-		t.Fatalf("log does not end with a commit mark: %+v", last)
+		t.Fatalf("sink does not end with a commit mark: %+v", last)
 	}
 	victim := last.TxID
-	w.TruncateTail(1)
+	file = file[:cut]
 
-	// The victim's orphaned writes must still be in the damaged log.
+	// The victim's orphaned writes must still be in the damaged file.
 	var victimKeys []int64
-	w.mu.Lock()
-	for _, rec := range w.records {
+	for _, rec := range sinkRecords(t, file) {
 		if rec.Kind == recInsert && rec.TxID == victim {
 			victimKeys = append(victimKeys, rec.Key)
 		}
 	}
-	w.mu.Unlock()
 	if len(victimKeys) != 2 {
-		t.Fatalf("victim tx %d has %d insert records in the log, want 2", victim, len(victimKeys))
+		t.Fatalf("victim tx %d has %d insert records in the file, want 2", victim, len(victimKeys))
 	}
 
-	d.Crash()
-	if err := d.Recover(); err != nil {
+	loaded, _, err := LoadWAL(bytes.NewReader(file))
+	if err != nil {
 		t.Fatal(err)
 	}
-	n, err := d.RowCount("users")
+	d2 := New(loaded)
+	if err := d2.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	n, err := d2.RowCount("users")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if want := (workers*per - 1) * 2; n != want {
 		t.Fatalf("rows after recovery = %d, want %d (exactly the marked transactions)", n, want)
 	}
-	tx := mustBegin(t, d)
+	tx := mustBegin(t, d2)
 	defer tx.Abort()
 	for _, k := range victimKeys {
 		if _, err := tx.Get("users", k); err == nil {

@@ -100,10 +100,11 @@ func (d *DB) CheckTable(tableName string) ([]int64, error) {
 	return bad, nil
 }
 
-// RepairTable rebuilds a single table from the WAL's committed history,
-// discarding any unlogged (corrupted) modifications. It returns the number
-// of rows restored. This is the "database table repair" recovery action of
-// Table 2.
+// RepairTable rebuilds a single table from the WAL's committed in-memory
+// history, discarding any unlogged (corrupted) modifications. It returns
+// the number of rows restored. This is the "database table repair"
+// recovery action of Table 2. A database whose log keeps no history
+// returns ErrNoHistory and keeps the table as it is.
 func (d *DB) RepairTable(tableName string) (int, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -114,8 +115,12 @@ func (d *DB) RepairTable(tableName string) (int, error) {
 	if !ok {
 		return 0, fmt.Errorf("%w: %s", ErrNoTable, tableName)
 	}
+	recs, err := d.wal.committed()
+	if err != nil {
+		return 0, err
+	}
 	fresh := newTable(old.schema)
-	for _, rec := range d.wal.committed() {
+	for _, rec := range recs {
 		if rec.Table != tableName {
 			continue
 		}
@@ -124,7 +129,7 @@ func (d *DB) RepairTable(tableName string) (int, error) {
 			if prev, ok := fresh.rows[rec.Key]; ok {
 				fresh.indexRemove(rec.Key, prev)
 			}
-			fresh.rows[rec.Key] = rec.Row.clone()
+			fresh.rows[rec.Key] = rec.Row
 			fresh.indexAdd(rec.Key, rec.Row)
 			if rec.Key >= fresh.nextKey {
 				fresh.nextKey = rec.Key + 1

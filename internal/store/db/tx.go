@@ -454,8 +454,8 @@ func sort64(s []int64) {
 }
 
 // Commit atomically applies the transaction's writes, appends them to the
-// WAL, and releases all locks. When the WAL mirrors to a sink, the sink
-// flush happens via group commit: this committer may ride another
+// WAL (if the database has one), and releases all locks. When the WAL
+// writes to a sink, the sink flush happens via group commit: this committer may ride another
 // commit's flush, and it waits for that flush only after releasing the
 // database lock, so concurrent commits coalesce instead of serializing
 // one flush each.
@@ -483,8 +483,9 @@ func (t *Tx) Commit() error {
 	id := s >> 1
 	d.txs.remove(id)
 	// Durability first: the WAL records the commit before tables mutate.
-	// The in-memory log (what Recover replays) is written synchronously
-	// here; only the sink flush is deferred to the group.
+	// The records are staged (or, without a sink, appended to the
+	// history) synchronously here; only the sink flush is deferred to the
+	// group.
 	wait := d.wal.appendCommit(id, t.writes)
 	for _, w := range t.writes {
 		tbl := d.tables[w.Table]
@@ -493,7 +494,10 @@ func (t *Tx) Commit() error {
 			if old, ok := tbl.rows[w.Key]; ok {
 				tbl.indexRemove(w.Key, old)
 			}
-			tbl.rows[w.Key] = w.Row.clone()
+			// The row is the transaction's own copy (Insert and Update
+			// clone) and rows are immutable once written, so the table
+			// and the log share it.
+			tbl.rows[w.Key] = w.Row
 			tbl.indexAdd(w.Key, w.Row)
 		case recDelete:
 			if old, ok := tbl.rows[w.Key]; ok {

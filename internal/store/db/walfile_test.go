@@ -2,6 +2,7 @@ package db
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 )
 
@@ -152,8 +153,9 @@ func TestLoadWALTornTail(t *testing.T) {
 }
 
 // TestAttachSinkAppendsOnly checks a reloaded WAL with a freshly
-// attached sink mirrors only new records — replaying the old ones into
-// the file would double them on the next recovery.
+// attached sink writes only new records — replaying the old ones into
+// the file would double them on the next recovery — and releases the
+// history it loaded.
 func TestAttachSinkAppendsOnly(t *testing.T) {
 	var sink bytes.Buffer
 	w := NewWALWithSink(&sink)
@@ -166,11 +168,14 @@ func TestAttachSinkAppendsOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := loaded.Len()
-	var next bytes.Buffer
-	loaded.AttachSink(&next)
 	d2 := New(loaded)
 	if err := d2.Recover(); err != nil {
 		t.Fatal(err)
+	}
+	var next bytes.Buffer
+	loaded.AttachSink(&next)
+	if n := len(loaded.records); n != 0 {
+		t.Fatalf("AttachSink kept %d loaded records in memory", n)
 	}
 	tx := mustBegin(t, d2)
 	if _, err := tx.Insert("users", Row{"name": "new", "rating": int64(1), "region": int64(1)}); err != nil {
@@ -193,4 +198,78 @@ func TestAttachSinkAppendsOnly(t *testing.T) {
 	if bytes.Contains(next.Bytes(), []byte(`"schema"`)) {
 		t.Fatal("old create-table record re-mirrored into the new sink")
 	}
+}
+
+// TestLoadWALStopsAtMalformedRecord checks that a record Recover cannot
+// replay ends the valid prefix like a torn tail does: LoadWAL keeps the
+// records before it, reports the offset just past them, and Recover does
+// not panic.
+func TestLoadWALStopsAtMalformedRecord(t *testing.T) {
+	var sink bytes.Buffer
+	d := New(NewWALWithSink(&sink))
+	if err := d.CreateTable(userSchema()); err != nil {
+		t.Fatal(err)
+	}
+	good := sink.Bytes()
+	for _, bad := range []string{
+		`{"kind":0,"table":"x"}`,                                    // table creation without a schema
+		`{"kind":1,"key":1,"row":{"name":"a"}}`,                     // insert without a table
+		`{"kind":3,"key":1}`,                                        // delete without a table
+		`{"kind":1,"table":"users","key":1}`,                        // insert without a row
+		`{"kind":2,"table":"users","key":1,"row":null}`,             // update without a row
+		`{"kind":1,"table":"users","key":1,"row":{"region":[1]}}`,   // non-scalar value
+		`{"kind":1,"table":"users","key":1,"row":{"rating":1e999}}`, // number no Go type holds
+		`{"kind":7}`, // unknown kind
+		`{"kind":1,"table":"users","key":"oops","row":{}}`, // type error
+	} {
+		file := append(append([]byte(nil), good...), bad+"\n"+`{"kind":4,"tx":1}`+"\n"...)
+		loaded, off, err := LoadWAL(bytes.NewReader(file))
+		if err != nil {
+			t.Fatalf("%s: LoadWAL: %v", bad, err)
+		}
+		if loaded.Len() != 1 || off != int64(len(good)-1) {
+			t.Fatalf("%s: loaded %d records to offset %d, want 1 to %d", bad, loaded.Len(), off, len(good)-1)
+		}
+		if err := New(loaded).Recover(); err != nil {
+			t.Fatalf("%s: Recover: %v", bad, err)
+		}
+	}
+}
+
+// TestLoadWALSchemalessFirstRecord is the one-line log that used to make
+// Recover dereference a nil schema: a table creation without one.
+func TestLoadWALSchemalessFirstRecord(t *testing.T) {
+	loaded, off, err := LoadWAL(strings.NewReader(`{"kind":0,"table":"x"}` + "\n"))
+	if err != nil || loaded.Len() != 0 || off != 0 {
+		t.Fatalf("LoadWAL = %d records, offset %d, %v; want 0, 0, nil", loaded.Len(), off, err)
+	}
+	d := New(loaded)
+	if err := d.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	if tables := d.Tables(); len(tables) != 0 {
+		t.Fatalf("recovered tables %v from a log with no valid record", tables)
+	}
+}
+
+// FuzzLoadWAL feeds arbitrary bytes to the startup path of a restarted
+// process. Neither LoadWAL nor the Recover after it may panic, the
+// offset must lie inside the input, and reloading only the prefix up to
+// the offset must load the same records.
+func FuzzLoadWAL(f *testing.F) {
+	f.Fuzz(func(t *testing.T, file []byte) {
+		w, off, err := LoadWAL(bytes.NewReader(file))
+		if err != nil {
+			t.Fatalf("LoadWAL on an in-memory reader: %v", err)
+		}
+		if off < 0 || off > int64(len(file)) {
+			t.Fatalf("offset %d outside [0, %d]", off, len(file))
+		}
+		again, off2, err := LoadWAL(bytes.NewReader(file[:off]))
+		if err != nil || again.Len() != w.Len() || off2 != off {
+			t.Fatalf("prefix [:%d] reloads %d records to offset %d (%v), want %d to %d",
+				off, again.Len(), off2, err, w.Len(), off)
+		}
+		_ = New(w).Recover() // an unknown table is an error, never a panic
+	})
 }
