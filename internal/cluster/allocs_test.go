@@ -14,9 +14,9 @@ import (
 )
 
 // TestRouteAllocs is the allocation ceiling of the balancer's routing
-// decision: a session-free request under every policy takes its
-// candidate buffer from the pool, and an established session's request
-// is one read-locked map probe. Neither allocates.
+// decision: a session-free request under every policy fills the
+// balancer's reused candidate buffer, and an established session's
+// request is one map probe. Neither allocates.
 func TestRouteAllocs(t *testing.T) {
 	nodes := newTestCluster(t, sim.NewKernel(1), 8, func() session.Store { return session.NewFastS() }, NodeConfig{})
 	ceiling := func(what string, lb *LoadBalancer, req *workload.Request) {
@@ -40,7 +40,7 @@ func TestRouteAllocs(t *testing.T) {
 	}
 
 	lb := NewLoadBalancer(nodes)
-	if _, err := lb.Route(&workload.Request{Op: ebid.OpHome, SessionID: "held"}); err != nil || lb.AffinitySize() != 1 {
+	if _, err := lb.Route(&workload.Request{Op: ebid.OpHome, SessionID: "held"}); err != nil || len(lb.affinity) != 1 {
 		t.Fatalf("login did not pin its session: %v", err)
 	}
 	ceiling("an established session", lb, &workload.Request{Op: ebid.AboutMe, SessionID: "held"})

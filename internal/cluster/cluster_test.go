@@ -262,6 +262,17 @@ func TestRequestTTLPurgesStuckRequests(t *testing.T) {
 	}
 }
 
+// sessionsOn counts sessions whose affinity points at n.
+func sessionsOn(lb *LoadBalancer, n *Node) int {
+	count := 0
+	for _, node := range lb.affinity {
+		if node == n {
+			count++
+		}
+	}
+	return count
+}
+
 func TestLoadBalancerAffinityAndFailover(t *testing.T) {
 	k := sim.NewKernel(7)
 	d := db.New(nil)
@@ -294,10 +305,10 @@ func TestLoadBalancerAffinityAndFailover(t *testing.T) {
 	if ok != 10 {
 		t.Fatalf("logins ok = %d, want 10", ok)
 	}
-	if lb.SessionsOn(nodes[0])+lb.SessionsOn(nodes[1]) != 10 {
+	if sessionsOn(lb, nodes[0])+sessionsOn(lb, nodes[1]) != 10 {
 		t.Fatal("affinity lost sessions")
 	}
-	if lb.SessionsOn(nodes[0]) == 0 || lb.SessionsOn(nodes[1]) == 0 {
+	if sessionsOn(lb, nodes[0]) == 0 || sessionsOn(lb, nodes[1]) == 0 {
 		t.Fatal("round-robin did not spread sessions")
 	}
 
@@ -321,7 +332,7 @@ func TestLoadBalancerAffinityAndFailover(t *testing.T) {
 	// node-local), while node 1's sessions keep working. The failed
 	// sessions' affinity entries are pruned as their loss is observed, so
 	// count node 0's sessions before draining.
-	n0Sessions := lb.SessionsOn(nodes[0])
+	n0Sessions := sessionsOn(lb, nodes[0])
 	lb.SetDrain(nodes[0].Name, true)
 	var failed, succeeded int
 	for i := 0; i < 10; i++ {
@@ -347,7 +358,7 @@ func TestLoadBalancerAffinityAndFailover(t *testing.T) {
 	}
 	lb.SetDrain(nodes[0].Name, false)
 	lb.ResetFailoverStats()
-	if lb.FailedOverRequests() != 0 {
+	if lb.failedOver != 0 {
 		t.Fatal("stats not reset")
 	}
 }

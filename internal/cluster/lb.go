@@ -3,10 +3,8 @@ package cluster
 import (
 	"errors"
 	"fmt"
-	"sync"
-	"time"
-
 	"sync/atomic"
+	"time"
 
 	"repro/internal/controlplane"
 	"repro/internal/core"
@@ -18,7 +16,7 @@ import (
 // target. In-process simulation nodes (*Node) and the reverse proxy's
 // remote backends (fleet.Backend, whose gauges come from polling each
 // process's /admin/fleet/status) both implement it, so the same policy
-// implementations route goroutine fleets and real OS-process fleets.
+// implementations route simulated fleets and real OS-process fleets.
 type Endpoint interface {
 	// QueueDepth is how many requests are waiting for a worker (for a
 	// remote backend: queued at the proxy).
@@ -28,22 +26,22 @@ type Endpoint interface {
 }
 
 // RoutingPolicy decides which endpoint serves a request the affinity map
-// does not already pin. Policies are invoked OUTSIDE the balancer's lock
-// (so routing hot paths never serialize on it) and may be called
-// concurrently — implementations must be concurrency-safe. Candidate
-// slices are the healthy endpoints, or every endpoint when none is
-// healthy (the fallback path: the request must reach some node to fail
-// honestly); they are only valid for the duration of the call.
+// does not already pin. It sees only the request's operation and the
+// candidates. The reverse proxy's router calls it from many goroutines at
+// once, so implementations must be concurrency-safe. Candidate slices are
+// the healthy endpoints, or every endpoint when none is healthy (the
+// fallback path: the request must reach some node to fail honestly); they
+// are only valid for the duration of the call.
 type RoutingPolicy interface {
 	Name() string
-	// RouteNew picks the endpoint for a request with no session
-	// affinity. A non-nil error rejects the request instead (admission
-	// control); no endpoint is charged.
-	RouteNew(req *workload.Request, cands []Endpoint) (Endpoint, error)
+	// RouteNew picks the endpoint for a request of operation op with no
+	// session affinity. A non-nil error rejects the request instead
+	// (admission control); no endpoint is charged.
+	RouteNew(op string, cands []Endpoint) (Endpoint, error)
 	// RouteSpill picks the failover target for an established session
 	// redirected away from its draining or down affinity endpoint.
 	// Established sessions are never shed, so spill cannot fail.
-	RouteSpill(req *workload.Request, cands []Endpoint) Endpoint
+	RouteSpill(cands []Endpoint) Endpoint
 }
 
 // RoundRobinPolicy is the paper's static discipline: even distribution
@@ -62,12 +60,12 @@ func NewRoundRobin() *RoundRobinPolicy { return &RoundRobinPolicy{} }
 func (p *RoundRobinPolicy) Name() string { return "round-robin" }
 
 // RouteNew implements RoutingPolicy.
-func (p *RoundRobinPolicy) RouteNew(req *workload.Request, cands []Endpoint) (Endpoint, error) {
+func (p *RoundRobinPolicy) RouteNew(op string, cands []Endpoint) (Endpoint, error) {
 	return cands[int((p.rrNew.Add(1)-1)%uint64(len(cands)))], nil
 }
 
 // RouteSpill implements RoutingPolicy.
-func (p *RoundRobinPolicy) RouteSpill(req *workload.Request, cands []Endpoint) Endpoint {
+func (p *RoundRobinPolicy) RouteSpill(cands []Endpoint) Endpoint {
 	return cands[int((p.rrSpill.Add(1)-1)%uint64(len(cands)))]
 }
 
@@ -93,12 +91,12 @@ func leastLoaded(cands []Endpoint) Endpoint {
 }
 
 // RouteNew implements RoutingPolicy.
-func (LeastLoadedPolicy) RouteNew(req *workload.Request, cands []Endpoint) (Endpoint, error) {
+func (LeastLoadedPolicy) RouteNew(op string, cands []Endpoint) (Endpoint, error) {
 	return leastLoaded(cands), nil
 }
 
 // RouteSpill implements RoutingPolicy.
-func (LeastLoadedPolicy) RouteSpill(req *workload.Request, cands []Endpoint) Endpoint {
+func (LeastLoadedPolicy) RouteSpill(cands []Endpoint) Endpoint {
 	return leastLoaded(cands)
 }
 
@@ -153,8 +151,8 @@ func IsLoginOp(op string) bool {
 }
 
 // RouteNew implements RoutingPolicy.
-func (p *SheddingPolicy) RouteNew(req *workload.Request, cands []Endpoint) (Endpoint, error) {
-	if IsLoginOp(req.Op) {
+func (p *SheddingPolicy) RouteNew(op string, cands []Endpoint) (Endpoint, error) {
+	if IsLoginOp(op) {
 		past := 0
 		for _, n := range cands {
 			if n.QueueDepth() > p.watermark() {
@@ -165,12 +163,12 @@ func (p *SheddingPolicy) RouteNew(req *workload.Request, cands []Endpoint) (Endp
 			return nil, &ShedError{After: p.retryAfter()}
 		}
 	}
-	return p.Inner.RouteNew(req, cands)
+	return p.Inner.RouteNew(op, cands)
 }
 
 // RouteSpill implements RoutingPolicy.
-func (p *SheddingPolicy) RouteSpill(req *workload.Request, cands []Endpoint) Endpoint {
-	return p.Inner.RouteSpill(req, cands)
+func (p *SheddingPolicy) RouteSpill(cands []Endpoint) Endpoint {
+	return p.Inner.RouteSpill(cands)
 }
 
 // ShedError is the 503 + Retry-After admission control answers a new
@@ -201,38 +199,27 @@ func RetryAfterSeconds(d time.Duration) int {
 // on recovery signals or for a rolling reboot — has its traffic
 // redirected to the good nodes until it is restored.
 //
-// The balancer's hot path is read-mostly: Route takes only a read lock
-// on the shared RWMutex (affinity hits write nothing), counters are
-// atomics, policies keep their own concurrency-safe cursors and run
-// outside the lock, and candidate slices come from a pool — steady-state
-// routing allocates nothing and never serializes behind a drain flip or
-// a fleet probe. Writers (SetPolicy, SetDrain, affinity assignment and
-// pruning) take the write lock. The nodes themselves belong to the
-// single-threaded simulation kernel: routing reads their queue/busy
-// gauges, but request dispatch must stay on the kernel's thread.
+// A LoadBalancer belongs to the single-threaded simulation kernel, like
+// the nodes whose gauges it reads: routing, drain flips and the control
+// plane's probe all run on the kernel's thread, so it takes no locks.
+// Candidates go into one reused buffer, so routing allocates nothing.
 type LoadBalancer struct {
-	mu       sync.RWMutex
 	nodes    []*Node
 	byName   map[string]*Node
 	affinity map[string]*Node
 	// draining marks nodes the fleet controller asked us to drain.
 	draining map[*Node]bool
 	policy   RoutingPolicy
+	// cands is the candidate buffer handed to the policy on each route.
+	cands []Endpoint
 
 	// Failover enables redirection; with it off, requests keep flowing
 	// to the recovering node (the paper's pre-failover µRB scheme).
-	// Set at construction/experiment setup, before routing traffic.
 	Failover bool
 
-	// stats — atomics so the routing fast path bumps them without
-	// promoting its read lock.
-	failedOver atomic.Int64
-	shed       atomic.Int64
-	pruned     atomic.Int64
-
-	// movedMu guards sessionsMoved (failover spills are rare; a plain
-	// mutex there keeps the hot path's RWMutex uncontended).
-	movedMu       sync.Mutex
+	failedOver    int64
+	shed          int64
+	pruned        int64
 	sessionsMoved map[string]bool
 }
 
@@ -249,6 +236,7 @@ func NewLoadBalancer(nodes []*Node) *LoadBalancer {
 		affinity:      map[string]*Node{},
 		draining:      map[*Node]bool{},
 		policy:        NewRoundRobin(),
+		cands:         make([]Endpoint, 0, len(nodes)),
 		Failover:      true,
 		sessionsMoved: map[string]bool{},
 	}
@@ -258,26 +246,13 @@ func NewLoadBalancer(nodes []*Node) *LoadBalancer {
 func (lb *LoadBalancer) Nodes() []*Node { return lb.nodes }
 
 // SetPolicy installs a routing policy (round-robin when never called).
-func (lb *LoadBalancer) SetPolicy(p RoutingPolicy) {
-	lb.mu.Lock()
-	defer lb.mu.Unlock()
-	lb.policy = p
-}
-
-// PolicyName reports the installed policy.
-func (lb *LoadBalancer) PolicyName() string {
-	lb.mu.RLock()
-	defer lb.mu.RUnlock()
-	return lb.policy.Name()
-}
+func (lb *LoadBalancer) SetPolicy(p RoutingPolicy) { lb.policy = p }
 
 // SetDrain moves the named node into (true) or out of (false) the
 // drained state. The control plane's FleetController is the caller —
 // drain is a fleet-level decision, not something recovery code flips
 // directly. Unknown nodes report false.
 func (lb *LoadBalancer) SetDrain(node string, drain bool) bool {
-	lb.mu.Lock()
-	defer lb.mu.Unlock()
 	n, ok := lb.byName[node]
 	if !ok {
 		return false
@@ -294,9 +269,7 @@ func (lb *LoadBalancer) SetDrain(node string, drain bool) bool {
 // returning the modeled recovery duration — the fleet controller's
 // rolling-rejuvenation actuator.
 func (lb *LoadBalancer) RebootNode(node string) (time.Duration, error) {
-	lb.mu.RLock()
 	n, ok := lb.byName[node]
-	lb.mu.RUnlock()
 	if !ok {
 		return 0, fmt.Errorf("cluster: unknown node %q", node)
 	}
@@ -310,8 +283,6 @@ func (lb *LoadBalancer) RebootNode(node string) (time.Duration, error) {
 // FleetStats implements controlplane.FleetProbe: one load/health sample
 // per node for the plane's per-tick fleet probe.
 func (lb *LoadBalancer) FleetStats() []controlplane.NodeStat {
-	lb.mu.RLock()
-	defer lb.mu.RUnlock()
 	out := make([]controlplane.NodeStat, 0, len(lb.nodes))
 	for _, n := range lb.nodes {
 		completed, failed, _, _ := n.Stats()
@@ -330,62 +301,23 @@ func (lb *LoadBalancer) FleetStats() []controlplane.NodeStat {
 	return out
 }
 
-// FailedOverRequests reports how many requests were redirected away from
-// their affinity node.
-func (lb *LoadBalancer) FailedOverRequests() int64 { return lb.failedOver.Load() }
-
 // SessionsFailedOver reports how many distinct sessions had at least one
 // request redirected.
-func (lb *LoadBalancer) SessionsFailedOver() int {
-	lb.movedMu.Lock()
-	defer lb.movedMu.Unlock()
-	return len(lb.sessionsMoved)
-}
+func (lb *LoadBalancer) SessionsFailedOver() int { return len(lb.sessionsMoved) }
 
 // Shed reports how many requests admission control rejected.
-func (lb *LoadBalancer) Shed() int64 { return lb.shed.Load() }
+func (lb *LoadBalancer) Shed() int64 { return lb.shed }
 
-// AffinitySize reports the live affinity-map population (the leak the
-// pruning exists to prevent).
-func (lb *LoadBalancer) AffinitySize() int {
-	lb.mu.RLock()
-	defer lb.mu.RUnlock()
-	return len(lb.affinity)
-}
-
-// AffinityPruned reports how many affinity entries were retired on
-// logout or session lapse.
-func (lb *LoadBalancer) AffinityPruned() int64 { return lb.pruned.Load() }
-
-// candPool recycles candidate buffers so steady-state routing does not
-// allocate. Buffers start at 16 slots and grow with the fleet. The
-// elements are Endpoint interface values, but a *Node stored in one is a
-// bare pointer word — no per-route boxing allocation.
-var candPool = sync.Pool{New: func() any {
-	b := make([]Endpoint, 0, 16)
-	return &b
-}}
-
-// healthyInto fills a pooled buffer with the nodes that are neither down
-// nor draining. Callers hold lb.mu (read suffices) and must return the
-// buffer with putCands once the policy call is over.
-func (lb *LoadBalancer) healthyInto() *[]Endpoint {
-	buf := candPool.Get().(*[]Endpoint)
-	*buf = (*buf)[:0]
+// healthy refills lb.cands with the nodes that are neither down nor
+// draining.
+func (lb *LoadBalancer) healthy() []Endpoint {
+	lb.cands = lb.cands[:0]
 	for _, n := range lb.nodes {
 		if !n.Down() && !lb.draining[n] {
-			*buf = append(*buf, n)
+			lb.cands = append(lb.cands, n)
 		}
 	}
-	return buf
-}
-
-func putCands(buf *[]Endpoint) {
-	for i := range *buf {
-		(*buf)[i] = nil
-	}
-	*buf = (*buf)[:0]
-	candPool.Put(buf)
+	return lb.cands
 }
 
 // Submit implements workload.Frontend.
@@ -406,50 +338,36 @@ func (lb *LoadBalancer) Submit(req *workload.Request) {
 // submitting it. A non-nil error means admission control rejected the
 // request.
 func (lb *LoadBalancer) Route(req *workload.Request) (*Node, error) {
-	lb.mu.RLock()
-	policy := lb.policy
 	// Established sessions stick to their node.
 	if n, ok := lb.affinity[req.SessionID]; ok {
-		if lb.Failover && (lb.draining[n] || n.Down()) {
-			// Redirect to the good nodes; the policy picks which.
-			good := lb.healthyInto()
-			lb.mu.RUnlock()
-			if len(*good) == 0 {
-				putCands(good)
-				return n, nil
-			}
-			lb.failedOver.Add(1)
-			lb.movedMu.Lock()
-			lb.sessionsMoved[req.SessionID] = true
-			lb.movedMu.Unlock()
-			spill := policy.RouteSpill(req, *good).(*Node)
-			putCands(good)
-			return spill, nil
+		if !lb.Failover || !(lb.draining[n] || n.Down()) {
+			return n, nil
 		}
-		lb.mu.RUnlock()
-		return n, nil
+		// Redirect to the good nodes; the policy picks which. The session
+		// stays pinned to its home node and returns there once restored.
+		good := lb.healthy()
+		if len(good) == 0 {
+			return n, nil
+		}
+		lb.failedOver++
+		lb.sessionsMoved[req.SessionID] = true
+		return lb.policy.RouteSpill(good).(*Node), nil
 	}
 	// New sessions (the request establishing them) go wherever the
 	// policy says; if no node is healthy, any node takes the failure.
-	buf := lb.healthyInto()
-	lb.mu.RUnlock()
-	if len(*buf) == 0 {
-		// lb.nodes is fixed at construction, safe to read unlocked.
+	if len(lb.healthy()) == 0 {
 		for _, n := range lb.nodes {
-			*buf = append(*buf, n)
+			lb.cands = append(lb.cands, n)
 		}
 	}
-	picked, err := policy.RouteNew(req, *buf)
-	putCands(buf)
+	picked, err := lb.policy.RouteNew(req.Op, lb.cands)
 	if err != nil {
-		lb.shed.Add(1)
+		lb.shed++
 		return nil, err
 	}
 	n := picked.(*Node)
 	if IsLoginOp(req.Op) {
-		lb.mu.Lock()
 		lb.affinity[req.SessionID] = n
-		lb.mu.Unlock()
 	}
 	return n, nil
 }
@@ -477,32 +395,15 @@ func (lb *LoadBalancer) noteCompletion(op, sid string, resp workload.Response) {
 	if !gone {
 		return
 	}
-	lb.mu.Lock()
-	defer lb.mu.Unlock()
 	if _, ok := lb.affinity[sid]; ok {
 		delete(lb.affinity, sid)
-		lb.pruned.Add(1)
+		lb.pruned++
 	}
-}
-
-// SessionsOn counts sessions whose affinity points at n.
-func (lb *LoadBalancer) SessionsOn(n *Node) int {
-	lb.mu.RLock()
-	defer lb.mu.RUnlock()
-	count := 0
-	for _, node := range lb.affinity {
-		if node == n {
-			count++
-		}
-	}
-	return count
 }
 
 // ResetFailoverStats clears the failover counters (between experiment
 // phases).
 func (lb *LoadBalancer) ResetFailoverStats() {
-	lb.failedOver.Store(0)
-	lb.movedMu.Lock()
-	defer lb.movedMu.Unlock()
+	lb.failedOver = 0
 	lb.sessionsMoved = map[string]bool{}
 }

@@ -3,7 +3,6 @@ package cluster
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"testing"
 	"time"
 
@@ -78,8 +77,8 @@ func TestLeastLoadedRoutesAroundBacklog(t *testing.T) {
 			t.Fatalf("least-loaded routed to %s, want n1 (the idle node)", n.Name)
 		}
 	}
-	if lb.PolicyName() != "least-loaded" {
-		t.Fatalf("policy name = %q", lb.PolicyName())
+	if lb.policy.Name() != "least-loaded" {
+		t.Fatalf("policy name = %q", lb.policy.Name())
 	}
 }
 
@@ -178,8 +177,8 @@ func TestAffinityPrunedOnLogoutAndLease(t *testing.T) {
 
 	login("s-out", 1)
 	login("s-lapse", 2)
-	if lb.AffinitySize() != 2 {
-		t.Fatalf("affinity = %d, want 2", lb.AffinitySize())
+	if len(lb.affinity) != 2 {
+		t.Fatalf("affinity = %d, want 2", len(lb.affinity))
 	}
 
 	// Logout deletes the stored session — and, with it, the entry.
@@ -190,8 +189,8 @@ func TestAffinityPrunedOnLogoutAndLease(t *testing.T) {
 	if !ok {
 		t.Fatal("logout failed")
 	}
-	if lb.AffinitySize() != 1 {
-		t.Fatalf("affinity after logout = %d, want 1 (regression: entries leaked forever)", lb.AffinitySize())
+	if len(lb.affinity) != 1 {
+		t.Fatalf("affinity after logout = %d, want 1 (regression: entries leaked forever)", len(lb.affinity))
 	}
 
 	// The other session's lease expires; the next request observes the
@@ -204,11 +203,11 @@ func TestAffinityPrunedOnLogoutAndLease(t *testing.T) {
 	if lapseErr == nil {
 		t.Fatal("lapsed session request succeeded")
 	}
-	if lb.AffinitySize() != 0 {
-		t.Fatalf("affinity after lease expiry = %d, want 0", lb.AffinitySize())
+	if len(lb.affinity) != 0 {
+		t.Fatalf("affinity after lease expiry = %d, want 0", len(lb.affinity))
 	}
-	if lb.AffinityPruned() != 2 {
-		t.Fatalf("pruned = %d, want 2", lb.AffinityPruned())
+	if lb.pruned != 2 {
+		t.Fatalf("pruned = %d, want 2", lb.pruned)
 	}
 }
 
@@ -267,73 +266,33 @@ func TestFleetControllerRollingReboot(t *testing.T) {
 	}
 }
 
-// TestLoadBalancerConcurrentDrainRace drives the balancer's routing
-// decision from many goroutines while a fleet-controller stand-in
-// toggles drain state, the plane's probe samples the fleet, and
-// completions prune affinity — the lock coverage a live multi-node
-// front end needs. Run under -race. (The node hand-off itself belongs
-// to the single-threaded simulation kernel, so the test exercises Route
-// rather than Submit.)
-func TestLoadBalancerConcurrentDrainRace(t *testing.T) {
-	k := sim.NewKernel(16)
+// TestSpillKeepsHomePin checks the balancer's spill rule: a session
+// redirected off its drained node is not re-pinned to the spill target,
+// so once the drain lifts its next request goes home. (The reverse
+// proxy's router re-pins on spill instead.)
+func TestSpillKeepsHomePin(t *testing.T) {
+	k := sim.NewKernel(17)
 	nodes := newTestCluster(t, k, 3, func() session.Store { return session.NewFastS() }, NodeConfig{})
 	lb := NewLoadBalancer(nodes)
-	lb.SetPolicy(&SheddingPolicy{Inner: LeastLoadedPolicy{}, QueueWatermark: 4})
 
-	// Pin some sessions first so the spill path runs too.
-	for i := 0; i < 16; i++ {
-		if _, err := lb.Route(&workload.Request{Op: ebid.OpHome, SessionID: fmt.Sprintf("pin-%d", i)}); err != nil {
+	route := func(op string) *Node {
+		t.Helper()
+		n, err := lb.Route(&workload.Request{Op: op, SessionID: "s"})
+		if err != nil {
 			t.Fatal(err)
 		}
+		return n
 	}
-
-	const iters = 2000
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < iters; i++ {
-				sid := fmt.Sprintf("g%d-%d", g, i)
-				if i%2 == 0 {
-					sid = fmt.Sprintf("pin-%d", i%16)
-				}
-				_, _ = lb.Route(&workload.Request{Op: ebid.ViewItem, SessionID: sid})
-			}
-		}(g)
+	home := route(ebid.Authenticate)
+	lb.SetDrain(home.Name, true)
+	if spill := route(ebid.AboutMe); spill == home {
+		t.Fatalf("drained route went to the drained home node %s", home.Name)
 	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < iters; i++ {
-			lb.SetDrain("n0", i%2 == 0)
-			lb.SetDrain("n2", i%3 == 0)
-		}
-	}()
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < iters; i++ {
-			_ = lb.FleetStats()
-			_ = lb.SessionsOn(nodes[1])
-			_ = lb.Shed()
-			_ = lb.AffinitySize()
-		}
-	}()
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < iters; i++ {
-			lb.noteCompletion(ebid.OpLogout, fmt.Sprintf("pin-%d", i%16), workload.Response{})
-			if i%16 == 0 {
-				_, _ = lb.Route(&workload.Request{Op: ebid.OpHome, SessionID: fmt.Sprintf("pin-%d", i%16)})
-			}
-		}
-	}()
-	wg.Wait()
-	lb.SetDrain("n0", false)
-	lb.SetDrain("n2", false)
-	if n, err := lb.Route(&workload.Request{Op: ebid.OpHome, SessionID: "post-race"}); err != nil || n == nil {
-		t.Fatalf("balancer unusable after the storm: %v", err)
+	lb.SetDrain(home.Name, false)
+	if n := route(ebid.AboutMe); n != home {
+		t.Fatalf("route after restore = %s, want home node %s (regression: the spill re-pinned the session)", n.Name, home.Name)
+	}
+	if lb.failedOver != 1 {
+		t.Fatalf("failedOver = %d, want 1", lb.failedOver)
 	}
 }

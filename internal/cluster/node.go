@@ -13,7 +13,10 @@
 // node — behind a pluggable RoutingPolicy (static round-robin,
 // queue-aware least-loaded, shedding admission control). Drain state is
 // owned by the control plane's FleetController, which reacts to recovery
-// signals on the bus; nothing flips the balancer directly anymore.
+// signals on the bus; nothing flips the balancer directly anymore. Like
+// the nodes, the balancer runs on the simulation kernel's one thread and
+// takes no locks; the policies are concurrency-safe because the reverse
+// proxy's router (package fleet) calls them from many goroutines.
 package cluster
 
 import (

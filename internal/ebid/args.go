@@ -1,6 +1,7 @@
 package ebid
 
 import (
+	"math"
 	"strconv"
 	"sync"
 
@@ -24,8 +25,9 @@ type OpArgs struct {
 }
 
 // SetString decodes one URL-style key=value pair into the codec,
-// reporting whether the key is one it carries and its value parsed. The
-// HTTP front end decodes every query key through it.
+// reporting whether the key is one it carries and its value parsed (an
+// amount must also be finite). The HTTP front end decodes every query key
+// through it.
 func (a *OpArgs) SetString(key, val string) bool {
 	switch key {
 	case "user", "item", "category", "region", "rating":
@@ -49,7 +51,7 @@ func (a *OpArgs) SetString(key, val string) bool {
 		return true
 	case "amount":
 		x, err := strconv.ParseFloat(val, 64)
-		if err != nil {
+		if err != nil || math.IsNaN(x) || math.IsInf(x, 0) {
 			return false
 		}
 		a.Amount = x

@@ -13,9 +13,9 @@ import (
 )
 
 // TestRouterPickAllocs is the allocation ceiling of the proxy's routing
-// decision: a new request's candidate slice and policy request come from
-// a pool, and a pinned session's request is a shared-lock map probe and
-// a timestamp. Neither allocates.
+// decision: a new request's candidate slice comes from a pool, and a
+// pinned session's request is a shared-lock map probe and a timestamp.
+// Neither allocates.
 func TestRouterPickAllocs(t *testing.T) {
 	backends := make([]*Backend, 4)
 	for i := range backends {

@@ -18,7 +18,6 @@ import (
 	"repro/internal/ebid"
 	"repro/internal/httpfront"
 	"repro/internal/store/session"
-	"repro/internal/workload"
 )
 
 // Backend is one ebid-server process as seen from the proxy. It
@@ -339,15 +338,9 @@ func (r *Router) sweepAffinity() {
 	r.mu.Unlock()
 }
 
-// routeScratch is what one policy call needs on the heap — policies take
-// the request by pointer and the candidates as a slice, through an
-// interface, so both escape — pooled so that routing allocates nothing.
-type routeScratch struct {
-	req   workload.Request
-	cands []cluster.Endpoint
-}
-
-var scratchPool = sync.Pool{New: func() any { return new(routeScratch) }}
+// candPool recycles candidate slices: a slice handed to a policy through
+// its interface escapes, so pooling it keeps routing allocation-free.
+var candPool = sync.Pool{New: func() any { return new([]cluster.Endpoint) }}
 
 // pick chooses the backend for one request, applying affinity, spill
 // and the routing policy. It may return a ShedError via err.
@@ -356,29 +349,28 @@ func (r *Router) pick(op, sid string) (*Backend, error) {
 	if pinned != nil && pinned.Healthy() && !pinned.Draining() {
 		return pinned, nil
 	}
-	s := scratchPool.Get().(*routeScratch)
+	buf := candPool.Get().(*[]cluster.Endpoint)
+	cands := r.routable((*buf)[:0])
 	defer func() {
-		*s = routeScratch{cands: s.cands[:0]}
-		scratchPool.Put(s)
+		*buf = cands[:0]
+		candPool.Put(buf)
 	}()
-	s.req = workload.Request{Op: op, SessionID: sid}
-	s.cands = r.routable(s.cands)
-	if len(s.cands) == 0 {
+	if len(cands) == 0 {
 		return nil, errors.New("fleet: no backends")
 	}
 	if pinned != nil {
 		// Affinity target gone: spill the established session.
-		if len(s.cands) == 1 && s.cands[0].(*Backend) == pinned {
+		if len(cands) == 1 && cands[0].(*Backend) == pinned {
 			r.lostSessions.Add(1)
 			r.unpin(sid)
 			return nil, errors.New("fleet: no live backend for session")
 		}
-		next := r.policy.RouteSpill(&s.req, s.cands).(*Backend)
+		next := r.policy.RouteSpill(cands).(*Backend)
 		r.pin(sid, next)
 		r.spills.Add(1)
 		return next, nil
 	}
-	picked, err := r.policy.RouteNew(&s.req, s.cands)
+	picked, err := r.policy.RouteNew(op, cands)
 	if err != nil {
 		return nil, err
 	}

@@ -24,6 +24,7 @@ package db
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -194,8 +195,14 @@ func (t *table) validate(r Row) error {
 				return fmt.Errorf("%w: column %s wants string, got %T", ErrBadValue, col.Name, v)
 			}
 		case Float:
-			if _, ok := v.(float64); !ok {
+			fv, ok := v.(float64)
+			if !ok {
 				return fmt.Errorf("%w: column %s wants float64, got %T", ErrBadValue, col.Name, v)
+			}
+			// The WAL's JSON encoding has no NaN or ±Inf: such a row
+			// could commit but never be logged.
+			if math.IsNaN(fv) || math.IsInf(fv, 0) {
+				return fmt.Errorf("%w: column %s value %v is not finite", ErrBadValue, col.Name, fv)
 			}
 		case Bool:
 			if _, ok := v.(bool); !ok {

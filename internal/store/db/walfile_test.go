@@ -2,6 +2,9 @@ package db
 
 import (
 	"bytes"
+	"errors"
+	"math"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -249,6 +252,54 @@ func TestLoadWALSchemalessFirstRecord(t *testing.T) {
 	}
 	if tables := d.Tables(); len(tables) != 0 {
 		t.Fatalf("recovered tables %v from a log with no valid record", tables)
+	}
+}
+
+// TestNonFiniteFloatNeverCommits checks that a Float column refuses NaN
+// and ±Inf. The WAL's JSON encoding cannot carry them, so such a row
+// would commit live while its insert record never reached the sink, and
+// a restart would lose an acknowledged write. Each transaction writes one
+// good row and tries one bad one; the replayed sink must equal the live
+// table.
+func TestNonFiniteFloatNeverCommits(t *testing.T) {
+	var sink bytes.Buffer
+	d := New(NewWALWithSink(&sink))
+	schema := Schema{Name: "bids", Columns: []Column{{Name: "amount", Type: Float}}}
+	if err := d.CreateTable(schema); err != nil {
+		t.Fatal(err)
+	}
+	for i, bad := range []float64{math.Inf(1), math.Inf(-1), math.NaN()} {
+		tx := mustBegin(t, d)
+		if _, err := tx.Insert("bids", Row{"amount": float64(i + 1)}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tx.Insert("bids", Row{"amount": bad}); !errors.Is(err, ErrBadValue) {
+			t.Fatalf("Insert(amount: %v) err = %v, want ErrBadValue", bad, err)
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	loaded, _, err := LoadWAL(bytes.NewReader(sink.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	d2 := New(loaded)
+	if err := d2.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	rows := func(d *DB) map[int64]Row {
+		out := map[int64]Row{}
+		tx := mustBegin(t, d)
+		defer tx.Abort()
+		if err := tx.Scan("bids", func(k int64, r Row) bool { out[k] = r; return true }); err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	if live, replayed := rows(d), rows(d2); len(live) != 3 || !reflect.DeepEqual(live, replayed) {
+		t.Fatalf("replayed sink %v differs from live table %v", replayed, live)
 	}
 }
 
