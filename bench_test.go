@@ -478,3 +478,34 @@ func BenchmarkStoreTxCommit(b *testing.B) {
 		})
 	})
 }
+
+// BenchmarkStoreLookup measures one secondary-index query on the browse
+// dataset's shape: 8000 items over 20 categories, so each category lists
+// 400 item keys (the SearchItemsByCategory query), from a transaction
+// with no writes of its own.
+func BenchmarkStoreLookup(b *testing.B) {
+	d := db.New(nil)
+	cfg := ebid.DefaultDataset()
+	cfg.Users, cfg.Items = 1000, 8000
+	if err := ebid.LoadDataset(d, cfg); err != nil {
+		b.Fatal(err)
+	}
+	categories := make([]any, cfg.Categories)
+	for i := range categories {
+		categories[i] = int64(i + 1)
+	}
+	tx, err := d.Begin()
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer func() { _ = tx.Abort() }()
+	b.ReportAllocs()
+	i := 0
+	for b.Loop() {
+		keys, err := tx.Lookup(ebid.TblItems, "category", categories[i%len(categories)])
+		if err != nil || len(keys) != cfg.Items/cfg.Categories {
+			b.Fatalf("Lookup = %d keys, %v", len(keys), err)
+		}
+		i++
+	}
+}

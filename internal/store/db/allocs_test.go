@@ -43,3 +43,31 @@ func TestCommitAllocs(t *testing.T) {
 		t.Errorf("commit allocates %v times, want <= %d", n, ceiling)
 	}
 }
+
+// TestLookupAllocs is the allocation ceiling of an index query in a
+// transaction with no writes of its own: Lookup hands out the index's
+// live key list, so it allocates nothing however many rows match.
+func TestLookupAllocs(t *testing.T) {
+	d := newUserDB(t)
+	tx := mustBegin(t, d)
+	for i := 0; i < 400; i++ {
+		if _, err := tx.Insert("users", Row{"name": "u", "rating": int64(0), "region": int64(7)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	ro := mustBegin(t, d)
+	defer ro.Abort()
+	var region any = int64(7)
+	lookup := func() {
+		keys, err := ro.Lookup("users", "region", region)
+		if err != nil || len(keys) != 400 {
+			t.Fatalf("Lookup = %d keys, %v; want 400", len(keys), err)
+		}
+	}
+	if n := testing.AllocsPerRun(200, lookup); n != 0 {
+		t.Errorf("Lookup allocates %v times, want 0", n)
+	}
+}

@@ -2,6 +2,7 @@ package db_test
 
 import (
 	"errors"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -177,6 +178,81 @@ func TestConcurrentReadsDuringCommits(t *testing.T) {
 		}
 		_ = tx.Commit()
 	}
+}
+
+// TestLookupResultsStableUnderCommits: readers walk Lookup results while
+// a committer appends, inserts in the middle of and deletes from the same
+// value's key list. A result is the index's live list, so under -race this
+// proves no commit writes into a list a reader holds; each reader also
+// checks that every result is strictly ascending and that the result it
+// held last still equals the copy it saved.
+func TestLookupResultsStableUnderCommits(t *testing.T) {
+	d := kvDB(t) // keys 1..8 under tag "t"
+	const rounds = 300
+	var done atomic.Bool
+	var wg sync.WaitGroup
+	for r := 0; r < 3; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var held, saved []int64
+			for !done.Load() {
+				tx, err := d.Begin()
+				if err != nil {
+					t.Errorf("Begin: %v", err)
+					return
+				}
+				keys, err := tx.Lookup("kv", "tag", "t")
+				if err != nil {
+					t.Errorf("Lookup: %v", err)
+					return
+				}
+				if err := tx.Commit(); err != nil {
+					t.Errorf("read-only Commit: %v", err)
+					return
+				}
+				tx.Recycle()
+				for i := 1; i < len(keys); i++ {
+					if keys[i-1] >= keys[i] {
+						t.Errorf("Lookup = %v: not strictly ascending", keys)
+						return
+					}
+				}
+				if !slices.Equal(held, saved) {
+					t.Errorf("a held Lookup result changed from %v to %v", saved, held)
+					return
+				}
+				held, saved = keys, slices.Clone(keys)
+			}
+		}()
+	}
+	commit := func(write func(tx *db.Tx) error) {
+		tx, err := d.Begin()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := write(tx); err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	row := db.Row{"v": int64(0), "tag": "t"}
+	for i := int64(0); i < rounds; i++ {
+		high, low := 1000+i, 999-i // an append, then a middle insert
+		commit(func(tx *db.Tx) error { return tx.InsertWithKey("kv", high, row) })
+		commit(func(tx *db.Tx) error { return tx.InsertWithKey("kv", low, row) })
+		if i > 0 {
+			gone := high - 1 // alternately the tail and a middle key
+			if i%2 == 0 {
+				gone = low + 1
+			}
+			commit(func(tx *db.Tx) error { return tx.Delete("kv", gone) })
+		}
+	}
+	done.Store(true)
+	wg.Wait()
 }
 
 // TestConcurrentReadsAcrossCrashRecover races readers against full

@@ -18,13 +18,16 @@
 // The store is safe for concurrent use. The read path is concurrent:
 // Get/Lookup/Scan take only a shared lock (Commit keeps exclusivity), rows
 // are immutable once installed, and readers receive the live row, never a
-// copy.
+// copy. Secondary indexes keep each value's row keys as an ascending list
+// that no write changes once published, so Lookup likewise returns the
+// live list: an index query is one map probe, with no copy and no sort.
 package db
 
 import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -125,8 +128,13 @@ var (
 type table struct {
 	schema Schema
 	rows   map[int64]Row
-	// indexes: column name → value key → set of row ids.
-	indexes map[string]map[any]map[int64]struct{}
+	// indexes: column name → value → ascending ids of the rows holding
+	// that value. Lookup hands the live slice to readers, so a published
+	// slice is never written below its length: an id larger than the last
+	// one is appended (past every published length), a middle insert or a
+	// removal builds a new slice, and a value left with no rows is
+	// deleted.
+	indexes map[string]map[any][]int64
 	// locks: row id → owning transaction id (simple exclusive row locks).
 	locks   map[int64]uint64
 	nextKey int64
@@ -136,37 +144,57 @@ func newTable(s Schema) *table {
 	t := &table{
 		schema:  s,
 		rows:    map[int64]Row{},
-		indexes: map[string]map[any]map[int64]struct{}{},
+		indexes: map[string]map[any][]int64{},
 		locks:   map[int64]uint64{},
 		nextKey: 1,
 	}
 	for _, col := range s.Indexes {
-		t.indexes[col] = map[any]map[int64]struct{}{}
+		t.indexes[col] = map[any][]int64{}
 	}
 	return t
 }
 
-func (t *table) indexAdd(id int64, r Row) {
+// indexMove re-indexes row id from its contents from to its contents to,
+// touching only the columns whose value changed. A nil from is an insert,
+// a nil to a delete.
+func (t *table) indexMove(id int64, from, to Row) {
 	for col, idx := range t.indexes {
-		v := r[col]
-		set := idx[v]
-		if set == nil {
-			set = map[int64]struct{}{}
-			idx[v] = set
+		fv, tv := from[col], to[col]
+		if from != nil && to != nil && fv == tv {
+			continue
 		}
-		set[id] = struct{}{}
+		if from != nil {
+			indexRemove(idx, fv, id)
+		}
+		if to != nil {
+			indexAdd(idx, tv, id)
+		}
 	}
 }
 
-func (t *table) indexRemove(id int64, r Row) {
-	for col, idx := range t.indexes {
-		v := r[col]
-		if set := idx[v]; set != nil {
-			delete(set, id)
-			if len(set) == 0 {
-				delete(idx, v)
-			}
-		}
+// indexAdd lists id under value v.
+func indexAdd(idx map[any][]int64, v any, id int64) {
+	s := idx[v]
+	n := len(s)
+	if n == 0 || s[n-1] < id {
+		idx[v] = append(s, id)
+		return
+	}
+	if i, found := slices.BinarySearch(s, id); !found {
+		idx[v] = slices.Concat(s[:i], []int64{id}, s[i:])
+	}
+}
+
+// indexRemove drops id from the list under value v.
+func indexRemove(idx map[any][]int64, v any, id int64) {
+	s := idx[v]
+	i, found := slices.BinarySearch(s, id)
+	switch {
+	case !found:
+	case len(s) == 1:
+		delete(idx, v)
+	default:
+		idx[v] = slices.Concat(s[:i], s[i+1:])
 	}
 }
 
@@ -393,35 +421,23 @@ func (d *DB) Recover() error {
 		switch rec.Kind {
 		case recCreateTable:
 			d.tables[rec.Table] = newTable(*rec.Schema)
-		case recInsert:
+		case recInsert, recUpdate:
 			t := d.tables[rec.Table]
 			if t == nil {
 				return fmt.Errorf("db: WAL references unknown table %q", rec.Table)
 			}
+			t.indexMove(rec.Key, t.rows[rec.Key], rec.Row)
 			t.rows[rec.Key] = rec.Row
-			t.indexAdd(rec.Key, rec.Row)
 			if rec.Key >= t.nextKey {
 				t.nextKey = rec.Key + 1
 			}
-		case recUpdate:
-			t := d.tables[rec.Table]
-			if t == nil {
-				return fmt.Errorf("db: WAL references unknown table %q", rec.Table)
-			}
-			if old, ok := t.rows[rec.Key]; ok {
-				t.indexRemove(rec.Key, old)
-			}
-			t.rows[rec.Key] = rec.Row
-			t.indexAdd(rec.Key, rec.Row)
 		case recDelete:
 			t := d.tables[rec.Table]
 			if t == nil {
 				return fmt.Errorf("db: WAL references unknown table %q", rec.Table)
 			}
-			if old, ok := t.rows[rec.Key]; ok {
-				t.indexRemove(rec.Key, old)
-				delete(t.rows, rec.Key)
-			}
+			t.indexMove(rec.Key, t.rows[rec.Key], nil)
+			delete(t.rows, rec.Key)
 		}
 	}
 	d.crashed.Store(false)

@@ -217,6 +217,29 @@ func TestLookupSeesOwnWrites(t *testing.T) {
 	tx.Abort()
 }
 
+// TestLookupSeesOwnUpdateAway: a row this transaction moved to another
+// value leaves the old value's list and joins the new one's, before the
+// commit as after it.
+func TestLookupSeesOwnUpdateAway(t *testing.T) {
+	d := newUserDB(t)
+	tx := mustBegin(t, d)
+	k, _ := tx.Insert("users", Row{"name": "a", "rating": int64(0), "region": int64(1)})
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	tx2 := mustBegin(t, d)
+	defer tx2.Abort()
+	if err := tx2.Update("users", k, Row{"name": "a", "rating": int64(0), "region": int64(2)}); err != nil {
+		t.Fatal(err)
+	}
+	if keys, _ := tx2.Lookup("users", "region", int64(1)); len(keys) != 0 {
+		t.Fatalf("own update away still listed under the old region: %v", keys)
+	}
+	if keys, _ := tx2.Lookup("users", "region", int64(2)); len(keys) != 1 || keys[0] != k {
+		t.Fatalf("own update missing under the new region: %v", keys)
+	}
+}
+
 func TestIndexMaintainedAcrossUpdate(t *testing.T) {
 	d := newUserDB(t)
 	tx := mustBegin(t, d)
@@ -262,6 +285,42 @@ func TestScan(t *testing.T) {
 	}
 	if len(seen) != 3 || seen[0] != 1 || seen[2] != 3 {
 		t.Fatalf("scan keys = %v, want [1 2 3]", seen)
+	}
+
+	// A large table whose keys arrive in descending order still scans
+	// ascending, its own uncommitted rows merged in.
+	const n = 5000
+	big := New(nil)
+	if err := big.CreateTable(Schema{Name: "big", Columns: []Column{{Name: "v", Type: Int}}}); err != nil {
+		t.Fatal(err)
+	}
+	tx3 := mustBegin(t, big)
+	for k := int64(n); k > 1; k-- {
+		if err := tx3.InsertWithKey("big", k, Row{"v": k}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tx3.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	tx4 := mustBegin(t, big)
+	defer tx4.Abort()
+	if err := tx4.InsertWithKey("big", 1, Row{"v": int64(1)}); err != nil {
+		t.Fatal(err)
+	}
+	want := int64(1)
+	err = tx4.Scan("big", func(k int64, r Row) bool {
+		if k != want || r["v"] != k {
+			t.Fatalf("scan row %d (v=%v), want %d", k, r["v"], want)
+		}
+		want++
+		return true
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want != n+1 {
+		t.Fatalf("scan stopped after %d rows, want %d", want-1, n)
 	}
 }
 

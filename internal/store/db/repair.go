@@ -40,9 +40,8 @@ func (d *DB) CorruptRow(tableName string, key int64, column string, value any) (
 	old := row[column]
 	damaged := row.clone()
 	damaged[column] = value
-	tbl.indexRemove(key, row)
+	tbl.indexMove(key, row, damaged)
 	tbl.rows[key] = damaged
-	tbl.indexAdd(key, damaged)
 	return old, nil
 }
 
@@ -67,11 +66,9 @@ func (d *DB) SwapRows(tableName string, a, b int64) error {
 	if !ok {
 		return fmt.Errorf("%w: %d in %s", ErrNoRow, b, tableName)
 	}
-	tbl.indexRemove(a, ra)
-	tbl.indexRemove(b, rb)
+	tbl.indexMove(a, ra, rb)
+	tbl.indexMove(b, rb, ra)
 	tbl.rows[a], tbl.rows[b] = rb, ra
-	tbl.indexAdd(a, rb)
-	tbl.indexAdd(b, ra)
 	return nil
 }
 
@@ -126,19 +123,14 @@ func (d *DB) RepairTable(tableName string) (int, error) {
 		}
 		switch rec.Kind {
 		case recInsert, recUpdate:
-			if prev, ok := fresh.rows[rec.Key]; ok {
-				fresh.indexRemove(rec.Key, prev)
-			}
+			fresh.indexMove(rec.Key, fresh.rows[rec.Key], rec.Row)
 			fresh.rows[rec.Key] = rec.Row
-			fresh.indexAdd(rec.Key, rec.Row)
 			if rec.Key >= fresh.nextKey {
 				fresh.nextKey = rec.Key + 1
 			}
 		case recDelete:
-			if prev, ok := fresh.rows[rec.Key]; ok {
-				fresh.indexRemove(rec.Key, prev)
-				delete(fresh.rows, rec.Key)
-			}
+			fresh.indexMove(rec.Key, fresh.rows[rec.Key], nil)
+			delete(fresh.rows, rec.Key)
 		}
 	}
 	// Preserve the key allocator high-water mark.

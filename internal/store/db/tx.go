@@ -2,6 +2,7 @@ package db
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 )
 
@@ -357,9 +358,15 @@ func (t *Tx) Delete(tableName string, key int64) error {
 	return nil
 }
 
-// Lookup returns the keys of committed rows whose indexed column equals
-// value. The column must be declared in Schema.Indexes. Uncommitted writes
-// of this transaction are merged in.
+// Lookup returns, in ascending order, the keys of the rows whose indexed
+// column equals value, as this transaction sees them: committed rows
+// merged with its own uncommitted writes. The column must be declared in
+// Schema.Indexes.
+//
+// Like the rows of Get and Scan, the slice is shared and immutable: with
+// no writes of its own to the table, the transaction gets the index's
+// live list, which no later commit changes. Clone it before modifying; an
+// append already reallocates.
 func (t *Tx) Lookup(tableName, column string, value any) ([]int64, error) {
 	t.db.mu.RLock()
 	if err := t.guard(); err != nil {
@@ -376,32 +383,26 @@ func (t *Tx) Lookup(tableName, column string, value any) ([]int64, error) {
 		t.db.mu.RUnlock()
 		return nil, fmt.Errorf("db: no index on %s.%s", tableName, column)
 	}
-	seen := map[int64]bool{}
-	var keys []int64
-	for id := range idx[value] {
-		seen[id] = true
-		keys = append(keys, id)
-	}
+	// Clipped, so a caller's append can never write into the index.
+	keys := slices.Clip(idx[value])
 	t.db.mu.RUnlock()
-	// Merge this transaction's overlay (owner-only state; no lock needed).
-	for id, row := range t.overlay[tableName] {
-		if row == nil {
-			if seen[id] {
-				// deleted by this tx: remove
-				for i, k := range keys {
-					if k == id {
-						keys = append(keys[:i], keys[i+1:]...)
-						break
-					}
-				}
-			}
-			continue
-		}
-		if row[column] == value && !seen[id] {
-			keys = append(keys, id)
+	ov := t.overlay[tableName]
+	if len(ov) == 0 {
+		return keys, nil
+	}
+	// Merge this transaction's overlay (owner-only state; no lock needed)
+	// into a private copy.
+	keys = slices.Clone(keys)
+	for id, row := range ov {
+		i, listed := slices.BinarySearch(keys, id)
+		matches := row != nil && row[column] == value
+		switch {
+		case listed && !matches:
+			keys = slices.Delete(keys, i, i+1)
+		case !listed && matches:
+			keys = slices.Insert(keys, i, id)
 		}
 	}
-	sort64(keys)
 	return keys, nil
 }
 
@@ -429,7 +430,7 @@ func (t *Tx) Scan(tableName string, fn func(key int64, r Row) bool) error {
 			}
 		}
 	}
-	sort64(keys)
+	slices.Sort(keys)
 	for _, k := range keys {
 		row := tbl.rows[k]
 		if ov, ok := t.overlayGet(tableName, k); ok {
@@ -443,14 +444,6 @@ func (t *Tx) Scan(tableName string, fn func(key int64, r Row) bool) error {
 		}
 	}
 	return nil
-}
-
-func sort64(s []int64) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }
 
 // Commit atomically applies the transaction's writes, appends them to the
@@ -491,17 +484,14 @@ func (t *Tx) Commit() error {
 		tbl := d.tables[w.Table]
 		switch w.Kind {
 		case recInsert, recUpdate:
-			if old, ok := tbl.rows[w.Key]; ok {
-				tbl.indexRemove(w.Key, old)
-			}
 			// The row is the transaction's own copy (Insert and Update
 			// clone) and rows are immutable once written, so the table
 			// and the log share it.
+			tbl.indexMove(w.Key, tbl.rows[w.Key], w.Row)
 			tbl.rows[w.Key] = w.Row
-			tbl.indexAdd(w.Key, w.Row)
 		case recDelete:
 			if old, ok := tbl.rows[w.Key]; ok {
-				tbl.indexRemove(w.Key, old)
+				tbl.indexMove(w.Key, old, nil)
 				delete(tbl.rows, w.Key)
 			}
 		}
