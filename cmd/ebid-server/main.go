@@ -45,6 +45,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -204,7 +205,7 @@ func main() {
 	}()
 
 	front.Plane = plane
-	srv := &http.Server{Addr: *addr, Handler: front.Handler()}
+	srv := &httpfront.Server{Handler: front.Handler()}
 
 	// Graceful drain: SIGTERM/SIGINT stop the listener, let in-flight
 	// requests finish up to -drain-timeout, flush the WAL, and exit with
@@ -227,8 +228,12 @@ func main() {
 		done <- code
 	}()
 
+	l, err := net.Listen("tcp", *addr)
+	if err != nil {
+		log.Fatalf("listen: %v", err)
+	}
 	log.Printf("serving on %s (node %s, pid %d)", *addr, front.FleetStats()[0].Node, os.Getpid())
-	if err := srv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
+	if err := srv.Serve(l); err != nil && err != http.ErrServerClosed {
 		log.Fatalf("serve: %v", err)
 	}
 	code := <-done

@@ -30,3 +30,24 @@ func TestViewItemInvokeAllocs(t *testing.T) {
 		t.Errorf("ViewItem invoke allocates %v times per call, want 0", n)
 	}
 }
+
+// TestBrowseRegionsInvokeAllocs is the allocation ceiling of a list
+// operation: BrowseRegions scans the regions table and counts the rows,
+// which it takes as the table's own immutable rows. It measures 6 (Scan's
+// key slice and the growing result slice); copying each row, as the list
+// op once did, measured 22.
+func TestBrowseRegionsInvokeAllocs(t *testing.T) {
+	app, _ := newApp(t)
+	ctx := context.Background()
+	browse := func() {
+		call := core.NewCall(BrowseRegions, "", nil, 0)
+		if _, err := app.Execute(ctx, call); err != nil {
+			t.Fatal(err)
+		}
+		call.Release()
+	}
+	browse()
+	if n := testing.AllocsPerRun(200, browse); n > 8 {
+		t.Errorf("BrowseRegions invoke allocates %v times per call, want <= 8", n)
+	}
+}

@@ -156,13 +156,11 @@ func (e *entity) Serve(ctx context.Context, call *core.Call) (any, error) {
 		if limit <= 0 {
 			limit = 20
 		}
+		// The rows are the table's own, shared and immutable (Scan's
+		// contract): the callers only count them.
 		var rows []db.Row
-		err = tx.Scan(e.table, func(k int64, r db.Row) bool {
-			rr := db.Row{"_key": k}
-			for c, v := range r {
-				rr[c] = v
-			}
-			rows = append(rows, rr)
+		err = tx.Scan(e.table, func(_ int64, r db.Row) bool {
+			rows = append(rows, r)
 			return len(rows) < limit
 		})
 		res = rows

@@ -69,9 +69,10 @@ type BackendStatus struct {
 // Router is the reverse-proxy load balancer: it forwards /ebid/*
 // requests to backend processes, keeps session affinity on the
 // EBIDSESSION cookie, spills established sessions away from dead or
-// draining backends (transparent failover — eBid operations are GETs,
-// so a connection-level failure is safe to retry elsewhere), and
-// answers policy shed decisions with 503 + Retry-After. It implements
+// draining backends (transparent failover: a request is re-sent to a peer
+// after a connection-level failure only if its operation is idempotent or
+// the backend never received it), and answers policy shed decisions with
+// 503 + Retry-After. It implements
 // controlplane.FleetProbe so the control plane's fleet controller
 // observes real processes through the same NodeStat samples it sees in
 // simulation.
@@ -92,6 +93,7 @@ type Router struct {
 	spills       atomic.Int64 // established sessions re-pinned after a backend died
 	shed         atomic.Int64
 	retried      atomic.Int64 // transparent connection-level retries
+	unknown      atomic.Int64 // non-idempotent requests lost with their backend: 502, not re-sent
 
 	pollEvery time.Duration
 	stop      chan struct{}
@@ -233,6 +235,7 @@ func (r *Router) Status() map[string]any {
 		"spilled":         r.spills.Load(),
 		"shed":            r.shed.Load(),
 		"retried":         r.retried.Load(),
+		"unknown_outcome": r.unknown.Load(),
 	}
 }
 
@@ -421,9 +424,9 @@ func (r *Router) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 		if r.forward(w, req, b, op, sid) {
 			return
 		}
-		// Connection-level failure: the backend is gone. Mark it down
-		// now (the poll loop will confirm); pick() handles the spill on
-		// the retry.
+		// A connection-level failure that forward found safe to re-send:
+		// the backend is gone. Mark it down now (the poll loop will
+		// confirm); pick() handles the spill on the retry.
 		b.markDown()
 		b.failed.Add(1)
 		r.retried.Add(1)
@@ -435,23 +438,33 @@ func (r *Router) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 // on the caller's goroutine. It returns true when the request is over —
 // a response of any status was relayed, or an error answered, or the
 // client went away — and false on a connection-level failure (refused,
-// reset, truncated or unparsable head) before anything reached the
-// client: safe to retry on a peer, since every eBid operation is an
-// idempotent GET, and grounds to mark the backend down without waiting
-// for the next poll.
+// reset, truncated or unparsable head) before anything reached the client
+// that is safe to retry on a peer, and grounds to mark the backend down
+// without waiting for the next poll.
+//
+// A request may reach a second backend or a second connection only if
+// its operation is idempotent, or if the dial failed and the backend never
+// saw it: a commit point (CommitBid, RegisterNewUser, ...) that failed
+// after it was sent may have committed before its backend died, so it is
+// answered 502 "outcome unknown" and counted, never re-sent.
 func (r *Router) forward(w http.ResponseWriter, req *http.Request, b *Backend, op, sid string) bool {
 	b.inflight.Add(1)
 	defer b.inflight.Add(-1)
 	ctx := req.Context()
+	info, _ := ebid.Info(op)
+	sent := false // the backend may have read the request
 	c, err := b.getConn(ctx)
 	if err == nil {
+		sent = true
 		var answered bool
 		answered, err = c.exchange(ctx, req, b.addr)
-		if err != nil && c.reused && !answered && ctx.Err() == nil {
+		if err != nil && c.reused && !answered && ctx.Err() == nil && info.Idempotent {
 			// An idle connection the backend closed since its last exchange
 			// (every restart leaves the pool full of them) says nothing
 			// about the backend now: once more on a fresh connection.
+			sent = false
 			if c, err = b.dial(ctx); err == nil {
+				sent = true
 				_, err = c.exchange(ctx, req, b.addr)
 			}
 		}
@@ -462,6 +475,13 @@ func (r *Router) forward(w http.ResponseWriter, req *http.Request, b *Backend, o
 		return true // the client is gone; there is nobody to answer
 	case errors.Is(err, os.ErrDeadlineExceeded):
 		http.Error(w, "fleet: "+b.Name+" did not answer in time", http.StatusBadGateway)
+		return true
+	case sent && !info.Idempotent:
+		r.unknown.Add(1)
+		b.markDown()
+		b.failed.Add(1)
+		http.Error(w, "fleet: "+b.Name+" failed after "+op+" was sent to it: outcome unknown, not re-sent",
+			http.StatusBadGateway)
 		return true
 	default:
 		return false

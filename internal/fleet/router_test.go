@@ -641,6 +641,59 @@ func TestForwardKilledInFlightSpills(t *testing.T) {
 	}
 }
 
+// TestForwardKilledCommitIsNotResent: the backend dies after reading a
+// commit point. It may have committed, so the router answers 502 with an
+// unknown outcome, counts it and marks the backend down, and the peer
+// never sees the request. A commit whose dial is refused never reached the
+// dead backend, and goes to the peer.
+func TestForwardKilledCommitIsNotResent(t *testing.T) {
+	arrived := make(chan struct{})
+	never := make(chan struct{})
+	defer close(never)
+	victim := newRawBackend(t, "127.0.0.1:0", func(head []byte) ([]byte, bool) {
+		if bytes.Contains(head, []byte("/ebid/CommitBid")) {
+			close(arrived)
+			<-never
+		}
+		return []byte("HTTP/1.1 200 OK\r\nContent-Length: 6\r\n\r\nvictim"), false
+	})
+	peer := newRawBackend(t, "127.0.0.1:0", okReply("peer"))
+	r := rawRouter(t, victim, peer)
+	r.pin("s1", r.backends[0])
+	if rec := serveOnce(r, "/ebid/ViewItem?item=1", "s1"); rec.Body.String() != "victim" {
+		t.Fatalf("warm-up answered %d %q", rec.Code, rec.Body)
+	}
+
+	done := make(chan *httptest.ResponseRecorder)
+	go func() { done <- serveOnce(r, "/ebid/CommitBid?amount=10", "s1") }()
+	<-arrived
+	go victim.kill() // returns once never is closed
+	rec := <-done
+	if rec.Code != http.StatusBadGateway || !strings.Contains(rec.Body.String(), "outcome unknown") {
+		t.Fatalf("killed commit: %d %q, want 502 with an unknown outcome", rec.Code, rec.Body)
+	}
+	if n := peer.heads.Load(); n != 0 {
+		t.Fatalf("the peer read %d request heads: the commit was re-sent", n)
+	}
+	if got := r.Status()["unknown_outcome"]; got != int64(1) || r.retried.Load() != 0 {
+		t.Errorf("unknown_outcome %v, retried %d; want 1 and 0", got, r.retried.Load())
+	}
+	if b := r.backends[0]; b.Healthy() || b.failed.Load() != 1 || b.QueueDepth() != 0 {
+		t.Errorf("victim: healthy %v, failed %d, queue depth %d", b.Healthy(), b.failed.Load(), b.QueueDepth())
+	}
+
+	// Dead with no idle connection left, but not yet noticed by a poll.
+	r.backends[0].healthy.Store(true)
+	r.pin("s2", r.backends[0])
+	if rec := serveOnce(r, "/ebid/CommitBid?amount=11", "s2"); rec.Code != http.StatusOK || rec.Body.String() != "peer" {
+		t.Fatalf("commit with a refused dial: %d %q, want 200 from the peer", rec.Code, rec.Body)
+	}
+	if peer.heads.Load() != 1 || r.retried.Load() != 1 || r.Status()["unknown_outcome"] != int64(1) {
+		t.Errorf("peer read %d heads, retried %d, unknown_outcome %v; want 1, 1 and 1",
+			peer.heads.Load(), r.retried.Load(), r.Status()["unknown_outcome"])
+	}
+}
+
 // TestForwardFraming: however the backend frames a response, the client
 // gets the same bytes, and the connection goes back to the pool exactly
 // when it is in a known state and the backend keeps it open.

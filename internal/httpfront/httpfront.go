@@ -10,10 +10,17 @@
 // as its crash and reinit work; the Table 3 cost model is an input to
 // the simulator only.
 //
-// Every request is executed under its http.Request context: the server
+// Every request is executed under its http.Request context: the front
 // binds the execution lease (TTL) as a context deadline, and a
 // microreboot that kills the request's shepherd cancels the context, so
 // a wedged handler unblocks the moment recovery starts.
+//
+// Front.Handler() is the one handler, whatever serves it. cmd/ebid-server
+// serves it on Server, this package's own HTTP/1.1 keep-alive loop, which
+// reads requests with net/http's parser but gives each one
+// context.Background: there, a request's context ends with its lease or a
+// microreboot kill, never because the client disconnected. The benchmark's
+// traced replay mounts the same handler on net/http.
 package httpfront
 
 import (
@@ -281,14 +288,15 @@ func (f *Front) serveOp(w http.ResponseWriter, r *http.Request) {
 	if ttl <= 0 {
 		ttl = DefaultRequestTTL
 	}
-	call := &core.Call{
-		Op:        op,
-		SessionID: f.sessionID(w, r),
-		Args:      args,
-		TTL:       ttl,
-	}
-	// The request context is the root of the call's shepherd: client
-	// disconnects, lease expiry and µRB kills all cancel it.
+	// A pooled root call: its Path keeps its capacity from one request to
+	// the next, so the Via hops append without allocating. Nothing keeps
+	// the call past Observe (the comparison detector replays on a call of
+	// its own), and Release refuses a call a microreboot killed.
+	call := core.NewCall(op, f.sessionID(w, r), args, ttl)
+	defer call.Release()
+	// The request context is the root of the call's shepherd: lease expiry
+	// and µRB kills cancel it. Under Server it is context.Background, so a
+	// client that disconnects does not.
 	body, err := f.App.Execute(r.Context(), call)
 	f.Sampler.Observe(call, workload.Response{Body: body, Err: err})
 	if err != nil {

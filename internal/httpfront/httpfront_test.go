@@ -38,8 +38,7 @@ func newFront(t *testing.T) *Front {
 
 func TestEndToEndHTTPFlow(t *testing.T) {
 	f := newFront(t)
-	srv := httptest.NewServer(f.Handler())
-	defer srv.Close()
+	srv := newServer(t, f.Handler())
 
 	jar := map[string]string{}
 	do := func(method, path string) (*http.Response, string) {
@@ -102,8 +101,7 @@ func TestEndToEndHTTPFlow(t *testing.T) {
 // Retry-After). A 401 would mean a µRB lost a FastS session.
 func TestMicrorebootUnderLoad(t *testing.T) {
 	f := newFront(t)
-	srv := httptest.NewServer(f.Handler())
-	defer srv.Close()
+	srv := newServer(t, f.Handler())
 
 	type urbReply struct {
 		Members    []string `json:"members"`
@@ -243,8 +241,7 @@ func TestMicrorebootUnderLoad(t *testing.T) {
 // (ViewItem's modeled µRB is 446 ms → 1 s at HTTP granularity).
 func TestRetryAfterPropagation(t *testing.T) {
 	f := newFront(t)
-	srv := httptest.NewServer(f.Handler())
-	defer srv.Close()
+	srv := newServer(t, f.Handler())
 
 	rb, err := f.App.Server.BeginMicroreboot(ebid.ViewItem)
 	if err != nil {
@@ -292,8 +289,7 @@ func TestRetryAfterPropagation(t *testing.T) {
 // immediately with 503 + Retry-After.
 func TestKilledInFlightRequestObservesCancellation(t *testing.T) {
 	f := newFront(t)
-	srv := httptest.NewServer(f.Handler())
-	defer srv.Close()
+	srv := newServer(t, f.Handler())
 
 	inj := faults.NewInjector(f.App.Server, f.App.DB, f.App.Sessions)
 	if _, err := inj.Inject(faults.Spec{Kind: faults.InfiniteLoop, Component: ebid.ViewItem}); err != nil {
@@ -360,8 +356,7 @@ func TestKilledInFlightRequestObservesCancellation(t *testing.T) {
 func TestLeaseExpiryReturns504(t *testing.T) {
 	f := newFront(t)
 	f.RequestTTL = 100 * time.Millisecond
-	srv := httptest.NewServer(f.Handler())
-	defer srv.Close()
+	srv := newServer(t, f.Handler())
 
 	inj := faults.NewInjector(f.App.Server, f.App.DB, f.App.Sessions)
 	if _, err := inj.Inject(faults.Spec{Kind: faults.InfiniteLoop, Component: ebid.ViewItem}); err != nil {
@@ -386,8 +381,7 @@ func TestLeaseExpiryReturns504(t *testing.T) {
 // requests (crypto/rand, not timestamps).
 func TestSessionIDsUnique(t *testing.T) {
 	f := newFront(t)
-	srv := httptest.NewServer(f.Handler())
-	defer srv.Close()
+	srv := newServer(t, f.Handler())
 
 	const n = 32
 	ids := make(chan string, n)
@@ -424,8 +418,7 @@ func TestSessionIDsUnique(t *testing.T) {
 
 func TestComponentsEndpoint(t *testing.T) {
 	f := newFront(t)
-	srv := httptest.NewServer(f.Handler())
-	defer srv.Close()
+	srv := newServer(t, f.Handler())
 	resp, err := http.Get(srv.URL + "/admin/components")
 	if err != nil {
 		t.Fatal(err)
@@ -451,8 +444,7 @@ func TestComponentsEndpoint(t *testing.T) {
 
 func TestControlPlaneStatusEndpoint(t *testing.T) {
 	f := newFront(t)
-	srv := httptest.NewServer(f.Handler())
-	defer srv.Close()
+	srv := newServer(t, f.Handler())
 
 	// Without a plane attached, the endpoint is absent.
 	resp, err := http.Get(srv.URL + "/admin/controlplane/status")
@@ -505,8 +497,7 @@ func TestControlPlaneStatusEndpoint(t *testing.T) {
 func TestAdmissionControlShedsNewSessions(t *testing.T) {
 	f := newFront(t)
 	f.ShedWatermark = 1
-	srv := httptest.NewServer(f.Handler())
-	defer srv.Close()
+	srv := newServer(t, f.Handler())
 
 	// Establish a session while the server is idle.
 	resp, err := http.Get(srv.URL + "/ebid/Authenticate?user=3")
@@ -607,8 +598,7 @@ func TestFleetStatusEndpointWithSamplerAndPlane(t *testing.T) {
 			f.Plane.ReportDiscrepancy(op, v.Detail)
 		},
 	}
-	srv := httptest.NewServer(f.Handler())
-	defer srv.Close()
+	srv := newServer(t, f.Handler())
 
 	// One sampled idempotent read against the identical shadow: checked,
 	// no discrepancy.
@@ -655,8 +645,7 @@ func TestFleetStatusEndpointWithSamplerAndPlane(t *testing.T) {
 func TestHealthzReady(t *testing.T) {
 	f := newFront(t)
 	f.Node = "backend-2"
-	srv := httptest.NewServer(f.Handler())
-	defer srv.Close()
+	srv := newServer(t, f.Handler())
 
 	resp, err := http.Get(srv.URL + "/healthz")
 	if err != nil {
@@ -685,8 +674,7 @@ func TestHealthzReady(t *testing.T) {
 // backend loses its per-process session state.
 func TestSessionLapse401(t *testing.T) {
 	f := newFront(t)
-	srv := httptest.NewServer(f.Handler())
-	defer srv.Close()
+	srv := newServer(t, f.Handler())
 
 	req, err := http.NewRequest(http.MethodGet, srv.URL+"/ebid/AboutMe", nil)
 	if err != nil {
