@@ -2,7 +2,10 @@ package ebid
 
 import (
 	"math"
+	"net/url"
+	"slices"
 	"strconv"
+	"strings"
 	"sync"
 
 	"repro/internal/store/db"
@@ -58,6 +61,50 @@ func (a *OpArgs) SetString(key, val string) bool {
 		return true
 	}
 	return false
+}
+
+// argKeys are the keys SetString carries; SetQuery tracks which of them
+// have had their first value by their index here.
+var argKeys = [...]string{"user", "item", "category", "region", "rating", "amount"}
+
+// SetQuery decodes a URL query (a URL's RawQuery) onto the codec exactly as
+// url.ParseQuery followed by SetString(key, values[0]) for each key would,
+// without building the url.Values map: a pair holding ';' is dropped, as
+// is one whose key or value does not unescape; a key's first remaining
+// pair is the one SetString sees, and its later pairs are ignored. Only a
+// key or value holding '%' or '+' is unescaped.
+func (a *OpArgs) SetQuery(query string) {
+	var seen uint8 // bit i: argKeys[i] has had its first value
+	for query != "" {
+		var pair string
+		pair, query, _ = strings.Cut(query, "&")
+		if pair == "" || strings.IndexByte(pair, ';') >= 0 {
+			continue
+		}
+		key, val, _ := strings.Cut(pair, "=")
+		key, ok := queryUnescape(key)
+		if !ok {
+			continue
+		}
+		i := slices.Index(argKeys[:], key)
+		if i < 0 || seen&(1<<i) != 0 {
+			continue // not an argument, or not its first value
+		}
+		if val, ok = queryUnescape(val); ok {
+			seen |= 1 << i
+			a.SetString(key, val)
+		}
+	}
+}
+
+// queryUnescape is url.QueryUnescape, skipped for a string with nothing to
+// unescape.
+func queryUnescape(s string) (string, bool) {
+	if strings.IndexByte(s, '%') < 0 && strings.IndexByte(s, '+') < 0 {
+		return s, true
+	}
+	s, err := url.QueryUnescape(s)
+	return s, err == nil
 }
 
 // EntityArgs is the typed argument codec for entity sub-operations (the

@@ -3,6 +3,7 @@ package ebid
 import (
 	"context"
 	"math"
+	"net/url"
 	"strconv"
 	"strings"
 	"testing"
@@ -163,6 +164,32 @@ func FuzzOpArgsSetString(f *testing.F) {
 		}
 		if got != want {
 			t.Fatalf("SetString(%q, %q): codec %+v, want %+v", key, val, got, want)
+		}
+	})
+}
+
+// FuzzDecodeArgs is the differential check of SetQuery: for any query,
+// the codec it fills equals the one that url.ParseQuery followed by
+// SetString(key, values[0]) for each key fills.
+func FuzzDecodeArgs(f *testing.F) {
+	for _, q := range []string{
+		"item=7", "user=3&item=9&category=2&region=4&rating=-1&amount=12.5",
+		"item=%37", "item=x&item=8", "item=8&item=9", "item=%zz&item=5",
+		"amount=1+2", "amount=%2B3", "it%65m=4", "item=4;region=2&region=3",
+		"&&item=&=5&item", "rating=0&rating=2", "amount=NaN&amount=3",
+		"item=6#frag", "item=?6&user=1?", "ite+m=3", "",
+	} {
+		f.Add(q)
+	}
+	f.Fuzz(func(t *testing.T, query string) {
+		var got, want OpArgs
+		got.SetQuery(query)
+		vals, _ := url.ParseQuery(query)
+		for k, v := range vals {
+			want.SetString(k, v[0])
+		}
+		if got != want {
+			t.Fatalf("SetQuery(%q) = %+v, url.ParseQuery gives %+v", query, got, want)
 		}
 	})
 }

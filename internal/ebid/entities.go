@@ -156,14 +156,13 @@ func (e *entity) Serve(ctx context.Context, call *core.Call) (any, error) {
 		if limit <= 0 {
 			limit = 20
 		}
-		// The rows are the table's own, shared and immutable (Scan's
-		// contract): the callers only count them.
-		var rows []db.Row
-		err = tx.Scan(e.table, func(_ int64, r db.Row) bool {
-			rows = append(rows, r)
-			return len(rows) < limit
+		// The callers only count the rows, so the result is the count.
+		n := 0
+		err = tx.Scan(e.table, func(int64, db.Row) bool {
+			n++
+			return n < limit
 		})
-		res = rows
+		res = n
 	default:
 		return nil, finishTx(tx, auto, fmt.Errorf("ebid: %s: unknown entity op %q", e.table, call.Op))
 	}

@@ -218,7 +218,7 @@ func opBrowseCategories(ctx context.Context, env *core.Env, call *core.Call) (an
 	if err != nil {
 		return nil, err
 	}
-	call.SetBodyResult(render().s("<html>").n(len(res.([]db.Row))).s(" categories</html>").doneInterned())
+	call.SetBodyResult(render().s("<html>").n(res.(int)).s(" categories</html>").doneInterned())
 	return core.SlotResult, nil
 }
 
@@ -227,7 +227,7 @@ func opBrowseRegions(ctx context.Context, env *core.Env, call *core.Call) (any, 
 	if err != nil {
 		return nil, err
 	}
-	call.SetBodyResult(render().s("<html>").n(len(res.([]db.Row))).s(" regions</html>").doneInterned())
+	call.SetBodyResult(render().s("<html>").n(res.(int)).s(" regions</html>").doneInterned())
 	return core.SlotResult, nil
 }
 

@@ -17,10 +17,15 @@
 //
 // Front.Handler() is the one handler, whatever serves it. cmd/ebid-server
 // serves it on Server, this package's own HTTP/1.1 keep-alive loop, which
-// reads requests with net/http's parser but gives each one
+// parses eBid's request heads in its read buffer into a request it reuses,
+// hands every other head to http.ReadRequest, and gives each request
 // context.Background: there, a request's context ends with its lease or a
-// microreboot kill, never because the client disconnected. The benchmark's
-// traced replay mounts the same handler on net/http.
+// microreboot kill, never because the client disconnected. A handler run
+// by Server must not keep the request, its URL or its Header after it
+// returns. The benchmark's traced replay mounts the same handler on
+// net/http. The handler sends a known operation's path straight to the
+// operation, which decodes its arguments from the raw query, and routes
+// everything else through a ServeMux.
 package httpfront
 
 import (
@@ -119,9 +124,36 @@ func New(app *ebid.App) *Front {
 // Handler returns the HTTP handler: /ebid/<Operation> for end-user
 // operations, /healthz, /admin/microreboot, /admin/components,
 // /admin/controlplane/status, /admin/fleet/status and /debug/pprof/.
+//
+// A request for /ebid/<Op> whose Op is a known operation, and whose path
+// has no escaped form of its own (URL.RawPath is empty), goes straight to
+// the operation: such a path is already clean, so the mux could only
+// route it there. Every other request goes through the mux, with its
+// redirects of unclean paths and its 404s.
 func (f *Front) Handler() http.Handler {
+	mux := f.mux()
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if op, ok := strings.CutPrefix(r.URL.Path, "/ebid/"); ok && r.URL.RawPath == "" {
+			if _, known := ebid.Info(op); known {
+				f.serveOp(w, r, op)
+				return
+			}
+		}
+		mux.ServeHTTP(w, r)
+	})
+}
+
+// mux routes every path the front serves.
+func (f *Front) mux() *http.ServeMux {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/ebid/", f.serveOp)
+	mux.HandleFunc("/ebid/", func(w http.ResponseWriter, r *http.Request) {
+		op := strings.TrimPrefix(r.URL.Path, "/ebid/")
+		if _, ok := ebid.Info(op); !ok {
+			http.Error(w, "unknown operation "+op, http.StatusNotFound)
+			return
+		}
+		f.serveOp(w, r, op)
+	})
 	mux.HandleFunc("/healthz", f.serveHealthz)
 	mux.HandleFunc("/admin/microreboot", f.serveMicroreboot)
 	mux.HandleFunc("/admin/components", f.serveComponents)
@@ -252,13 +284,9 @@ func (f *Front) sessionID(w http.ResponseWriter, r *http.Request) string {
 	return id
 }
 
-// serveOp dispatches /ebid/<Op>?arg=value... into the application.
-func (f *Front) serveOp(w http.ResponseWriter, r *http.Request) {
-	op := strings.TrimPrefix(r.URL.Path, "/ebid/")
-	if _, ok := ebid.Info(op); !ok {
-		http.Error(w, "unknown operation "+op, http.StatusNotFound)
-		return
-	}
+// serveOp runs the known operation op, the request being
+// /ebid/<op>?arg=value..., in the application.
+func (f *Front) serveOp(w http.ResponseWriter, r *http.Request, op string) {
 	cur := f.inflight.Add(1)
 	defer f.inflight.Add(-1)
 	if f.ShedWatermark > 0 && cur > int64(f.ShedWatermark) {
@@ -279,11 +307,7 @@ func (f *Front) serveOp(w http.ResponseWriter, r *http.Request) {
 	// Decode query args onto the typed codec. Keys it does not carry and
 	// values that fail to parse are dropped: no operation reads them.
 	args := &ebid.OpArgs{}
-	for key, vals := range r.URL.Query() {
-		if len(vals) > 0 {
-			args.SetString(key, vals[0])
-		}
-	}
+	args.SetQuery(r.URL.RawQuery)
 	ttl := f.RequestTTL
 	if ttl <= 0 {
 		ttl = DefaultRequestTTL

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/cookiejar"
 	"net/http/httptest"
+	"regexp"
 	"strconv"
 	"strings"
 	"sync"
@@ -783,5 +784,37 @@ func TestOpResponseIsLengthFramed(t *testing.T) {
 	}
 	if got := rec.Header().Get("Content-Type"); got != "text/html; charset=utf-8" {
 		t.Errorf("Content-Type = %q", got)
+	}
+}
+
+// TestOpDispatchMatchesMux pins the op dispatch in front of the mux: for
+// each path, Front.Handler() answers with the status, Location and body
+// the bare mux gives. Known ops on clean paths take the dispatch; the
+// rest — the mux's redirects of unclean or escaped paths, unknown ops and
+// the admin surfaces — go through the mux.
+func TestOpDispatchMatchesMux(t *testing.T) {
+	f := newFront(t)
+	handler, mux := f.Handler(), f.mux()
+	digits := regexp.MustCompile(`[0-9]+`) // the pprof index counts live goroutines
+	for _, target := range []string{
+		"/ebid/ViewItem?item=3", "/ebid/Home", "/ebid/BrowseRegions",
+		"/ebid", "/ebid/", "/ebid//ViewItem", "/ebid/./ViewItem", "/ebid/View%49tem?item=3",
+		"/ebid%2FViewItem?item=3", "/ebid/Nope", "/ebid/ViewItem/extra",
+		"/healthz", "/admin/components", "/debug/pprof/",
+	} {
+		do := func(h http.Handler) (int, string, string) {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, target, nil))
+			body := sessionIDs.ReplaceAllString(rec.Body.String(), "<id>")
+			if strings.HasPrefix(target, "/debug/") || target == "/healthz" {
+				body = digits.ReplaceAllString(body, "N")
+			}
+			return rec.Code, rec.Header().Get("Location"), body
+		}
+		code, loc, body := do(handler)
+		wantCode, wantLoc, wantBody := do(mux)
+		if code != wantCode || loc != wantLoc || body != wantBody {
+			t.Errorf("%s: %d %q %q; the mux answers %d %q %q", target, code, loc, body, wantCode, wantLoc, wantBody)
+		}
 	}
 }

@@ -23,11 +23,23 @@ import (
 // Server serves one http.Handler — in cmd/ebid-server, Front.Handler() —
 // over HTTP/1.1 on its own keep-alive loop: one goroutine per connection,
 // which reads a request, runs the handler, writes the response and reads
-// the next. Requests are read with http.ReadRequest, so net/http's parser
-// and its URL, header and percent-decoding rules apply unchanged; what is
-// left out is http.Server's per-request machinery (a background-read
-// goroutine, a cancellable context, a chunking writer and a header clone
-// per response).
+// the next. What is left out is http.Server's per-request machinery (a
+// background-read goroutine, a cancellable context, a chunking writer and
+// a header clone per response).
+//
+// A request head of the form eBid's clients send — a bodiless GET or HEAD
+// of an origin-form target whose path needs no decoding, with CRLF header
+// lines, wholly in the connection's read buffer — is parsed where it sits,
+// into an http.Request, URL and Header the connection reuses; the string
+// holding the head is its one allocation. Every other head goes to
+// http.ReadRequest unchanged, so bodies, trailers, large heads,
+// percent-encoded paths and malformed heads keep net/http's rules, and
+// FuzzReadHead holds the fast path to what http.ReadRequest gives for the
+// same bytes.
+//
+// A handler must therefore not keep the *http.Request, its URL or its
+// Header after it returns: the next request on the connection refills
+// them. The strings it read from them stay valid.
 //
 // The handler writes into a buffer the connection reuses, and the response
 // goes out in one write when the handler returns: a status line, the
@@ -73,6 +85,9 @@ const (
 	// maxKeptBuffer is the largest response buffer a connection keeps for
 	// its next request; a larger one (a pprof profile) goes to the GC.
 	maxKeptBuffer = 64 << 10
+	// readBufferSize is the size of a connection's read buffer, and so
+	// the largest head the fast path reads.
+	readBufferSize = 4 << 10
 	// lingerTimeout bounds how long a connection closed with unread input
 	// keeps reading it, so that the client sees the response rather than
 	// a reset.
@@ -198,7 +213,8 @@ func (s *Server) newConn(nc net.Conn) *conn {
 		c.remote = ra.String()
 	}
 	c.lr.R = nc
-	c.br = bufio.NewReaderSize(&c.lr, 4<<10)
+	c.br = bufio.NewReaderSize(&c.lr, readBufferSize)
+	c.simple.hdr = http.Header{}
 	c.resp.hdr = http.Header{}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -230,6 +246,7 @@ type conn struct {
 	state  atomic.Int32 // stateActive until the first request is awaited
 	lr     io.LimitedReader
 	br     *bufio.Reader // reads through lr
+	simple simpleRequest // the request the fast path fills
 	resp   response
 }
 
@@ -249,15 +266,18 @@ func (c *conn) serveRequest() bool {
 	if _, err := c.br.Peek(1); err != nil || !c.state.CompareAndSwap(stateIdle, stateActive) {
 		return false // the client left, or Shutdown closed the idle connection
 	}
-	req, err := http.ReadRequest(c.br)
-	if err != nil {
-		if c.lr.N <= 0 {
-			c.refuse(http.StatusRequestHeaderFieldsTooLarge, "")
-			c.lingerClose()
-		} else {
-			c.refuse(http.StatusBadRequest, "")
+	req := c.simple.read(c.br)
+	if req == nil {
+		var err error
+		if req, err = http.ReadRequest(c.br); err != nil {
+			if c.lr.N <= 0 {
+				c.refuse(http.StatusRequestHeaderFieldsTooLarge, "")
+				c.lingerClose()
+			} else {
+				c.refuse(http.StatusBadRequest, "")
+			}
+			return false
 		}
-		return false
 	}
 	c.lr.N = math.MaxInt64
 	switch {
@@ -294,7 +314,7 @@ func (c *conn) serveRequest() bool {
 			closeAfter, linger = true, err == nil // nil: more than the bound is left
 		}
 	}
-	_, err = c.nc.Write(w.finish(closeAfter, c.srv.dateNow()))
+	_, err := c.nc.Write(w.finish(closeAfter, c.srv.dateNow()))
 	w.release()
 	if err != nil || !closeAfter {
 		return err == nil
@@ -517,16 +537,7 @@ func bodyAllowed(status int) bool {
 // validFieldName reports whether k is an RFC 9110 token; a header field
 // whose name is not one is not sent.
 func validFieldName(k string) bool {
-	if k == "" {
-		return false
-	}
-	for i := 0; i < len(k); i++ {
-		c := k[i]
-		if c <= ' ' || c >= 0x7f || strings.IndexByte(`"(),/:;<=>?@[\]{}`, c) >= 0 {
-			return false
-		}
-	}
-	return true
+	return k != "" && allBytes(k, tokenByte)
 }
 
 // appendFieldValue appends a header field value with CR and LF turned into

@@ -99,30 +99,35 @@ func TestServerMatchesNetHTTP(t *testing.T) {
 	defer ref.Close()
 	ours := newServer(t, newFront(t).Handler())
 
-	type step struct{ method, target, body string }
+	// cookie, when set, is sent on a lower-case "cookie:" line by a client
+	// with no cookie jar.
+	type step struct{ method, target, body, cookie string }
 	steps := []step{
-		{"GET", "/ebid/Home", ""},
-		{"GET", "/ebid/ViewItem?item=7", ""},
-		{"GET", "/ebid/ViewItem?item=%37&unknown=x", ""},
-		{"HEAD", "/ebid/ViewItem?item=3", ""},
-		{"GET", "/ebid/BrowseCategories", ""},
-		{"GET", "/ebid/BrowseRegions", ""},
-		{"GET", "/ebid/SearchItemsByCategory?category=2", ""},
-		{"GET", "/ebid/AboutMe", ""}, // 401 before login
-		{"GET", "/ebid/Authenticate?user=3", ""},
-		{"GET", "/ebid/AboutMe", ""},
-		{"GET", "/ebid/MakeBid?item=4", ""},
-		{"GET", "/ebid/CommitBid?amount=12.5", ""},
-		{"GET", "/ebid/ViewBidHistory?item=4", ""},
-		{"POST", "/ebid/ViewItem?item=2", "ignored=body"},
-		{"GET", "/ebid/Nope", ""},
-		{"GET", "/ebid", ""}, // the mux's redirect
-		{"GET", "/nothing/here", ""},
-		{"GET", "/admin/microreboot?component=ViewItem", ""},
-		{"POST", "/admin/microreboot", ""},
-		{"POST", "/admin/microreboot?component=NoSuchComponent", ""},
-		{"GET", "/admin/controlplane/status", ""},
-		{"GET", "/debug/pprof/cmdline", ""},
+		{"GET", "/ebid/Home", "", ""},
+		{"GET", "/ebid/ViewItem?item=7", "", ""},
+		{"GET", "/ebid/ViewItem?item=%37&unknown=x", "", ""},
+		{"GET", "/ebid/View%49tem?item=5", "", ""},                        // read by http.ReadRequest
+		{"GET", "/ebid/ViewItem?item=6;region=1&item=1+2&item=8", "", ""}, // by the fast path
+		{"GET", "/ebid/AboutMe", "", SessionCookie + "=lower-case-line"},  // by the fast path
+		{"HEAD", "/ebid/ViewItem?item=3", "", ""},
+		{"GET", "/ebid/BrowseCategories", "", ""},
+		{"GET", "/ebid/BrowseRegions", "", ""},
+		{"GET", "/ebid/SearchItemsByCategory?category=2", "", ""},
+		{"GET", "/ebid/AboutMe", "", ""}, // 401 before login
+		{"GET", "/ebid/Authenticate?user=3", "", ""},
+		{"GET", "/ebid/AboutMe", "", ""},
+		{"GET", "/ebid/MakeBid?item=4", "", ""},
+		{"GET", "/ebid/CommitBid?amount=12.5", "", ""},
+		{"GET", "/ebid/ViewBidHistory?item=4", "", ""},
+		{"POST", "/ebid/ViewItem?item=2", "ignored=body", ""},
+		{"GET", "/ebid/Nope", "", ""},
+		{"GET", "/ebid", "", ""}, // the mux's redirect
+		{"GET", "/nothing/here", "", ""},
+		{"GET", "/admin/microreboot?component=ViewItem", "", ""},
+		{"POST", "/admin/microreboot", "", ""},
+		{"POST", "/admin/microreboot?component=NoSuchComponent", "", ""},
+		{"GET", "/admin/controlplane/status", "", ""},
+		{"GET", "/debug/pprof/cmdline", "", ""},
 	}
 	client := func() *http.Client {
 		jar, _ := cookiejar.New(nil)
@@ -141,6 +146,10 @@ func TestServerMatchesNetHTTP(t *testing.T) {
 		req, err := http.NewRequest(s.method, base+s.target, body)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if s.cookie != "" {
+			c = &http.Client{}
+			req.Header["cookie"] = []string{s.cookie}
 		}
 		resp, err := c.Do(req)
 		if err != nil {

@@ -128,6 +128,10 @@ var (
 type table struct {
 	schema Schema
 	rows   map[int64]Row
+	// keys lists the keys of rows, ascending, for Scan. It follows the
+	// indexes' rule below: a published slice is never written below its
+	// length.
+	keys []int64
 	// indexes: column name → value → ascending ids of the rows holding
 	// that value. Lookup hands the live slice to readers, so a published
 	// slice is never written below its length: an id larger than the last
@@ -156,8 +160,15 @@ func newTable(s Schema) *table {
 
 // indexMove re-indexes row id from its contents from to its contents to,
 // touching only the columns whose value changed. A nil from is an insert,
-// a nil to a delete.
+// a nil to a delete; they also add id to the table's key list and remove
+// it.
 func (t *table) indexMove(id int64, from, to Row) {
+	switch {
+	case from == nil && to != nil:
+		t.keys = listAdd(t.keys, id)
+	case from != nil && to == nil:
+		t.keys = listRemove(t.keys, id)
+	}
 	for col, idx := range t.indexes {
 		fv, tv := from[col], to[col]
 		if from != nil && to != nil && fv == tv {
@@ -174,28 +185,43 @@ func (t *table) indexMove(id int64, from, to Row) {
 
 // indexAdd lists id under value v.
 func indexAdd(idx map[any][]int64, v any, id int64) {
-	s := idx[v]
-	n := len(s)
-	if n == 0 || s[n-1] < id {
-		idx[v] = append(s, id)
-		return
-	}
-	if i, found := slices.BinarySearch(s, id); !found {
-		idx[v] = slices.Concat(s[:i], []int64{id}, s[i:])
-	}
+	idx[v] = listAdd(idx[v], id)
 }
 
 // indexRemove drops id from the list under value v.
 func indexRemove(idx map[any][]int64, v any, id int64) {
-	s := idx[v]
+	if s := listRemove(idx[v], id); len(s) > 0 {
+		idx[v] = s
+	} else {
+		delete(idx, v)
+	}
+}
+
+// listAdd returns the ascending list s with id in it. An id larger than
+// the last is appended, past every published length; a middle insert
+// builds a new slice.
+func listAdd(s []int64, id int64) []int64 {
+	n := len(s)
+	if n == 0 || s[n-1] < id {
+		return append(s, id)
+	}
+	if i, found := slices.BinarySearch(s, id); !found {
+		return slices.Concat(s[:i], []int64{id}, s[i:])
+	}
+	return s
+}
+
+// listRemove returns the ascending list s without id, in a new slice when
+// s held it.
+func listRemove(s []int64, id int64) []int64 {
 	i, found := slices.BinarySearch(s, id)
 	switch {
 	case !found:
+		return s
 	case len(s) == 1:
-		delete(idx, v)
-	default:
-		idx[v] = slices.Concat(s[:i], s[i+1:])
+		return nil
 	}
+	return slices.Concat(s[:i], s[i+1:])
 }
 
 // validate checks r against the schema. Corrupted writes bypass this via

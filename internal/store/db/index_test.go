@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"maps"
+	"reflect"
 	"slices"
 	"testing"
 )
@@ -11,12 +12,16 @@ import (
 // checkIndexes is the index oracle: it recomputes every secondary index
 // of every table from the table's rows and requires the live index to
 // hold exactly that, each key list strictly ascending, with no value
-// left behind holding an empty list.
+// left behind holding an empty list. The table's own key list must be
+// the ascending keys of its rows.
 func checkIndexes(t *testing.T, d *DB) {
 	t.Helper()
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	for name, tbl := range d.tables {
+		if want := slices.Sorted(maps.Keys(tbl.rows)); !slices.Equal(tbl.keys, want) {
+			t.Fatalf("%s: key list %v, rows say %v", name, tbl.keys, want)
+		}
 		for col, idx := range tbl.indexes {
 			want := map[any][]int64{}
 			for id, r := range tbl.rows {
@@ -131,7 +136,9 @@ func TestLookupResultNeverChanges(t *testing.T) {
 // of writes, commits, aborts, lookups and crashes, against a model of the
 // committed rows and the open transaction's own writes. Every Lookup must
 // match the model, both in the writing transaction and in a fresh one;
-// the index oracle runs after every commit and recovery.
+// after every step, a Scan in the open transaction must give the model's
+// rows in ascending key order; the index oracle runs after every commit
+// and recovery.
 func FuzzIndexOps(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 0, 3, 4, 5, 0, 0, 7, 1, 0})
 	f.Add([]byte{1, 9, 1, 1, 4, 1, 1, 2, 1, 5, 0, 0, 2, 4, 2, 7, 1, 0, 5, 0, 0})
@@ -207,6 +214,23 @@ func indexOps(t *testing.T, ops []byte) {
 			if w := want(v, byG, g); !slices.Equal(got, w) {
 				t.Fatalf("Lookup(%s=%v) = %v, want %v", col, val, got, w)
 			}
+		}
+	}
+	scan := func(tx *Tx, v map[int64]row) {
+		t.Helper()
+		var got []int64
+		err := tx.Scan("t", func(k int64, r Row) bool {
+			if w, ok := v[k]; !ok || !reflect.DeepEqual(r, dbRow(w)) {
+				t.Fatalf("Scan row %d = %v, want %v (present %v)", k, r, dbRow(w), ok)
+			}
+			got = append(got, k)
+			return true
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := slices.Sorted(maps.Keys(v)); !slices.Equal(got, want) {
+			t.Fatalf("Scan keys = %v, want %v", got, want)
 		}
 	}
 	// The model checks cost linear time per op; a bounded stream
@@ -296,6 +320,7 @@ func indexOps(t *testing.T, ops []byte) {
 			checkIndexes(t, d)
 			restart()
 		}
+		scan(tx, view())
 	}
 	_ = tx.Abort()
 	for g := int64(0); g < 4; g++ {

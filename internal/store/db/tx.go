@@ -408,7 +408,9 @@ func (t *Tx) Lookup(tableName, column string, value any) ([]int64, error) {
 
 // Scan calls fn for every committed row (merged with the transaction's
 // overlay) in ascending key order. Rows passed to fn are the live,
-// immutable table rows — fn may retain them but must not mutate.
+// immutable table rows — fn may retain them but must not mutate. With no
+// writes of its own to the table, the transaction walks the table's live
+// key list without allocating.
 func (t *Tx) Scan(tableName string, fn func(key int64, r Row) bool) error {
 	t.db.mu.RLock()
 	defer t.db.mu.RUnlock()
@@ -419,27 +421,37 @@ func (t *Tx) Scan(tableName string, fn func(key int64, r Row) bool) error {
 	if err != nil {
 		return err
 	}
-	keys := make([]int64, 0, len(tbl.rows))
-	for k := range tbl.rows {
-		keys = append(keys, k)
-	}
-	for k, row := range t.overlay[tableName] {
-		if row != nil {
-			if _, exists := tbl.rows[k]; !exists {
-				keys = append(keys, k)
+	ov := t.overlay[tableName]
+	if len(ov) == 0 {
+		for _, k := range tbl.keys {
+			if !fn(k, tbl.rows[k]) {
+				return nil
 			}
 		}
+		return nil
 	}
-	slices.Sort(keys)
-	for _, k := range keys {
-		row := tbl.rows[k]
-		if ov, ok := t.overlayGet(tableName, k); ok {
-			row = ov
+	// The overlay's own inserts, merged into the live list in order; its
+	// updates and deletes replace or hide the rows they name.
+	var added []int64
+	for k, row := range ov {
+		if _, listed := slices.BinarySearch(tbl.keys, k); row != nil && !listed {
+			added = append(added, k)
 		}
-		if row == nil {
-			continue
+	}
+	slices.Sort(added)
+	keys := tbl.keys
+	for len(keys) > 0 || len(added) > 0 {
+		var k int64
+		if len(added) == 0 || len(keys) > 0 && keys[0] < added[0] {
+			k, keys = keys[0], keys[1:]
+		} else {
+			k, added = added[0], added[1:]
 		}
-		if !fn(k, row) {
+		row, mine := ov[k]
+		if !mine {
+			row = tbl.rows[k]
+		}
+		if row != nil && !fn(k, row) {
 			return nil
 		}
 	}
