@@ -311,7 +311,7 @@ func (n *Node) start(p *pending) {
 		if p.done {
 			return
 		}
-		n.completeNow(p, workload.Response{Body: body, Err: err, Retried: p.retries})
+		n.completeNow(p, workload.Response{Body: string(body), Err: err, Retried: p.retries})
 	})
 }
 

@@ -15,6 +15,11 @@
 // Interceptor pipeline before dispatching to the component's container.
 // The shepherding thread of the paper is therefore a context tree: one
 // cancellation kills the whole request, wherever it currently executes.
+// The root Call also carries the request's one response buffer, Body:
+// the component that renders the page appends it there, and a pooled
+// call keeps the buffer's capacity for the next request. A call that a
+// microreboot killed is never pooled again, so no later request writes
+// over its bytes.
 //
 // Microreboot(name) expands the target to its recovery group — the
 // transitive closure of hard inter-component references declared in the
@@ -122,45 +127,30 @@ type Call struct {
 	// meaningful on the root call of a request.
 	shep shepherd
 
-	// Typed result slots: the result-side mirror of the typed arg
-	// codecs. A component whose result is one of the hot shapes (a
-	// rendered body string, a key list) writes it here and returns the
-	// SlotResult sentinel from Serve instead of boxing the value through
-	// `any` — the sentinel is a package variable, so returning it
-	// allocates nothing. Callers that see SlotResult read the slot;
-	// everything else flows through `any`, which is what keeps the
-	// fault-injection interceptors (which fabricate plain `any` results)
-	// working.
-	resBody    string
-	hasResBody bool
+	// Body is the response body buffer of the request, meaningful on the
+	// root call: components append the rendered page to the root call's
+	// Body and return SlotResult. Like Path, it keeps its capacity when
+	// the call is pooled, so rendering into it allocates nothing once it
+	// has grown to the page size.
+	Body []byte
+
+	// The key-list result slot: a component whose result is a key list
+	// writes it here and returns the SlotResult sentinel from Serve
+	// instead of boxing the slice through `any`. Every other result flows
+	// through `any`, which is what keeps the fault-injection interceptors
+	// (which fabricate plain `any` results) working.
 	resKeys    []int64
 	hasResKeys bool
 }
 
 // slotResult is the sentinel type returned (as its package-var instance
-// SlotResult) by components that deposited their result in the call's
-// typed result slots.
+// SlotResult) by components that left their result in the call: a page
+// in the root call's Body, or a key list in the call's result slot.
 type slotResult struct{}
 
-// SlotResult signals "the result is in the call's typed result slots".
+// SlotResult signals "the result is in the call". The sentinel is a
+// package variable, so returning it allocates nothing.
 var SlotResult any = slotResult{}
-
-// SetBodyResult deposits a rendered body string in the call's result
-// slot. Return SlotResult from Serve after calling it.
-func (c *Call) SetBodyResult(body string) {
-	c.resBody = body
-	c.hasResBody = true
-}
-
-// BodyResult reads (and clears) the body result slot.
-func (c *Call) BodyResult() (string, bool) {
-	if !c.hasResBody {
-		return "", false
-	}
-	s := c.resBody
-	c.resBody, c.hasResBody = "", false
-	return s, true
-}
 
 // SetKeysResult deposits a key-list result in the call's result slot.
 // The slice is retained until read or Release; callers hand over
@@ -232,9 +222,9 @@ func (c *Call) Release() bool {
 	c.Args = nil
 	c.TTL = 0
 	c.Path = c.Path[:0] // keep capacity: Via appends stay allocation-free
+	c.Body = c.Body[:0] // likewise for the page rendered into it
 	c.parent = nil
 	c.trackPrev, c.trackNext = nil, nil
-	c.resBody, c.hasResBody = "", false
 	c.resKeys, c.hasResKeys = nil, false
 	callPool.Put(c)
 	return true

@@ -801,3 +801,62 @@ func TestStringers(t *testing.T) {
 		}
 	}
 }
+
+// pageComponent renders its op into the request's body buffer; the op
+// "hold" then blocks until a microreboot kills its call.
+type pageComponent struct{ started chan struct{} }
+
+func (p pageComponent) Init(*Env) error { return nil }
+func (p pageComponent) Stop() error     { return nil }
+func (p pageComponent) Serve(ctx context.Context, call *Call) (any, error) {
+	root := call.Root()
+	root.Body = append(root.Body, call.Op...)
+	if call.Op == "hold" {
+		p.started <- struct{}{}
+		<-ctx.Done()
+		return nil, CancelCause(ctx)
+	}
+	return SlotResult, nil
+}
+
+// A call that a microreboot killed mid-request keeps the bytes it
+// rendered while later pooled requests render theirs: Release refuses
+// it, so no later request is handed its buffer.
+func TestKilledCallKeepsItsBody(t *testing.T) {
+	pc := pageComponent{started: make(chan struct{}, 1)}
+	s := NewServer()
+	if err := s.Deploy(Application{Name: "t", Components: []Descriptor{{
+		Name: "Page", Factory: func() Component { return pc },
+	}}}); err != nil {
+		t.Fatal(err)
+	}
+	killed := NewCall("hold", "", nil, 0)
+	done := make(chan error, 1)
+	go func() {
+		_, err := s.Invoke(bg(), "Page", killed)
+		done <- err
+	}()
+	<-pc.started
+	if _, err := s.Microreboot("Page"); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-done; !errors.Is(err, ErrKilled) {
+		t.Fatalf("held call err = %v, want ErrKilled", err)
+	}
+	if killed.Release() {
+		t.Fatal("Release recycled a killed call")
+	}
+	for i := 0; i < 4; i++ {
+		next := NewCall("next", "", nil, 0)
+		if _, err := s.Invoke(bg(), "Page", next); err != nil {
+			t.Fatal(err)
+		}
+		if string(next.Body) != "next" {
+			t.Fatalf("pooled request rendered %q, want %q", next.Body, "next")
+		}
+		next.Release()
+	}
+	if string(killed.Body) != "hold" {
+		t.Fatalf("killed call's body = %q, want %q", killed.Body, "hold")
+	}
+}

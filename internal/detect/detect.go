@@ -99,7 +99,7 @@ func (c *Comparison) Check(call *core.Call, resp workload.Response) Verdict {
 		return Verdict{Faulty: true, Type: Discrepancy,
 			Detail: "error status differs from known-good instance"}
 	}
-	if goodErr == nil && normalize(goodBody) != normalize(resp.Body) {
+	if goodErr == nil && normalize(string(goodBody)) != normalize(resp.Body) {
 		return Verdict{Faulty: true, Type: Discrepancy,
 			Detail: "body differs from known-good instance"}
 	}

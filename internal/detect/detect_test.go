@@ -62,7 +62,7 @@ func TestComparisonDetectsWrongData(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v := cmp.Check(call, workload.Response{Body: body}); v.Faulty {
+	if v := cmp.Check(call, workload.Response{Body: string(body)}); v.Faulty {
 		t.Fatalf("identical responses flagged: %+v", v)
 	}
 
@@ -85,7 +85,7 @@ func TestComparisonToleratesTimingNondeterminism(t *testing.T) {
 	body, _ := good.Execute(context.Background(), &core.Call{Op: ebid.ViewItem, Args: call.Args})
 	// Perturb only a dollar amount (timing-dependent field): the
 	// normalizer masks decimal amounts before comparing.
-	perturbed := workload.Response{Body: replaceFirstAmount(body)}
+	perturbed := workload.Response{Body: replaceFirstAmount(string(body))}
 	if v := cmp.Check(call, perturbed); v.Faulty {
 		t.Fatalf("timing nondeterminism flagged as failure: %+v", v)
 	}
@@ -116,17 +116,17 @@ func TestSamplerStrideAndEligibility(t *testing.T) {
 	// known-good instance, session reads cannot replay without state,
 	// and failures are the client-side detector's job — a transient 503
 	// replayed here would masquerade as corruption.
-	s.Observe(&core.Call{Op: ebid.CommitBid}, workload.Response{Body: "x"})
-	s.Observe(&core.Call{Op: ebid.AboutMe}, workload.Response{Body: "x"})
-	s.Observe(call, workload.Response{Err: errors.New("503 retry after")})
-	s.Observe(nil, workload.Response{})
+	s.Observe(&core.Call{Op: ebid.CommitBid}, []byte("x"), nil)
+	s.Observe(&core.Call{Op: ebid.AboutMe}, []byte("x"), nil)
+	s.Observe(call, nil, errors.New("503 retry after"))
+	s.Observe(nil, nil, nil)
 	if seen, checked, _ := s.Stats(); seen != 0 || checked != 0 {
 		t.Fatalf("ineligible ops counted: seen=%d checked=%d", seen, checked)
 	}
 
 	// Eight eligible ops at stride 4: exactly two replays.
 	for i := 0; i < 8; i++ {
-		s.Observe(call, workload.Response{Body: body})
+		s.Observe(call, body, nil)
 	}
 	if seen, checked, flaggedN := s.Stats(); seen != 8 || checked != 2 || flaggedN != 0 {
 		t.Fatalf("stride accounting: seen=%d checked=%d flagged=%d, want 8/2/0", seen, checked, flaggedN)
@@ -134,7 +134,7 @@ func TestSamplerStrideAndEligibility(t *testing.T) {
 
 	// A corrupted sampled response is flagged and reported.
 	for i := 0; i < 4; i++ {
-		s.Observe(call, workload.Response{Body: "<html>item 3: SWAPPED, max bid 7.00</html>"})
+		s.Observe(call, []byte("<html>item 3: SWAPPED, max bid 7.00</html>"), nil)
 	}
 	if _, _, flaggedN := s.Stats(); flaggedN != 1 {
 		t.Fatalf("flagged = %d, want 1 (one of the four corrupted ops sampled)", flaggedN)

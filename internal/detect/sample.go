@@ -40,14 +40,15 @@ func (s *Sampler) stride() int64 {
 	return s.Every
 }
 
-// Observe offers one completed operation to the sampler; every
-// stride'th eligible one is replayed and compared. Failed operations
-// are not eligible: the client-side detector already classifies and
-// reports them, and replaying a transient failure (a 503 during
-// recovery, a killed call) would misfile it as corruption — a
-// discrepancy means a response that LOOKED fine but wasn't.
-func (s *Sampler) Observe(call *core.Call, resp workload.Response) {
-	if s == nil || s.Comp == nil || call == nil || resp.Err != nil {
+// Observe offers one completed operation, its body or its error, to the
+// sampler; every stride'th eligible one is replayed and compared, and
+// only that one pays for a copy of the body. Failed operations are not
+// eligible: the client-side detector already classifies and reports
+// them, and replaying a transient failure (a 503 during recovery, a
+// killed call) would misfile it as corruption — a discrepancy means a
+// response that LOOKED fine but wasn't.
+func (s *Sampler) Observe(call *core.Call, body []byte, err error) {
+	if s == nil || s.Comp == nil || call == nil || err != nil {
 		return
 	}
 	info, ok := ebid.Info(call.Op)
@@ -58,7 +59,7 @@ func (s *Sampler) Observe(call *core.Call, resp workload.Response) {
 		return
 	}
 	s.checked.Add(1)
-	if v := s.Comp.Check(call, resp); v.Faulty {
+	if v := s.Comp.Check(call, workload.Response{Body: string(body)}); v.Faulty {
 		s.flagged.Add(1)
 		if s.OnDiscrepancy != nil {
 			s.OnDiscrepancy(call.Op, v)

@@ -31,6 +31,25 @@ func TestViewItemInvokeAllocs(t *testing.T) {
 	}
 }
 
+// TestHomeInvokeAllocs is the allocation ceiling of a static page: the
+// WAR appends it to the call's body buffer, which the pooled call keeps,
+// so a warm Home allocates nothing. Returning the page boxed in `any`
+// measured 1.
+func TestHomeInvokeAllocs(t *testing.T) {
+	app, _ := newApp(t)
+	ctx := context.Background()
+	home := func() {
+		call := core.NewCall(OpHome, "", nil, 0)
+		if _, err := app.Execute(ctx, call); err != nil {
+			t.Fatal(err)
+		}
+		call.Release()
+	}
+	if n := testing.AllocsPerRun(200, home); n != 0 {
+		t.Errorf("Home invoke allocates %v times per call, want 0", n)
+	}
+}
+
 // TestBrowseRegionsInvokeAllocs is the allocation ceiling of a list
 // operation: BrowseRegions scans the regions table and counts the rows.
 // It measures 0: Scan walks the table's live key list and the list op

@@ -48,10 +48,12 @@ func (w *war) Init(env *core.Env) error {
 // Stop implements core.Component.
 func (w *war) Stop() error { return nil }
 
-// Serve implements core.Component: the servlet dispatch.
+// Serve implements core.Component: the servlet dispatch. Every page,
+// static or dynamic, is rendered into the request's body buffer.
 func (w *war) Serve(ctx context.Context, call *core.Call) (any, error) {
-	if page, ok := w.static[call.Op]; ok {
-		return page, nil
+	if static, ok := w.static[call.Op]; ok {
+		page(call).s(static)
+		return core.SlotResult, nil
 	}
 	if call.Op == OpLogout {
 		store, err := sessionStore(w.env)
@@ -63,20 +65,15 @@ func (w *war) Serve(ctx context.Context, call *core.Call) (any, error) {
 				return nil, err
 			}
 		}
-		return "<html>logged out</html>", nil
+		page(call).s("<html>logged out</html>")
+		return core.SlotResult, nil
 	}
 	// Dynamic operations route to the session component of the same
 	// name; the sub-invocation goes through the server's interceptor
-	// pipeline and inherits this request's shepherd context.
+	// pipeline, inherits this request's shepherd context and renders into
+	// this request's body buffer.
 	child := call.Child(call.Op, call.Args)
 	res, err := w.env.Server.Invoke(ctx, call.Op, child)
-	// Propagate a slotted body from the child to this call before the
-	// child is recycled, so the result string never transits `any`.
-	if res == core.SlotResult {
-		if body, ok := child.BodyResult(); ok {
-			call.SetBodyResult(body)
-		}
-	}
 	child.Release()
 	return res, err
 }
@@ -132,29 +129,25 @@ func Assemble() core.Application {
 	return app
 }
 
-// Execute runs one end-user operation through the WAR, returning the
-// response body. The context is the request's shepherd: pass the HTTP
-// request context from real front ends (cancellation propagates into the
-// components) or context.Background() from simulation drivers.
-func (a *App) Execute(ctx context.Context, call *core.Call) (string, error) {
+// Execute runs one end-user operation through the WAR and returns the
+// response body: the call's Body buffer, emptied when the request starts
+// and valid until the call is reused or released. A result other than
+// core.SlotResult (only a fault's fabricated page) is formatted into the
+// same buffer: a string as it is, anything else as fmt.Sprint would. The
+// context is the request's shepherd: pass the HTTP request context from
+// real front ends (cancellation propagates into the components) or
+// context.Background() from simulation drivers.
+func (a *App) Execute(ctx context.Context, call *core.Call) ([]byte, error) {
+	if cap(call.Body) == 0 {
+		call.Body = make([]byte, 0, 128) // fits every eBid page; a pooled call keeps it
+	}
+	call.Body = call.Body[:0]
 	res, err := a.Server.Invoke(ctx, a.warName, call)
 	if err != nil {
-		return "", err
+		return nil, err
 	}
-	// Typed result slot first: ops that rendered a body deposited it on
-	// the call and returned the SlotResult sentinel. The `any` fallback
-	// stays for static pages and for fault-injection interceptors, whose
-	// fabricated results short-circuit the op (the slot is never set, so
-	// injected corruption still reaches the comparison detector).
-	if res == core.SlotResult {
-		if body, ok := call.BodyResult(); ok {
-			return body, nil
-		}
-		return "", nil
+	if res != core.SlotResult {
+		call.Body = fmt.Append(call.Body[:0], res)
 	}
-	body, ok := res.(string)
-	if !ok {
-		return fmt.Sprint(res), nil
-	}
-	return body, nil
+	return call.Body, nil
 }

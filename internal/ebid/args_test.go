@@ -54,7 +54,7 @@ func TestOpArgsReachEveryOp(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", st.op, err)
 		}
-		if !strings.Contains(body, st.want) {
+		if !strings.Contains(string(body), st.want) {
 			t.Fatalf("%s: body %q lacks %q", st.op, body, st.want)
 		}
 	}
@@ -93,7 +93,7 @@ func TestOpArgsMissingBehavesLikeNil(t *testing.T) {
 			if (err == nil) != (errNil == nil) {
 				t.Fatalf("%s(%#v): err=%v, nil-args err=%v", op, args, err, errNil)
 			}
-			if body != bodyNil {
+			if string(body) != string(bodyNil) {
 				t.Fatalf("%s(%#v): body %q != nil-args body %q", op, args, body, bodyNil)
 			}
 		}

@@ -40,7 +40,7 @@ func exec(t *testing.T, app *App, sessID, op string, args *OpArgs) string {
 	if err != nil {
 		t.Fatalf("Execute(%s): %v", op, err)
 	}
-	return body
+	return string(body)
 }
 
 func login(t *testing.T, app *App, sessID string, user int64) {
@@ -94,6 +94,28 @@ func TestStaticAndReadOnlyOps(t *testing.T) {
 	body = exec(t, app, "", SearchItemsByCategory, &OpArgs{Category: 2})
 	if !contains(body, "items") {
 		t.Fatalf("Search body = %q", body)
+	}
+}
+
+// Execute empties the call's body buffer when a request starts, so a
+// plain core.Call that a caller reuses gets each body once, not appended
+// to the last one.
+func TestExecuteOnAReusedCall(t *testing.T) {
+	app, _ := newApp(t)
+	for _, op := range []string{ViewItem, OpHome} {
+		call := &core.Call{Op: op, Args: &OpArgs{Item: 3}}
+		first, err := app.Execute(context.Background(), call)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := string(first)
+		second, err := app.Execute(context.Background(), call)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(second) != want {
+			t.Fatalf("%s on a reused call: %q, want %q", op, second, want)
+		}
 	}
 }
 

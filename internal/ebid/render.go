@@ -3,72 +3,67 @@ package ebid
 import (
 	"fmt"
 	"strconv"
-	"sync"
+
+	"repro/internal/core"
 )
 
-// Pooled response-body rendering.
+// Response-body rendering.
 //
-// Every eBid op used to build its HTML body with fmt.Sprintf, which costs
-// one allocation per verb plus the interface boxing of each argument —
-// the single largest allocation source on the read-dominated invoke path.
-// renderBuf replaces it with a pooled []byte appended to via
-// strconv.Append*, so formatting itself is allocation-free; only the
-// final []byte→string conversion of done() allocates.
+// Every eBid page is appended to its request's own buffer, the root
+// core.Call's Body, through renderBuf: reads, writes, the WAR's static
+// pages and Logout alike. The op then returns core.SlotResult, and
+// App.Execute hands the buffer up as the body. The call keeps the
+// buffer's capacity when it is pooled, so a warm request renders its page
+// without allocating, and the only copy of the page on its way to the
+// wire is the one into the connection's write buffer.
 //
-// Bodies must stay byte-identical to the old fmt.Sprintf output: the
-// detect.Sampler comparison detector diffs live bodies against a shadow
-// replica, so any drift would read as divergence. The any-typed column
-// accessors (anyS/anyI/anyF2) therefore fast-path the schema types and
-// fall back to the fmt verbs for anything else — a corrupted column
-// renders exactly the "%!s(int64=5)"-style noise it always did, which is
-// precisely what the detectors key on. TestRenderGoldenBodies holds this
-// equivalence.
+// Bodies must stay byte-identical to the fmt.Sprintf formats the
+// appenders replaced: the detect.Sampler comparison detector diffs live
+// bodies against a shadow replica, so any drift would read as
+// divergence. The any-typed column accessors (anyS/anyI/anyF2) therefore
+// fast-path the schema types and fall back to the fmt verbs for anything
+// else — a corrupted column renders exactly the "%!s(int64=5)"-style
+// noise it always did, which is precisely what the detectors key on.
+// TestRenderGoldenBodies holds this equivalence.
 
-type renderBuf struct {
-	b []byte
-}
+// renderBuf appends to a body buffer in place.
+type renderBuf []byte
 
-var renderPool = sync.Pool{
-	New: func() any { return &renderBuf{b: make([]byte, 0, 128)} },
-}
-
-// render fetches a pooled builder. Pair with done (or release on error
-// paths that abandon the body).
-func render() *renderBuf {
-	return renderPool.Get().(*renderBuf)
+// page returns the renderer for call's request: its root call's Body.
+func page(call *core.Call) *renderBuf {
+	return (*renderBuf)(&call.Root().Body)
 }
 
 // s appends a literal string.
 func (r *renderBuf) s(v string) *renderBuf {
-	r.b = append(r.b, v...)
+	*r = append(*r, v...)
 	return r
 }
 
 // i appends an int64 as %d.
 func (r *renderBuf) i(v int64) *renderBuf {
-	r.b = strconv.AppendInt(r.b, v, 10)
+	*r = strconv.AppendInt(*r, v, 10)
 	return r
 }
 
 // n appends an int as %d (the len(...) arguments).
 func (r *renderBuf) n(v int) *renderBuf {
-	r.b = strconv.AppendInt(r.b, int64(v), 10)
+	*r = strconv.AppendInt(*r, int64(v), 10)
 	return r
 }
 
 // f2 appends a float64 as %.2f.
 func (r *renderBuf) f2(v float64) *renderBuf {
-	r.b = strconv.AppendFloat(r.b, v, 'f', 2, 64)
+	*r = strconv.AppendFloat(*r, v, 'f', 2, 64)
 	return r
 }
 
 // anyS appends an any-typed value as %s would.
 func (r *renderBuf) anyS(v any) *renderBuf {
 	if s, ok := v.(string); ok {
-		r.b = append(r.b, s...)
-		return r
+		return r.s(s)
 	}
-	r.b = fmt.Appendf(r.b, "%s", v)
+	*r = fmt.Appendf(*r, "%s", v)
 	return r
 }
 
@@ -77,7 +72,7 @@ func (r *renderBuf) anyI(v any) *renderBuf {
 	if i, ok := v.(int64); ok {
 		return r.i(i)
 	}
-	r.b = fmt.Appendf(r.b, "%d", v)
+	*r = fmt.Appendf(*r, "%d", v)
 	return r
 }
 
@@ -86,32 +81,6 @@ func (r *renderBuf) anyF2(v any) *renderBuf {
 	if f, ok := v.(float64); ok {
 		return r.f2(f)
 	}
-	r.b = fmt.Appendf(r.b, "%.2f", v)
+	*r = fmt.Appendf(*r, "%.2f", v)
 	return r
-}
-
-// done materializes the body as a string and recycles the builder. The
-// returned string is safe to retain (it is a fresh copy, not the pooled
-// buffer).
-func (r *renderBuf) done() string {
-	s := string(r.b)
-	r.release()
-	return s
-}
-
-// doneInterned is done() for hot, repetitive bodies: it returns the
-// interned canonical string for the rendered bytes (zero conversions on
-// a hit) and recycles the builder. Semantically identical to done() —
-// same bytes in, same string out — so callers choose purely on body
-// temperature: the read-only view ops intern, everything else copies.
-func (r *renderBuf) doneInterned() string {
-	s := interned.intern(r.b)
-	r.release()
-	return s
-}
-
-// release recycles the builder without materializing a string.
-func (r *renderBuf) release() {
-	r.b = r.b[:0]
-	renderPool.Put(r)
 }

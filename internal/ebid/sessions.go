@@ -187,7 +187,8 @@ func opAuthenticate(ctx context.Context, env *core.Env, call *core.Call) (any, e
 	if err := store.Write(sess); err != nil {
 		return nil, err
 	}
-	return render().s("<html>welcome ").anyS(row["nickname"]).s(" (user ").i(userID).s(")</html>").done(), nil
+	page(call).s("<html>welcome ").anyS(row["nickname"]).s(" (user ").i(userID).s(")</html>")
+	return core.SlotResult, nil
 }
 
 func opAboutMe(ctx context.Context, env *core.Env, call *core.Call) (any, error) {
@@ -208,8 +209,8 @@ func opAboutMe(ctx context.Context, env *core.Env, call *core.Call) (any, error)
 		return nil, err
 	}
 	row := userRes.(db.Row)
-	call.SetBodyResult(render().s("<html>about user ").i(sess.UserID).s(" (").anyS(row["nickname"]).
-		s("): ").n(len(bids)).s(" bids, ").n(len(buys)).s(" buys</html>").doneInterned())
+	page(call).s("<html>about user ").i(sess.UserID).s(" (").anyS(row["nickname"]).
+		s("): ").n(len(bids)).s(" bids, ").n(len(buys)).s(" buys</html>")
 	return core.SlotResult, nil
 }
 
@@ -218,7 +219,7 @@ func opBrowseCategories(ctx context.Context, env *core.Env, call *core.Call) (an
 	if err != nil {
 		return nil, err
 	}
-	call.SetBodyResult(render().s("<html>").n(res.(int)).s(" categories</html>").doneInterned())
+	page(call).s("<html>").n(res.(int)).s(" categories</html>")
 	return core.SlotResult, nil
 }
 
@@ -227,7 +228,7 @@ func opBrowseRegions(ctx context.Context, env *core.Env, call *core.Call) (any, 
 	if err != nil {
 		return nil, err
 	}
-	call.SetBodyResult(render().s("<html>").n(res.(int)).s(" regions</html>").doneInterned())
+	page(call).s("<html>").n(res.(int)).s(" regions</html>")
 	return core.SlotResult, nil
 }
 
@@ -247,7 +248,7 @@ func searchItems(ctx context.Context, env *core.Env, call *core.Call, col string
 			return nil, err
 		}
 	}
-	call.SetBodyResult(render().s("<html>search ").s(col).s("=").i(val).s(": ").n(len(ids)).s(" items</html>").doneInterned())
+	page(call).s("<html>search ").s(col).s("=").i(val).s(": ").n(len(ids)).s(" items</html>")
 	return core.SlotResult, nil
 }
 
@@ -276,13 +277,13 @@ func opViewItem(ctx context.Context, env *core.Env, call *core.Call) (any, error
 			return nil, err
 		}
 		row := old.(db.Row)
-		call.SetBodyResult(render().s("<html>old item ").i(itemID).s(": ").anyS(row["name"]).
-			s(" sold at ").anyF2(row["final_price"]).s("</html>").doneInterned())
+		page(call).s("<html>old item ").i(itemID).s(": ").anyS(row["name"]).
+			s(" sold at ").anyF2(row["final_price"]).s("</html>")
 		return core.SlotResult, nil
 	}
 	row := res.(db.Row)
-	call.SetBodyResult(render().s("<html>item ").i(itemID).s(": ").anyS(row["name"]).
-		s(", max bid ").anyF2(row["max_bid"]).s(", ").anyI(row["nb_bids"]).s(" bids</html>").doneInterned())
+	page(call).s("<html>item ").i(itemID).s(": ").anyS(row["name"]).
+		s(", max bid ").anyF2(row["max_bid"]).s(", ").anyI(row["nb_bids"]).s(" bids</html>")
 	return core.SlotResult, nil
 }
 
@@ -297,8 +298,8 @@ func opViewUserInfo(ctx context.Context, env *core.Env, call *core.Call) (any, e
 		return nil, err
 	}
 	row := res.(db.Row)
-	call.SetBodyResult(render().s("<html>user ").i(userID).s(" (").anyS(row["nickname"]).
-		s("), rating ").anyI(row["rating"]).s(", ").n(len(fb)).s(" comments</html>").doneInterned())
+	page(call).s("<html>user ").i(userID).s(" (").anyS(row["nickname"]).
+		s("), rating ").anyI(row["rating"]).s(", ").n(len(fb)).s(" comments</html>")
 	return core.SlotResult, nil
 }
 
@@ -308,7 +309,7 @@ func opViewBidHistory(ctx context.Context, env *core.Env, call *core.Call) (any,
 	if err != nil {
 		return nil, err
 	}
-	call.SetBodyResult(render().s("<html>item ").i(itemID).s(" bid history: ").n(len(keys)).s(" bids</html>").doneInterned())
+	page(call).s("<html>item ").i(itemID).s(" bid history: ").n(len(keys)).s(" bids</html>")
 	return core.SlotResult, nil
 }
 
@@ -326,7 +327,7 @@ func opMakeBid(ctx context.Context, env *core.Env, call *core.Call) (any, error)
 	if err := store.Write(sess); err != nil {
 		return nil, err
 	}
-	call.SetBodyResult(render().s("<html>bid form for item ").i(itemID).s("</html>").doneInterned())
+	page(call).s("<html>bid form for item ").i(itemID).s("</html>")
 	return core.SlotResult, nil
 }
 
@@ -380,7 +381,8 @@ func opCommitBid(ctx context.Context, env *core.Env, call *core.Call) (any, erro
 	sess.Items = sess.Items[:len(sess.Items)-1]
 	delete(sess.Data, "intent")
 	_ = store.Write(sess)
-	return render().s("<html>bid committed on item ").i(itemID).s(" for ").f2(amount).s("</html>").done(), nil
+	page(call).s("<html>bid committed on item ").i(itemID).s(" for ").f2(amount).s("</html>")
+	return core.SlotResult, nil
 }
 
 func opDoBuyNow(ctx context.Context, env *core.Env, call *core.Call) (any, error) {
@@ -397,7 +399,7 @@ func opDoBuyNow(ctx context.Context, env *core.Env, call *core.Call) (any, error
 	if err := store.Write(sess); err != nil {
 		return nil, err
 	}
-	call.SetBodyResult(render().s("<html>buy-now form for item ").i(itemID).s("</html>").doneInterned())
+	page(call).s("<html>buy-now form for item ").i(itemID).s("</html>")
 	return core.SlotResult, nil
 }
 
@@ -444,7 +446,8 @@ func opCommitBuyNow(ctx context.Context, env *core.Env, call *core.Call) (any, e
 	sess.Items = sess.Items[:len(sess.Items)-1]
 	delete(sess.Data, "intent")
 	_ = store.Write(sess)
-	return render().s("<html>purchase committed for item ").i(itemID).s("</html>").done(), nil
+	page(call).s("<html>purchase committed for item ").i(itemID).s("</html>")
+	return core.SlotResult, nil
 }
 
 func opLeaveUserFeedback(ctx context.Context, env *core.Env, call *core.Call) (any, error) {
@@ -460,7 +463,7 @@ func opLeaveUserFeedback(ctx context.Context, env *core.Env, call *core.Call) (a
 	if err := store.Write(sess); err != nil {
 		return nil, err
 	}
-	call.SetBodyResult(render().s("<html>feedback form for user ").i(target).s("</html>").doneInterned())
+	page(call).s("<html>feedback form for user ").i(target).s("</html>")
 	return core.SlotResult, nil
 }
 
@@ -513,7 +516,8 @@ func opCommitUserFeedback(ctx context.Context, env *core.Env, call *core.Call) (
 	}
 	delete(sess.Data, "fbTarget")
 	_ = store.Write(sess)
-	return render().s("<html>feedback committed for user ").i(target).s("</html>").done(), nil
+	page(call).s("<html>feedback committed for user ").i(target).s("</html>")
+	return core.SlotResult, nil
 }
 
 func opRegisterNewUser(ctx context.Context, env *core.Env, call *core.Call) (any, error) {
@@ -559,7 +563,8 @@ func opRegisterNewUser(ctx context.Context, env *core.Env, call *core.Call) (any
 	if err := store.Write(sess); err != nil {
 		return nil, err
 	}
-	return render().s("<html>registered user ").i(newID).s("</html>").done(), nil
+	page(call).s("<html>registered user ").i(newID).s("</html>")
+	return core.SlotResult, nil
 }
 
 func opRegisterNewItem(ctx context.Context, env *core.Env, call *core.Call) (any, error) {
@@ -599,7 +604,8 @@ func opRegisterNewItem(ctx context.Context, env *core.Env, call *core.Call) (any
 	if err := finish(err); err != nil {
 		return nil, err
 	}
-	return render().s("<html>registered item ").i(newID).s("</html>").done(), nil
+	page(call).s("<html>registered item ").i(newID).s("</html>")
+	return core.SlotResult, nil
 }
 
 // sessionDescriptors returns the deployment descriptors for the 17

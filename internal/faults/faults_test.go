@@ -223,7 +223,7 @@ func TestCorruptSessionAttrsWrongNeedsEJBAndWAR(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if body != "<html>item 1: gadget, max bid 0.01, 1 bids</html>" {
+	if string(body) != "<html>item 1: gadget, max bid 0.01, 1 bids</html>" {
 		t.Fatalf("wrong-mode should silently return wrong data, got %q", body)
 	}
 	// EJB µRB alone is not enough.
@@ -248,7 +248,7 @@ func TestCorruptSessionAttrsWrongNeedsEJBAndWAR(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if body == "<html>item 1: gadget, max bid 0.01, 1 bids</html>" {
+	if string(body) == "<html>item 1: gadget, max bid 0.01, 1 bids</html>" {
 		t.Fatal("still returning wrong data after cure")
 	}
 }

@@ -51,7 +51,9 @@ func TestServeConnAllocs(t *testing.T) {
 
 // TestServeViewItemAllocs is the allocation ceiling of one eBid operation
 // end to end on a connection: a ViewItem from an established session, read
-// by Server and run by Front.Handler(). It measures 3.
+// by Server and run by Front.Handler(). It measures 2: the head's string
+// and the request's ebid.OpArgs. With the handler setting its own
+// Content-Length it measured 3.
 func TestServeViewItemAllocs(t *testing.T) {
 	s := &Server{Handler: newFront(t).Handler()}
 	req := "GET /ebid/ViewItem?item=7 HTTP/1.1\r\nHost: 127.0.0.1:8080\r\nUser-Agent: bench\r\nCookie: EBIDSESSION=http-0123456789abcdef0123456789abcdef\r\n\r\n"
@@ -66,8 +68,8 @@ func TestServeViewItemAllocs(t *testing.T) {
 	if !strings.HasPrefix(out.first, "HTTP/1.1 200 ") {
 		t.Fatalf("ViewItem answered %.40q", out.first)
 	}
-	if allocs := testing.AllocsPerRun(500, serve); allocs > 5 {
-		t.Errorf("a ViewItem allocates %.1f times per request, want <= 5", allocs)
+	if allocs := testing.AllocsPerRun(500, serve); allocs > 4 {
+		t.Errorf("a ViewItem allocates %.1f times per request, want <= 4", allocs)
 	}
 }
 

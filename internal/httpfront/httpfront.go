@@ -25,7 +25,10 @@
 // returns. The benchmark's traced replay mounts the same handler on
 // net/http. The handler sends a known operation's path straight to the
 // operation, which decodes its arguments from the raw query, and routes
-// everything else through a ServeMux.
+// everything else through a ServeMux. An operation's page reaches the
+// wire one way: the application renders it into the request's pooled
+// core.Call, serveOp adds the newline in that same buffer and writes it
+// once, and the server running the handler frames it by its length.
 package httpfront
 
 import (
@@ -40,7 +43,6 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -49,7 +51,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/detect"
 	"repro/internal/ebid"
-	"repro/internal/workload"
 )
 
 // DefaultRequestTTL is the execution lease granted to each HTTP request;
@@ -190,27 +191,15 @@ func (f *Front) serveHealthz(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// cacheStats snapshots the node's one read-path cache, the body-intern
-// cache. Surfaced on both admin status endpoints so cache efficacy is
-// observable on a live fleet, not only in benches.
-func (f *Front) cacheStats() map[string]any {
-	ih, im, ie := ebid.BodyInternStats()
-	return map[string]any{
-		"body_intern": map[string]any{"hits": ih, "misses": im, "entries": ie},
-	}
-}
-
 // serveFleet handles GET /admin/fleet/status: the front's own admission
-// counters, the comparison sampler's, the body-intern cache counters, and
-// — when a fleet controller runs on the plane — its per-node view and
-// rolling-reboot log.
+// counters, the comparison sampler's, and — when a fleet controller runs
+// on the plane — its per-node view and rolling-reboot log.
 func (f *Front) serveFleet(w http.ResponseWriter, r *http.Request) {
 	out := map[string]any{
 		"node":           f.nodeName(),
 		"in_flight":      f.inflight.Load(),
 		"shed":           f.shedded.Load(),
 		"shed_watermark": f.ShedWatermark,
-		"caches":         f.cacheStats(),
 	}
 	if f.Sampler != nil {
 		seen, checked, flagged := f.Sampler.Stats()
@@ -227,9 +216,7 @@ func (f *Front) serveFleet(w http.ResponseWriter, r *http.Request) {
 }
 
 // serveControlPlane handles GET /admin/controlplane/status: the plane's
-// signal counters, each controller's snapshot, and the node's
-// body-intern cache counters. The plane's own keys are preserved verbatim; "caches"
-// rides alongside them.
+// signal counters and each controller's snapshot.
 func (f *Front) serveControlPlane(w http.ResponseWriter, r *http.Request) {
 	if f.Plane == nil {
 		http.Error(w, "no control plane is running", http.StatusNotFound)
@@ -241,7 +228,6 @@ func (f *Front) serveControlPlane(w http.ResponseWriter, r *http.Request) {
 		"ticks":       st.Ticks,
 		"signals":     st.Signals,
 		"controllers": st.Controllers,
-		"caches":      f.cacheStats(),
 	})
 }
 
@@ -312,17 +298,18 @@ func (f *Front) serveOp(w http.ResponseWriter, r *http.Request, op string) {
 	if ttl <= 0 {
 		ttl = DefaultRequestTTL
 	}
-	// A pooled root call: its Path keeps its capacity from one request to
-	// the next, so the Via hops append without allocating. Nothing keeps
-	// the call past Observe (the comparison detector replays on a call of
-	// its own), and Release refuses a call a microreboot killed.
+	// A pooled root call: its Path and Body keep their capacity from one
+	// request to the next, so the Via hops and the page append without
+	// allocating. Nothing keeps the call past the write (the comparison
+	// detector replays on a call of its own), and Release refuses a call a
+	// microreboot killed.
 	call := core.NewCall(op, f.sessionID(w, r), args, ttl)
 	defer call.Release()
 	// The request context is the root of the call's shepherd: lease expiry
 	// and µRB kills cancel it. Under Server it is context.Background, so a
 	// client that disconnects does not.
 	body, err := f.App.Execute(r.Context(), call)
-	f.Sampler.Observe(call, workload.Response{Body: body, Err: err})
+	f.Sampler.Observe(call, body, err)
 	if err != nil {
 		if f.Plane != nil {
 			f.Plane.ReportFailure(op, failureKind(err))
@@ -330,22 +317,15 @@ func (f *Front) serveOp(w http.ResponseWriter, r *http.Request, op string) {
 		f.writeOpError(w, err)
 		return
 	}
-	// An explicit length and one write: the response is length-framed
-	// whatever its size, which is the framing the fleet router's forwarder
-	// relays on its fast path.
-	buf := bodyPool.Get().(*[]byte)
-	*buf = append(append((*buf)[:0], body...), '\n')
-	hdr := w.Header()
-	hdr["Content-Type"] = contentTypeHTML
-	hdr["Content-Length"] = []string{strconv.Itoa(len(*buf))}
-	_, _ = w.Write(*buf) // a failed write means the client left; nothing to report it to
-	bodyPool.Put(buf)
+	// The page gets its newline in the call's own buffer and goes out in
+	// one write. Framing is the server's: Server frames every response by
+	// its length, and net/http does for a body this small.
+	call.Body = append(body, '\n')
+	w.Header()["Content-Type"] = contentTypeHTML
+	_, _ = w.Write(call.Body) // a failed write means the client left; nothing to report it to
 }
 
-var (
-	contentTypeHTML = []string{"text/html; charset=utf-8"}
-	bodyPool        = sync.Pool{New: func() any { return new([]byte) }}
-)
+var contentTypeHTML = []string{"text/html; charset=utf-8"}
 
 // failureKind classifies an invocation failure for the control plane's
 // failure signals, mirroring the categories of writeOpError.

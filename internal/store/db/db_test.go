@@ -716,3 +716,61 @@ func TestTxDoneGuards(t *testing.T) {
 		t.Fatalf("abort after commit err = %v, want ErrTxDone", err)
 	}
 }
+
+// TestWritesCopyTheCallersRow: Insert, InsertWithKey and Update each keep
+// a copy of the row they are given, so a caller that goes on writing to
+// its row — before Commit or after it — changes nothing the database
+// holds: not what Get returns, not what Recover replays from the log.
+func TestWritesCopyTheCallersRow(t *testing.T) {
+	for _, kind := range []string{"Insert", "InsertWithKey", "Update"} {
+		t.Run(kind, func(t *testing.T) {
+			d := newUserDB(t)
+			key := int64(7)
+			if kind == "Update" {
+				tx := mustBegin(t, d)
+				if err := tx.InsertWithKey("users", key, Row{"name": "old", "rating": int64(0), "region": int64(9)}); err != nil {
+					t.Fatal(err)
+				}
+				if err := tx.Commit(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			r := Row{"name": "alice", "rating": int64(5), "region": int64(1)}
+			tx := mustBegin(t, d)
+			var err error
+			switch kind {
+			case "Insert":
+				key, err = tx.Insert("users", r)
+			case "InsertWithKey":
+				err = tx.InsertWithKey("users", key, r)
+			case "Update":
+				err = tx.Update("users", key, r)
+			}
+			if err != nil {
+				t.Fatalf("%s: %v", kind, err)
+			}
+			check := func(when string, tx *Tx) {
+				t.Helper()
+				got, err := tx.Get("users", key)
+				if err != nil {
+					t.Fatalf("%s: Get: %v", when, err)
+				}
+				if got["name"] != "alice" || got["rating"] != int64(5) {
+					t.Fatalf("%s: Get = %v, want the row as it was at %s", when, got, kind)
+				}
+			}
+			r["name"], r["rating"] = "mallory", int64(-5)
+			check("before Commit", tx)
+			if err := tx.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			r["name"], r["rating"] = "eve", int64(-9)
+			check("after Commit", mustBegin(t, d))
+			d.Crash()
+			if err := d.Recover(); err != nil {
+				t.Fatal(err)
+			}
+			check("after Recover", mustBegin(t, d))
+		})
+	}
+}
