@@ -6,6 +6,10 @@
 // reboot is SIGKILL + re-exec of an OS process, and the WAL brings the
 // next incarnation back with everything that was committed.
 //
+// It serves on httpfront.Server, ebid-server's keep-alive loop. A request's
+// context there never ends: a client that hangs up does not cut its
+// backend exchange, which the exchange deadline and the backend bound.
+//
 // Usage:
 //
 //	ebid-proxy [-addr :8080] [-server-bin path] [-backends N] [-base-port P] [-policy round-robin|least-loaded|shed] [-poll-interval D] [-rejuvenate-every D] [-wal-dir dir] [-drain-timeout D] [-server-flags "..."]
@@ -34,6 +38,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"net"
 	"net/http"
 	"os"
 	"os/exec"
@@ -45,6 +50,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/controlplane"
+	"repro/internal/ebid"
 	"repro/internal/fleet"
 	"repro/internal/httpfront"
 )
@@ -140,23 +146,46 @@ func main() {
 		controlplane.FleetConfig{RejuvenateEvery: *rejuvenateEvery, DrainTimeout: *drainTimeout},
 	)
 	plane.Use(fc)
-	planeStop := make(chan struct{})
+	tick := time.NewTicker(tickInterval) // stopped before the fleet is
 	go func() {
-		tick := time.NewTicker(tickInterval)
-		defer tick.Stop()
-		for {
-			select {
-			case <-planeStop:
-				return
-			case <-tick.C:
-				plane.Tick()
-			}
+		for range tick.C {
+			plane.Tick()
 		}
 	}()
 	if *rejuvenateEvery > 0 {
 		log.Printf("rejuvenation: rolling reboot of one backend every %v", *rejuvenateEvery)
 	}
 
+	srv := &httpfront.Server{Handler: newHandler(router, sup, plane, fc, *backends)}
+	sigCh := make(chan os.Signal, 1)
+	signal.Notify(sigCh, syscall.SIGTERM, syscall.SIGINT)
+	l, err := net.Listen("tcp", *addr)
+	if err != nil {
+		sup.Stop()
+		log.Fatalf("ebid-proxy: %v", err)
+	}
+	go func() {
+		if err := srv.Serve(l); err != http.ErrServerClosed {
+			sup.Stop()
+			log.Fatalf("ebid-proxy: %v", err)
+		}
+	}()
+	log.Printf("ebid-proxy: %d × %s behind %s (policy %s, WALs in %s)", *backends, bin, *addr, policy.Name(), dir)
+	log.Printf("ebid-proxy: %v: draining fleet", <-sigCh)
+	ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
+	_ = srv.Shutdown(ctx) // past the deadline the fleet stops under the open connections
+	cancel()
+	tick.Stop()
+	router.Stop()
+	sup.Stop() // SIGTERM each child, SIGKILL stragglers past their drain budget
+	log.Printf("ebid-proxy: fleet stopped")
+}
+
+// newHandler is everything the proxy serves: the router for /ebid/, the
+// admin surface and pprof. A known eBid operation skips the ServeMux match
+// (three allocations), as in Front.Handler. backends is the fleet size
+// /admin/proxy/ready reports.
+func newHandler(router *fleet.Router, sup *fleet.Supervisor, plane *controlplane.Plane, fc *controlplane.FleetController, backends int) http.Handler {
 	mux := http.NewServeMux()
 	mux.Handle("/ebid/", router)
 	mux.HandleFunc("/admin/proxy/status", func(w http.ResponseWriter, r *http.Request) {
@@ -170,7 +199,7 @@ func main() {
 			http.Error(w, "fleet not fully healthy", http.StatusServiceUnavailable)
 			return
 		}
-		writeJSON(w, map[string]any{"ready": true, "backends": *backends})
+		writeJSON(w, map[string]any{"ready": true, "backends": backends})
 	})
 	mux.HandleFunc("/admin/proxy/drain", func(w http.ResponseWriter, r *http.Request) {
 		name := r.URL.Query().Get("backend")
@@ -207,27 +236,15 @@ func main() {
 		writeJSON(w, plane.Status())
 	})
 	httpfront.MountPprof(mux)
-
-	srv := &http.Server{Addr: *addr, Handler: mux}
-	sigCh := make(chan os.Signal, 1)
-	signal.Notify(sigCh, syscall.SIGTERM, syscall.SIGINT)
-	go func() {
-		sig := <-sigCh
-		log.Printf("ebid-proxy: %v: draining fleet", sig)
-		ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
-		defer cancel()
-		_ = srv.Shutdown(ctx)
-	}()
-
-	log.Printf("ebid-proxy: %d × %s behind %s (policy %s, WALs in %s)", *backends, bin, *addr, policy.Name(), dir)
-	if err := srv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
-		sup.Stop()
-		log.Fatalf("ebid-proxy: %v", err)
-	}
-	close(planeStop)
-	router.Stop()
-	sup.Stop() // SIGTERM each child, SIGKILL stragglers past their drain budget
-	log.Printf("ebid-proxy: fleet stopped")
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if op, ok := strings.CutPrefix(r.URL.Path, "/ebid/"); ok && r.URL.RawPath == "" {
+			if _, known := ebid.Info(op); known {
+				router.ServeHTTP(w, r)
+				return
+			}
+		}
+		mux.ServeHTTP(w, r)
+	})
 }
 
 // findServerBin resolves the ebid-server binary: explicit flag, next to

@@ -3,7 +3,6 @@ package fleet
 import (
 	"bufio"
 	"bytes"
-	"context"
 	"errors"
 	"io"
 	"net"
@@ -29,7 +28,6 @@ const (
 
 var (
 	errMalformedHead = errors.New("fleet: malformed response head from backend")
-	aLongTimeAgo     = time.Unix(1, 0)
 	dialer           = net.Dialer{Timeout: exchangeTimeout}
 )
 
@@ -40,26 +38,21 @@ type backendConn struct {
 	nc     net.Conn
 	br     *bufio.Reader
 	bw     *bufio.Writer
-	reused bool        // taken from the idle list: the backend may have closed it since
-	head   respHead    // the response being relayed
-	cut    func()      // fails nc's pending and future I/O; what a cancelled request runs
-	stop   func() bool // deregisters cut from the current request's context
+	reused bool     // taken from the idle list: the backend may have closed it since
+	head   respHead // the response being relayed
 }
 
-func (b *Backend) dial(ctx context.Context) (*backendConn, error) {
-	nc, err := dialer.DialContext(ctx, "tcp", b.addr)
+func (b *Backend) dial() (*backendConn, error) {
+	nc, err := dialer.Dial("tcp", b.addr)
 	if err != nil {
 		return nil, err
 	}
-	return &backendConn{
-		nc: nc, br: bufio.NewReaderSize(nc, 8<<10), bw: bufio.NewWriterSize(nc, 4<<10),
-		cut: func() { _ = nc.SetDeadline(aLongTimeAgo) }, // the conn is closed next; nothing to do on error
-	}, nil
+	return &backendConn{nc: nc, br: bufio.NewReaderSize(nc, 8<<10), bw: bufio.NewWriterSize(nc, 4<<10)}, nil
 }
 
 // getConn takes the most recently used idle connection (the one whose
 // buffers and socket are warmest), or dials.
-func (b *Backend) getConn(ctx context.Context) (*backendConn, error) {
+func (b *Backend) getConn() (*backendConn, error) {
 	b.poolMu.Lock()
 	if n := len(b.idle); n > 0 {
 		c := b.idle[n-1]
@@ -70,7 +63,7 @@ func (b *Backend) getConn(ctx context.Context) (*backendConn, error) {
 		return c, nil
 	}
 	b.poolMu.Unlock()
-	return b.dial(ctx)
+	return b.dial()
 }
 
 // putConn returns a connection whose exchange ended cleanly. A backend
@@ -110,9 +103,12 @@ func (b *Backend) dropIdle() {
 // not passed on (the router refuses bodies, so there is nothing to
 // frame). answered reports whether any response byte arrived. On error
 // the connection has been closed: its state is unknown.
-func (c *backendConn) exchange(ctx context.Context, req *http.Request, host string) (answered bool, err error) {
+//
+// Only the deadline, the backend's lease and its answer end an exchange: a
+// client that hangs up meanwhile is found out when its response is
+// written.
+func (c *backendConn) exchange(req *http.Request, host string) (answered bool, err error) {
 	_ = c.nc.SetDeadline(time.Now().Add(exchangeTimeout)) // fails only on a closed conn, which the write reports
-	c.stop = context.AfterFunc(ctx, c.cut)                // after the deadline, or a cancelled request's cut is overwritten
 	target := req.RequestURI
 	if target == "" || target[0] != '/' {
 		target = req.URL.RequestURI()
@@ -144,7 +140,6 @@ func (c *backendConn) exchange(ctx context.Context, req *http.Request, host stri
 		}
 	}
 	if err != nil {
-		c.stop()
 		c.nc.Close()
 	}
 	return answered, err

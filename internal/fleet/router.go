@@ -436,11 +436,11 @@ func (r *Router) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 
 // forward proxies one request to b over one of its pooled connections,
 // on the caller's goroutine. It returns true when the request is over —
-// a response of any status was relayed, or an error answered, or the
-// client went away — and false on a connection-level failure (refused,
-// reset, truncated or unparsable head) before anything reached the client
-// that is safe to retry on a peer, and grounds to mark the backend down
-// without waiting for the next poll.
+// a response of any status was relayed, or an error answered — and false
+// on a connection-level failure (refused, reset, truncated or unparsable
+// head) before anything reached the client that is safe to retry on a
+// peer, and grounds to mark the backend down without waiting for the next
+// poll.
 //
 // A request may reach a second backend or a second connection only if
 // its operation is idempotent, or if the dial failed and the backend never
@@ -450,29 +450,26 @@ func (r *Router) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 func (r *Router) forward(w http.ResponseWriter, req *http.Request, b *Backend, op, sid string) bool {
 	b.inflight.Add(1)
 	defer b.inflight.Add(-1)
-	ctx := req.Context()
 	info, _ := ebid.Info(op)
 	sent := false // the backend may have read the request
-	c, err := b.getConn(ctx)
+	c, err := b.getConn()
 	if err == nil {
 		sent = true
 		var answered bool
-		answered, err = c.exchange(ctx, req, b.addr)
-		if err != nil && c.reused && !answered && ctx.Err() == nil && info.Idempotent {
+		answered, err = c.exchange(req, b.addr)
+		if err != nil && c.reused && !answered && info.Idempotent {
 			// An idle connection the backend closed since its last exchange
 			// (every restart leaves the pool full of them) says nothing
 			// about the backend now: once more on a fresh connection.
 			sent = false
-			if c, err = b.dial(ctx); err == nil {
+			if c, err = b.dial(); err == nil {
 				sent = true
-				_, err = c.exchange(ctx, req, b.addr)
+				_, err = c.exchange(req, b.addr)
 			}
 		}
 	}
 	switch {
 	case err == nil:
-	case ctx.Err() != nil:
-		return true // the client is gone; there is nobody to answer
 	case errors.Is(err, os.ErrDeadlineExceeded):
 		http.Error(w, "fleet: "+b.Name+" did not answer in time", http.StatusBadGateway)
 		return true
@@ -497,8 +494,7 @@ func (r *Router) forward(w http.ResponseWriter, req *http.Request, b *Backend, o
 	if sid != "" && (status == http.StatusUnauthorized || (op == ebid.OpLogout && status == http.StatusOK)) {
 		r.unpin(sid)
 	}
-	reusable := c.relay(w, req.Method)
-	if c.stop() && reusable {
+	if c.relay(w, req.Method) {
 		b.putConn(c)
 	} else {
 		c.nc.Close()

@@ -3,7 +3,6 @@ package fleet
 import (
 	"bufio"
 	"bytes"
-	"context"
 	"fmt"
 	"io"
 	"net"
@@ -17,6 +16,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/httpfront"
 	"repro/internal/store/session"
 )
 
@@ -373,33 +373,48 @@ func BenchmarkProxyRouteNew(b *testing.B) {
 }
 
 // BenchmarkProxyForward measures one full proxied request over real
-// sockets — the end-to-end hop cost the reverse proxy adds.
+// sockets — the end-to-end hop cost the reverse proxy adds — with the
+// proxy and its backend each on httpfront.Server, as the binaries serve.
 func BenchmarkProxyForward(b *testing.B) {
-	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/admin/fleet/status" {
-			fmt.Fprint(w, `{"in_flight":0}`)
-			return
-		}
-		fmt.Fprint(w, "ok")
-	}))
-	defer backend.Close()
-	r := NewRouter(cluster.LeastLoadedPolicy{}, []*Backend{{Name: "node0", URL: backend.URL}}, time.Hour)
+	backend := serveFront(b, okBackend)
+	r := NewRouter(cluster.LeastLoadedPolicy{}, []*Backend{{Name: "node0", URL: backend}}, time.Hour)
 	r.Start()
 	defer r.Stop()
-	proxy := httptest.NewServer(r)
-	defer proxy.Close()
+	proxy := serveFront(b, r)
 
 	client := &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: 64}}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		resp, err := client.Get(proxy.URL + "/ebid/ViewItem?item=1")
+		resp, err := client.Get(proxy + "/ebid/ViewItem?item=1")
 		if err != nil {
 			b.Fatal(err)
 		}
 		_, _ = io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
 	}
+}
+
+// okBackend answers the health poll and every other request with "ok".
+var okBackend = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	if r.URL.Path == "/admin/fleet/status" {
+		fmt.Fprint(w, `{"in_flight":0}`)
+		return
+	}
+	fmt.Fprint(w, "ok")
+})
+
+// serveFront serves h on httpfront.Server over a loopback listener until
+// the benchmark ends, and returns its URL.
+func serveFront(b *testing.B, h http.Handler) string {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	srv := &httpfront.Server{Handler: h}
+	go srv.Serve(l) // returns once the cleanup closes srv
+	b.Cleanup(func() { srv.Close() })
+	return "http://" + l.Addr().String()
 }
 
 // discardWriter is a reusable minimal http.ResponseWriter.
@@ -517,17 +532,15 @@ func rawRouter(t *testing.T, raws ...*rawBackend) *Router {
 }
 
 // TestRouterForwardAllocs is the allocation ceiling of the proxy hop for
-// an established session: what remains is the relayed header strings and
-// the cancellation hook on the request's context. The http.Client path
-// this replaced spent about 60 here.
+// an established session. It measures 1: the slice that holds the relayed
+// header values. The http.Client path this replaced spent about 60 here,
+// and the client-disconnect hook, since deleted, 2 more.
 func TestRouterForwardAllocs(t *testing.T) {
 	resp := []byte("HTTP/1.1 200 OK\r\nContent-Type: text/html; charset=utf-8\r\nContent-Length: 3\r\nDate: Mon, 01 Jan 2024 00:00:00 GMT\r\n\r\nok\n")
 	rb := newRawBackend(t, "127.0.0.1:0", func([]byte) ([]byte, bool) { return resp, false })
 	r := rawRouter(t, rb)
 
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	req := httptest.NewRequest(http.MethodGet, "/ebid/ViewItem?item=1", nil).WithContext(ctx)
+	req := httptest.NewRequest(http.MethodGet, "/ebid/ViewItem?item=1", nil)
 	req.Header.Set("Cookie", "EBIDSESSION=s1")
 	w := &discardWriter{hdr: http.Header{}}
 	serve := func() {
@@ -538,8 +551,8 @@ func TestRouterForwardAllocs(t *testing.T) {
 	if w.status != http.StatusOK || w.n != 3 {
 		t.Fatalf("status %d, %d body bytes", w.status, w.n)
 	}
-	if allocs := testing.AllocsPerRun(200, serve); allocs > 16 {
-		t.Errorf("Router.ServeHTTP allocates %.1f times per established-session request, want <= 16", allocs)
+	if allocs := testing.AllocsPerRun(200, serve); allocs > 3 {
+		t.Errorf("Router.ServeHTTP allocates %.1f times per established-session request, want <= 3", allocs)
 	}
 	if n := rb.conns.Load(); n != 2 { // the poll's and the forwarder's
 		t.Errorf("%d connections to the backend, want 2: the forwarder did not reuse its own", n)
@@ -780,51 +793,6 @@ func TestRouterRefusesBodies(t *testing.T) {
 	}
 }
 
-// TestForwardClientCancel: a client that goes away while the backend is
-// still working — before the head, or in the middle of the body — gets
-// its backend connection closed, not pooled, and is not counted against
-// the backend.
-func TestForwardClientCancel(t *testing.T) {
-	for name, partial := range map[string]string{
-		"before-head": "",
-		"mid-body":    "HTTP/1.1 200 OK\r\nContent-Length: 10\r\n\r\nabc",
-	} {
-		t.Run(name, func(t *testing.T) {
-			arrived := make(chan struct{}, 1)
-			rb := newRawBackend(t, "127.0.0.1:0", func([]byte) ([]byte, bool) {
-				arrived <- struct{}{}
-				return []byte(partial), false // and then nothing more
-			})
-			r := rawRouter(t, rb)
-			ctx, cancel := context.WithCancel(context.Background())
-			defer cancel()
-			req := httptest.NewRequest(http.MethodGet, "/ebid/ViewItem?item=1", nil).WithContext(ctx)
-			returned := make(chan struct{})
-			go func() {
-				defer close(returned)
-				r.ServeHTTP(httptest.NewRecorder(), req)
-			}()
-			<-arrived
-			if d := r.backends[0].QueueDepth(); d != 1 {
-				t.Errorf("queue depth %d with the request in flight, want 1", d)
-			}
-			cancel()
-			select {
-			case <-returned:
-			case <-time.After(5 * time.Second):
-				t.Fatal("ServeHTTP still blocked on the backend 5 s after the client left")
-			}
-			b := r.backends[0]
-			if b.QueueDepth() != 0 || idleConns(b) != 0 {
-				t.Errorf("queue depth %d, %d idle connections; want 0 and 0", b.QueueDepth(), idleConns(b))
-			}
-			if !b.Healthy() || r.retried.Load() != 0 {
-				t.Errorf("healthy %v, retried %d: the client's departure was charged to the backend", b.Healthy(), r.retried.Load())
-			}
-		})
-	}
-}
-
 // TestForwardGarbageHead: a backend that answers with something other
 // than an HTTP response head is marked down and the client told 502.
 func TestForwardGarbageHead(t *testing.T) {
@@ -929,21 +897,12 @@ func BenchmarkProxyForwardParallel(b *testing.B) {
 	const clients = 8
 	backends := make([]*Backend, 2)
 	for i := range backends {
-		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if r.URL.Path == "/admin/fleet/status" {
-				fmt.Fprint(w, `{"in_flight":0}`)
-				return
-			}
-			fmt.Fprint(w, "ok")
-		}))
-		defer srv.Close()
-		backends[i] = &Backend{Name: fmt.Sprintf("node%d", i), URL: srv.URL}
+		backends[i] = &Backend{Name: fmt.Sprintf("node%d", i), URL: serveFront(b, okBackend)}
 	}
 	r := NewRouter(cluster.LeastLoadedPolicy{}, backends, time.Hour)
 	r.Start()
 	defer r.Stop()
-	proxy := httptest.NewServer(r)
-	defer proxy.Close()
+	proxy := serveFront(b, r)
 
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -957,7 +916,7 @@ func BenchmarkProxyForwardParallel(b *testing.B) {
 			defer wg.Done()
 			client := &http.Client{Transport: &http.Transport{}}
 			defer client.CloseIdleConnections()
-			req, _ := http.NewRequest(http.MethodGet, proxy.URL+"/ebid/ViewItem?item=1", nil)
+			req, _ := http.NewRequest(http.MethodGet, proxy+"/ebid/ViewItem?item=1", nil)
 			req.AddCookie(&http.Cookie{Name: "EBIDSESSION", Value: sid})
 			for next.Add(1) <= int64(b.N) {
 				resp, err := client.Do(req)

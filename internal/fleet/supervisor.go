@@ -53,8 +53,6 @@ type ChildSpec struct {
 	// operator or control plane should widen the recovery scope).
 	CrashLoopWindow time.Duration
 	CrashLoopLimit  int
-	// Stdout/Stderr receive the child's output (default: inherit).
-	Stdout, Stderr *os.File
 }
 
 func (s *ChildSpec) withDefaults() ChildSpec {
@@ -219,16 +217,7 @@ func (s *Supervisor) spawn(c *child) error {
 	// Each child leads its own process group so hard kills take the
 	// whole tree — an orphaned grandchild is a leaked node.
 	cmd.SysProcAttr = &syscall.SysProcAttr{Setpgid: true}
-	if c.spec.Stdout != nil {
-		cmd.Stdout = c.spec.Stdout
-	} else {
-		cmd.Stdout = os.Stdout
-	}
-	if c.spec.Stderr != nil {
-		cmd.Stderr = c.spec.Stderr
-	} else {
-		cmd.Stderr = os.Stderr
-	}
+	cmd.Stdout, cmd.Stderr = os.Stdout, os.Stderr
 	if err := cmd.Start(); err != nil {
 		return fmt.Errorf("fleet: start %s: %w", c.spec.Name, err)
 	}

@@ -20,12 +20,13 @@ import (
 	"time"
 )
 
-// Server serves one http.Handler — in cmd/ebid-server, Front.Handler() —
-// over HTTP/1.1 on its own keep-alive loop: one goroutine per connection,
-// which reads a request, runs the handler, writes the response and reads
-// the next. What is left out is http.Server's per-request machinery (a
-// background-read goroutine, a cancellable context, a chunking writer and
-// a header clone per response).
+// Server serves one http.Handler — Front.Handler() in cmd/ebid-server,
+// the router and admin mux in cmd/ebid-proxy — over HTTP/1.1 on its own
+// keep-alive loop: one goroutine per connection, which reads a request,
+// runs the handler, writes the response and reads the next. What is left
+// out is http.Server's per-request machinery (a background-read goroutine,
+// a cancellable context, a chunking writer and a header clone per
+// response).
 //
 // A request head of the form eBid's clients send — a bodiless GET or HEAD
 // of an origin-form target whose path needs no decoding, with CRLF header
@@ -50,9 +51,10 @@ import (
 // carry no body. A handler may not use its ResponseWriter after it returns.
 //
 // A request's context is context.Background: it does not end when the
-// client disconnects. The front's own mechanisms end an operation — the
-// execution lease bound by serveOp, and a microreboot that kills the
-// request's shepherd — and neither needs the connection.
+// client disconnects. Each binary's own mechanisms end an operation, and
+// none needs the connection: in the front, the execution lease bound by
+// serveOp and a microreboot that kills the request's shepherd; in the
+// proxy, the backend exchange's deadline.
 //
 // Connection handling follows http.Server: keep-alive for HTTP/1.1,
 // pipelined requests answered in order, HTTP/1.0 closed after one response
