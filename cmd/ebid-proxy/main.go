@@ -12,7 +12,7 @@
 //
 // Usage:
 //
-//	ebid-proxy [-addr :8080] [-server-bin path] [-backends N] [-base-port P] [-policy round-robin|least-loaded|shed] [-poll-interval D] [-rejuvenate-every D] [-wal-dir dir] [-drain-timeout D] [-server-flags "..."]
+//	ebid-proxy [-addr :8080] [-server-bin path] [-backends N] [-base-port P] [-policy round-robin|least-loaded|shed] [-poll-interval D] [-rejuvenate-every D] [-wal-dir dir] [-server-flags "..."]
 //
 // The shed policy refuses new logins with 503 + Retry-After once every
 // backend's queue is deeper than cluster.DefaultShedWatermark (8).
@@ -23,17 +23,21 @@
 //	curl localhost:8080/ebid/Authenticate?user=3
 //	curl localhost:8080/admin/proxy/status
 //	curl -X POST 'localhost:8080/admin/proxy/kill?backend=node1'   # chaos: SIGKILL; watch it respawn
-//	curl -X POST 'localhost:8080/admin/proxy/reboot?backend=node2' # deliberate node reboot
+//	curl -X POST 'localhost:8080/admin/proxy/reboot?backend=node2' # drain, wait for in-flight, SIGKILL, respawn
+//	curl -X POST 'localhost:8080/admin/proxy/reboot?backend=node2&hard=1' # SIGKILL + respawn at once
 //	curl -X POST 'localhost:8080/admin/proxy/drain?backend=node0'  # exclude from new sessions
 //
 // A control plane ticks every 100 ms alongside: its fleet probe samples
 // each backend through the router, and with -rejuvenate-every the fleet
 // controller runs rolling drain→reboot→restore passes over the real
 // processes. Inspect it at /admin/controlplane/status.
+//
+// Every stop is a crash. SIGTERM or SIGINT stops the control plane and the
+// router, SIGKILLs every backend and exits 0; the backends' WALs hold
+// everything they acknowledged.
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -68,7 +72,6 @@ func main() {
 	rejuvenateEvery := flag.Duration("rejuvenate-every", 0,
 		"rolling drain→reboot→restore of one backend this often (0 disables)")
 	walDir := flag.String("wal-dir", "", "directory for per-backend WAL files (default: a temp dir; survives respawns, not proxy restarts)")
-	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "per-backend graceful shutdown budget")
 	serverFlags := flag.String("server-flags", "", "extra flags passed to every ebid-server child (space-separated)")
 	flag.Parse()
 
@@ -119,13 +122,8 @@ func main() {
 			"-addr", fmt.Sprintf("127.0.0.1:%d", port),
 			"-node", name,
 			"-wal", filepath.Join(dir, name+".wal"),
-			"-drain-timeout", drainTimeout.String(),
 		}, extra...)
-		err := sup.Add(fleet.ChildSpec{
-			Name: name, Path: bin, Args: args,
-			ReadyURL:     url + "/healthz",
-			DrainTimeout: *drainTimeout + 2*time.Second, // child enforces its own budget first
-		})
+		err := sup.Add(fleet.ChildSpec{Name: name, Path: bin, Args: args, ReadyURL: url + "/healthz"})
 		if err != nil {
 			sup.Stop()
 			log.Fatalf("ebid-proxy: %v", err)
@@ -143,7 +141,7 @@ func main() {
 	})
 	fc := controlplane.NewFleetController(
 		&fleet.Actuator{Router: router, Sup: sup},
-		controlplane.FleetConfig{RejuvenateEvery: *rejuvenateEvery, DrainTimeout: *drainTimeout},
+		controlplane.FleetConfig{RejuvenateEvery: *rejuvenateEvery},
 	)
 	plane.Use(fc)
 	tick := time.NewTicker(tickInterval) // stopped before the fleet is
@@ -165,19 +163,15 @@ func main() {
 		log.Fatalf("ebid-proxy: %v", err)
 	}
 	go func() {
-		if err := srv.Serve(l); err != http.ErrServerClosed {
-			sup.Stop()
-			log.Fatalf("ebid-proxy: %v", err)
-		}
+		err := srv.Serve(l) // returns only when the listener fails
+		sup.Stop()
+		log.Fatalf("ebid-proxy: %v", err)
 	}()
 	log.Printf("ebid-proxy: %d × %s behind %s (policy %s, WALs in %s)", *backends, bin, *addr, policy.Name(), dir)
-	log.Printf("ebid-proxy: %v: draining fleet", <-sigCh)
-	ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
-	_ = srv.Shutdown(ctx) // past the deadline the fleet stops under the open connections
-	cancel()
+	log.Printf("ebid-proxy: %v: killing the fleet", <-sigCh)
 	tick.Stop()
 	router.Stop()
-	sup.Stop() // SIGTERM each child, SIGKILL stragglers past their drain budget
+	sup.Stop()
 	log.Printf("ebid-proxy: fleet stopped")
 }
 
@@ -212,13 +206,23 @@ func newHandler(router *fleet.Router, sup *fleet.Supervisor, plane *controlplane
 	})
 	mux.HandleFunc("/admin/proxy/reboot", func(w http.ResponseWriter, r *http.Request) {
 		name := r.URL.Query().Get("backend")
-		graceful := r.URL.Query().Get("hard") == ""
-		down, err := sup.Restart(name, graceful)
+		drained := r.URL.Query().Get("hard") == ""
+		if drained {
+			// Send the backend nothing more and wait for what it has, so
+			// the kill cuts no request of ours; then restore its drain.
+			wasDraining, ok := router.Quiesce(name)
+			if !ok {
+				http.Error(w, "unknown backend "+name, http.StatusNotFound)
+				return
+			}
+			defer router.SetDrain(name, wasDraining)
+		}
+		down, err := sup.Restart(name)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return
 		}
-		writeJSON(w, map[string]any{"backend": name, "graceful": graceful, "downtime_ms": down.Milliseconds()})
+		writeJSON(w, map[string]any{"backend": name, "drained": drained, "downtime_ms": down.Milliseconds()})
 	})
 	mux.HandleFunc("/admin/proxy/kill", func(w http.ResponseWriter, r *http.Request) {
 		name := r.URL.Query().Get("backend")

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"fmt"
 	"net"
+	"net/http"
 	"runtime"
 	"strings"
 	"sync"
@@ -65,6 +66,13 @@ func listenCounting(t *testing.T) *countingListener {
 	return cl
 }
 
+// accepted is how many connections l has accepted.
+func (l *countingListener) accepted() int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return len(l.conns)
+}
+
 func (l *countingListener) Accept() (net.Conn, error) {
 	nc, err := l.Listener.Accept()
 	if err != nil {
@@ -86,10 +94,15 @@ var (
 
 var statusReply = []byte("HTTP/1.1 200 OK\r\nContent-Length: 15\r\n\r\n{\"in_flight\":0}")
 
+// heldRequest starts the request line of the one request the raw backend
+// holds: it signals held when the request arrives and answers it once
+// release is closed.
+var heldRequest = []byte("GET /ebid/ViewBidHistory")
+
 // serveRawBackend answers each request head on l's connections with fixed
 // bytes — the router's health poll with a status, anything else with
 // viewItemPage — and allocates nothing per request.
-func serveRawBackend(l *countingListener) {
+func serveRawBackend(l *countingListener, held chan<- struct{}, release <-chan struct{}) {
 	for {
 		c, err := l.Accept()
 		if err != nil {
@@ -107,10 +120,15 @@ func serveRawBackend(l *countingListener) {
 				if bytes.HasPrefix(line, []byte("GET /admin/")) {
 					reply = statusReply
 				}
+				hold := bytes.HasPrefix(line, heldRequest)
 				for len(line) > 2 { // up to the blank line
 					if line, err = br.ReadSlice('\n'); err != nil {
 						return
 					}
+				}
+				if hold {
+					held <- struct{}{}
+					<-release
 				}
 				if _, err := c.Write(reply); err != nil {
 					return
@@ -121,26 +139,35 @@ func serveRawBackend(l *countingListener) {
 }
 
 // proxy is the handler ebid-proxy serves, on httpfront.Server, in front of one
-// raw backend, with one keep-alive client connection; all on loopback.
+// raw backend, with one keep-alive client connection; all on loopback. The
+// supervisor's node0 is a stand-in process, so a reboot restarts it while
+// the raw backend answers on.
 type proxy struct {
 	front, backend *countingListener
 	client         net.Conn
 	br             *bufio.Reader
+	router         *fleet.Router
+	sup            *fleet.Supervisor
+	held, release  chan struct{} // see heldRequest
 }
 
 func newProxy(t *testing.T) *proxy {
 	t.Helper()
-	p := &proxy{front: listenCounting(t), backend: listenCounting(t)}
-	go serveRawBackend(p.backend)
-	router := fleet.NewRouter(cluster.LeastLoadedPolicy{},
+	p := &proxy{front: listenCounting(t), backend: listenCounting(t), held: make(chan struct{}), release: make(chan struct{})}
+	go serveRawBackend(p.backend, p.held, p.release)
+	p.router = fleet.NewRouter(cluster.LeastLoadedPolicy{},
 		[]*fleet.Backend{{Name: "node0", URL: "http://" + p.backend.Addr().String()}}, time.Hour)
-	router.Start()
-	t.Cleanup(router.Stop)
-	sup := fleet.New(nil)
-	plane := controlplane.New(controlplane.Config{Clock: func() time.Duration { return 0 }, Fleet: router})
-	fc := controlplane.NewFleetController(&fleet.Actuator{Router: router, Sup: sup}, controlplane.FleetConfig{})
+	p.router.Start()
+	t.Cleanup(p.router.Stop)
+	p.sup = fleet.New(nil)
+	if err := p.sup.Add(fleet.ChildSpec{Name: "node0", Path: "/bin/sh", Args: []string{"-c", "sleep 60"}}); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(p.sup.Stop)
+	plane := controlplane.New(controlplane.Config{Clock: func() time.Duration { return 0 }, Fleet: p.router})
+	fc := controlplane.NewFleetController(&fleet.Actuator{Router: p.router, Sup: p.sup}, controlplane.FleetConfig{})
 	plane.Use(fc)
-	srv := &httpfront.Server{Handler: newHandler(router, sup, plane, fc, 1)}
+	srv := &httpfront.Server{Handler: newHandler(p.router, p.sup, plane, fc, 1)}
 	go srv.Serve(p.front) // returns once the cleanup closes srv
 	t.Cleanup(func() { srv.Close() })
 
@@ -211,5 +238,61 @@ func TestProxySyscallsPerRequest(t *testing.T) {
 				t.Errorf("the backend read %d times for %d requests, want <= 1 each", r, n)
 			}
 		})
+	}
+}
+
+// status sends one request on its own goroutine and delivers its status
+// code, or 0 if it failed.
+func status(send func() (*http.Response, error)) <-chan int {
+	ch := make(chan int, 1)
+	go func() {
+		resp, err := send()
+		if err != nil {
+			ch <- 0
+			return
+		}
+		resp.Body.Close()
+		ch <- resp.StatusCode
+	}()
+	return ch
+}
+
+// TestProxyRebootWaitsForInFlight: a reboot without hard=1 drains the
+// backend and kills it only once the request the router has out on it is
+// answered; then the drain it had before is back.
+func TestProxyRebootWaitsForInFlight(t *testing.T) {
+	p := newProxy(t)
+	base := "http://" + p.front.Addr().String()
+	answered := status(func() (*http.Response, error) { return http.Get(base + "/ebid/ViewBidHistory?item=7") })
+	<-p.held
+	rebooted := status(func() (*http.Response, error) { return http.Post(base+"/admin/proxy/reboot?backend=node0", "", nil) })
+
+	select {
+	case code := <-rebooted:
+		t.Fatalf("the reboot answered %d while a request was in flight on node0", code)
+	case <-time.After(200 * time.Millisecond):
+	}
+	if gen := p.sup.Status()[0].Gen; gen != 1 {
+		t.Fatalf("node0 is at gen %d while a request was in flight on it, want 1", gen)
+	}
+	close(p.release)
+	if code := <-answered; code != http.StatusOK {
+		t.Fatalf("the in-flight request was answered %d, want 200", code)
+	}
+	if code := <-rebooted; code != http.StatusOK {
+		t.Fatalf("the reboot answered %d, want 200", code)
+	}
+	if gen := p.sup.Status()[0].Gen; gen != 2 {
+		t.Errorf("node0 is at gen %d after the reboot, want 2", gen)
+	}
+	if st := p.router.FleetStats()[0]; st.Draining {
+		t.Error("node0 is still draining after the reboot")
+	}
+	// The held request's pooled connection led to the incarnation that was
+	// killed: the next request must not reuse it.
+	dialed := p.backend.accepted()
+	p.view(t)
+	if p.backend.accepted() == dialed {
+		t.Error("the first request after the reboot reused a connection from before it")
 	}
 }

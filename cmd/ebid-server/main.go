@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	ebid-server [-addr :8080] [-node name] [-drain-timeout D] [-store fasts|ssm-cluster] [-shards S] [-replicas N] [-write-quorum W] [-users N] [-items N] [-wal file] [-shed-watermark N] [-detect-sample N]
+//	ebid-server [-addr :8080] [-node name] [-store fasts|ssm-cluster] [-shards S] [-replicas N] [-write-quorum W] [-users N] [-items N] [-wal file] [-shed-watermark N] [-detect-sample N]
 //
 // Try it:
 //
@@ -26,30 +26,25 @@
 // published on the bus. With a brick cluster a lease reaper
 // garbage-collects lapsed sessions every minute.
 //
-// As a supervised fleet member (spawned by cmd/ebid-proxy or
-// internal/fleet.Supervisor) the server is a well-behaved crash-only
-// child: /healthz answers once it is serving, SIGTERM/SIGINT drain
-// in-flight requests up to -drain-timeout and flush the WAL before
-// exit, and startup against an existing -wal file recovers all
-// committed state instead of truncating it — a SIGKILL + re-exec
-// "node reboot" loses nothing that was committed.
-//
-// Exit-code contract (what a supervisor sees): 0 = graceful drain
-// completed; 2 = drain deadline exceeded (connections force-closed, WAL
-// still flushed); anything else, or death by signal, is a crash.
+// The server is crash-only: it has one way to stop, dying, and one way to
+// start, recovering. It installs no signal handler, so SIGTERM, SIGINT and
+// SIGKILL all end it at once, with no drain and no exit code. A commit
+// returns only after its group-commit batch is written to the -wal file,
+// and startup against an existing file recovers every committed write, so
+// a kill + re-exec "node reboot" loses nothing that was acknowledged. The
+// file is never fsynced: durability covers a process kill, not a power
+// loss. Requests in flight at a kill are the caller's business;
+// cmd/ebid-proxy drains a backend before a deliberate reboot. /healthz
+// answers once the server is serving.
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"io"
 	"log"
 	"net"
-	"net/http"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"repro/internal/controlplane"
@@ -58,12 +53,6 @@ import (
 	"repro/internal/httpfront"
 	"repro/internal/store/db"
 	"repro/internal/store/session"
-)
-
-// Exit codes of the drain contract.
-const (
-	exitGraceful    = 0
-	exitDrainForced = 2
 )
 
 const (
@@ -78,8 +67,6 @@ const (
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	nodeName := flag.String("node", "", "fleet identity reported on /healthz and /admin/fleet/status (default http0)")
-	drainTimeout := flag.Duration("drain-timeout", 10*time.Second,
-		"how long SIGTERM/SIGINT waits for in-flight requests before force-closing")
 	storeKind := flag.String("store", "fasts", "session store: fasts or ssm-cluster (a single-node SSM is -store ssm-cluster -shards 1 -replicas 1 -write-quorum 1)")
 	shards := flag.Int("shards", 4, "ssm-cluster: hash shards S")
 	replicas := flag.Int("replicas", 3, "ssm-cluster: brick replicas N per shard")
@@ -98,11 +85,10 @@ func main() {
 	// everything that was committed. A fresh or empty log gets the seed
 	// dataset. Without -wal the database keeps no log at all.
 	var database *db.DB
-	var walFile *os.File
 	recovered := false
 	if *walPath != "" {
 		var err error
-		database, walFile, recovered, err = openWAL(*walPath)
+		database, _, recovered, err = openWAL(*walPath) // the file is the WAL's sink until the process dies
 		if err != nil {
 			log.Fatalf("wal: %v", err)
 		}
@@ -205,48 +191,12 @@ func main() {
 	}()
 
 	front.Plane = plane
-	srv := &httpfront.Server{Handler: front.Handler()}
-
-	// Graceful drain: SIGTERM/SIGINT stop the listener, let in-flight
-	// requests finish up to -drain-timeout, flush the WAL, and exit with
-	// the drain contract's code — so a supervisor can tell a clean drain
-	// (0), a forced one (2), and a crash (anything else) apart.
-	sigCh := make(chan os.Signal, 1)
-	signal.Notify(sigCh, syscall.SIGTERM, syscall.SIGINT)
-	done := make(chan int, 1)
-	go func() {
-		sig := <-sigCh
-		log.Printf("%v: draining (deadline %v)", sig, *drainTimeout)
-		ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
-		defer cancel()
-		code := exitGraceful
-		if err := srv.Shutdown(ctx); err != nil {
-			log.Printf("drain deadline exceeded, force-closing: %v", err)
-			srv.Close()
-			code = exitDrainForced
-		}
-		done <- code
-	}()
-
 	l, err := net.Listen("tcp", *addr)
 	if err != nil {
 		log.Fatalf("listen: %v", err)
 	}
 	log.Printf("serving on %s (node %s, pid %d)", *addr, front.FleetStats()[0].Node, os.Getpid())
-	if err := srv.Serve(l); err != nil && err != http.ErrServerClosed {
-		log.Fatalf("serve: %v", err)
-	}
-	code := <-done
-	if walFile != nil {
-		// The WAL's group commit writes through on every batch; Sync
-		// pushes the OS cache to disk so the drained state is durable.
-		if err := walFile.Sync(); err != nil {
-			log.Printf("wal sync: %v", err)
-		}
-		walFile.Close()
-	}
-	log.Printf("drained; exiting %d", code)
-	os.Exit(code)
+	log.Fatalf("serve: %v", (&httpfront.Server{Handler: front.Handler()}).Serve(l))
 }
 
 // openWAL opens the WAL file at path, creating it if need be, and

@@ -6,15 +6,18 @@ import (
 	"time"
 )
 
-// FleetActuator is the load-balancer side the fleet controller drives;
-// *cluster.LoadBalancer implements it.
+// FleetActuator is the load-balancer side the fleet controller drives.
+// *cluster.LoadBalancer implements it over simulated nodes, and
+// fleet.Actuator over real ebid-server processes.
 type FleetActuator interface {
 	// SetDrain moves the named node into (true) or out of (false) the
 	// drained state: new sessions avoid it and, with failover on,
 	// established sessions are redirected. Unknown nodes report false.
 	SetDrain(node string, drain bool) bool
 	// RebootNode performs a node-scope (process) reboot of the named
-	// node, returning the modeled recovery duration.
+	// node and returns how long it was down: the modeled recovery
+	// duration in the simulator, the measured SIGKILL-to-ready time for
+	// a real process.
 	RebootNode(node string) (time.Duration, error)
 }
 

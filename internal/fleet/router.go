@@ -187,13 +187,48 @@ func (r *Router) pollOnce() {
 // a draining backend stops receiving new sessions; its established
 // sessions spill to peers.
 func (r *Router) SetDrain(node string, drain bool) bool {
-	for _, b := range r.backends {
-		if b.Name == node {
-			b.draining.Store(drain)
-			return true
+	b := r.backend(node)
+	if b != nil {
+		b.draining.Store(drain)
+	}
+	return b != nil
+}
+
+// Quiesce readies the named backend for a kill. It drains the backend, so
+// new and pinned sessions go to healthy peers if it has any, and waits
+// until no request this router forwarded to it is still unanswered; the
+// wait is bounded by exchangeTimeout, past which any such request has been
+// answered anyway. Then it closes the backend's idle connections, which
+// lead to the incarnation about to die: reused after the restart, each
+// would cost a commit point a 502. It returns the drain state the backend
+// had before, for the caller to restore, and ok false for an unknown
+// backend.
+func (r *Router) Quiesce(node string) (wasDraining, ok bool) {
+	b := r.backend(node)
+	if b == nil {
+		return false, false
+	}
+	wasDraining = b.draining.Swap(true)
+	for deadline := time.Now().Add(exchangeTimeout); time.Now().Before(deadline); time.Sleep(quiescePoll) {
+		if b.inflight.Load() == 0 {
+			break
 		}
 	}
-	return false
+	b.dropIdle()
+	return wasDraining, true
+}
+
+// quiescePoll is how often Quiesce looks at a backend's in-flight count.
+const quiescePoll = 5 * time.Millisecond
+
+// backend returns the named backend, or nil.
+func (r *Router) backend(name string) *Backend {
+	for _, b := range r.backends {
+		if b.Name == name {
+			return b
+		}
+	}
+	return nil
 }
 
 // FleetStats implements controlplane.FleetProbe over the polled state.
@@ -525,5 +560,5 @@ func (a *Actuator) SetDrain(node string, drain bool) bool {
 // SIGKILL and wait for the supervisor to bring the next incarnation up
 // ready, reporting the real downtime.
 func (a *Actuator) RebootNode(node string) (time.Duration, error) {
-	return a.Sup.Restart(node, false)
+	return a.Sup.Restart(node)
 }

@@ -19,7 +19,6 @@ import (
 // Defaults for ChildSpec knobs left zero.
 const (
 	DefaultReadyTimeout    = 15 * time.Second
-	DefaultDrainTimeout    = 10 * time.Second
 	DefaultBackoffMin      = 100 * time.Millisecond
 	DefaultBackoffMax      = 5 * time.Second
 	DefaultCrashLoopWindow = 30 * time.Second
@@ -41,9 +40,6 @@ type ChildSpec struct {
 	ReadyURL string
 	// ReadyTimeout bounds the ready poll after each (re)spawn.
 	ReadyTimeout time.Duration
-	// DrainTimeout is how long a graceful stop (SIGTERM) waits before
-	// escalating to SIGKILL.
-	DrainTimeout time.Duration
 	// BackoffMin/BackoffMax bound the exponential respawn backoff after
 	// crashes. A deliberate Restart respawns immediately.
 	BackoffMin, BackoffMax time.Duration
@@ -59,9 +55,6 @@ func (s *ChildSpec) withDefaults() ChildSpec {
 	c := *s
 	if c.ReadyTimeout <= 0 {
 		c.ReadyTimeout = DefaultReadyTimeout
-	}
-	if c.DrainTimeout <= 0 {
-		c.DrainTimeout = DefaultDrainTimeout
 	}
 	if c.BackoffMin <= 0 {
 		c.BackoffMin = DefaultBackoffMin
@@ -95,9 +88,6 @@ const (
 	// EventCrashLoop: crash frequency exceeded the spec's loop limit —
 	// process-scope recovery is not converging, escalate.
 	EventCrashLoop
-	// EventDrainKilled: a graceful stop exceeded DrainTimeout and the
-	// child was SIGKILLed.
-	EventDrainKilled
 )
 
 // String implements fmt.Stringer for log lines.
@@ -113,8 +103,6 @@ func (k EventKind) String() string {
 		return "respawn"
 	case EventCrashLoop:
 		return "crash-loop"
-	case EventDrainKilled:
-		return "drain-killed"
 	}
 	return fmt.Sprintf("event(%d)", int(k))
 }
@@ -226,6 +214,11 @@ func (s *Supervisor) spawn(c *child) error {
 	c.gen++
 	c.ready = c.spec.ReadyURL == ""
 	gen := c.gen
+	if c.stopped {
+		// stopOne killed the previous incarnation while this one was
+		// starting: it dies at once, and the monitor sees it stopped.
+		_ = hardKill(cmd)
+	}
 	c.mu.Unlock()
 	s.events(Event{Kind: EventStarted, Child: c.spec.Name, Pid: cmd.Process.Pid, Gen: gen})
 	if c.spec.ReadyURL == "" {
@@ -282,7 +275,7 @@ func (s *Supervisor) monitor(c *child) {
 		err := cmd.Wait()
 		code := exitCode(err)
 		// Sweep the dead incarnation's process group: whatever it
-		// leaves behind (a grandchild that outlived a graceful exit)
+		// leaves behind (a grandchild that outlived its parent's crash)
 		// is an unsupervised remnant of a node that no longer exists.
 		_ = syscall.Kill(-cmd.Process.Pid, syscall.SIGKILL)
 
@@ -396,12 +389,12 @@ func hardKill(cmd *exec.Cmd) error {
 	return cmd.Process.Kill()
 }
 
-// Restart performs a deliberate node reboot: signal the current
-// incarnation (SIGTERM when graceful, SIGKILL otherwise), wait for the
-// next incarnation to come up ready, and report how long the node was
-// effectively down. Deliberate restarts skip crash accounting and
-// respawn without backoff.
-func (s *Supervisor) Restart(name string, graceful bool) (time.Duration, error) {
+// Restart performs a deliberate node reboot: SIGKILL the current
+// incarnation, wait for the next one to come up ready, and report how
+// long the node was effectively down. There is no gentler stop: the next
+// incarnation recovers from the WAL, as after any crash. Deliberate
+// restarts skip crash accounting and respawn without backoff.
+func (s *Supervisor) Restart(name string) (time.Duration, error) {
 	c, err := s.child(name)
 	if err != nil {
 		return 0, err
@@ -415,14 +408,10 @@ func (s *Supervisor) Restart(name string, graceful bool) (time.Duration, error) 
 		return 0, fmt.Errorf("fleet: %s is not running", name)
 	}
 	start := time.Now()
-	if graceful {
-		if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
-			return 0, err
-		}
-	} else if err := hardKill(cmd); err != nil {
+	if err := hardKill(cmd); err != nil {
 		return 0, err
 	}
-	deadline := time.Now().Add(c.spec.DrainTimeout + c.spec.ReadyTimeout + 5*time.Second)
+	deadline := time.Now().Add(c.spec.ReadyTimeout + 5*time.Second)
 	for time.Now().Before(deadline) {
 		c.mu.Lock()
 		up := c.gen > oldGen && c.ready
@@ -435,38 +424,20 @@ func (s *Supervisor) Restart(name string, graceful bool) (time.Duration, error) 
 	return time.Since(start), fmt.Errorf("fleet: %s did not come back ready", name)
 }
 
-// StopChild gracefully retires one child: SIGTERM, wait DrainTimeout,
-// SIGKILL stragglers. The child is not respawned.
-func (s *Supervisor) StopChild(name string) error {
-	c, err := s.child(name)
-	if err != nil {
-		return err
-	}
-	s.stopOne(c)
-	return nil
-}
-
+// stopOne retires one child for good: SIGKILL, then wait for its monitor.
 func (s *Supervisor) stopOne(c *child) {
 	c.mu.Lock()
 	c.stopped = true
 	cmd := c.cmd
-	gen := c.gen
 	c.mu.Unlock()
-	if cmd == nil || cmd.Process == nil {
-		return
+	if cmd != nil && cmd.Process != nil {
+		_ = hardKill(cmd) // already gone is fine
 	}
-	_ = cmd.Process.Signal(syscall.SIGTERM)
-	select {
-	case <-c.done:
-	case <-time.After(c.spec.DrainTimeout):
-		_ = hardKill(cmd)
-		s.events(Event{Kind: EventDrainKilled, Child: c.spec.Name, Pid: cmd.Process.Pid, Gen: gen})
-		<-c.done
-	}
+	<-c.done
 }
 
-// Stop retires every child concurrently and waits for all monitors to
-// finish. The supervisor accepts no new children afterwards.
+// Stop kills every child and waits for all monitors to finish. The
+// supervisor accepts no new children afterwards.
 func (s *Supervisor) Stop() {
 	s.mu.Lock()
 	s.stopping = true

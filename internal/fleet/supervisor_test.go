@@ -116,66 +116,30 @@ func TestCrashLoopEscalation(t *testing.T) {
 	}
 }
 
-// TestDrainTimeoutHardKill: a child that ignores SIGTERM is SIGKILLed
-// once the drain deadline lapses.
-func TestDrainTimeoutHardKill(t *testing.T) {
+// TestStopDoesNotRespawn: Stop kills a child that would outlive a
+// SIGTERM, and a deliberate stop is not a crash: nothing respawns it.
+func TestStopDoesNotRespawn(t *testing.T) {
 	rec := &recorder{}
 	s := New(rec.record)
 	err := s.Add(ChildSpec{
 		Name: "stubborn", Path: "/bin/sh",
-		Args:         []string{"-c", `trap "" TERM; while :; do sleep 0.05; done`},
-		DrainTimeout: 150 * time.Millisecond,
+		Args:       []string{"-c", `trap "" TERM; while :; do sleep 0.05; done`},
+		BackoffMin: 5 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatalf("Add: %v", err)
 	}
-	time.Sleep(100 * time.Millisecond) // let sh install the trap
-	start := time.Now()
-	if err := s.StopChild("stubborn"); err != nil {
-		t.Fatalf("StopChild: %v", err)
-	}
-	if rec.count(EventDrainKilled) != 1 {
-		t.Fatalf("drain-killed events = %d, want 1", rec.count(EventDrainKilled))
-	}
-	if took := time.Since(start); took < 150*time.Millisecond {
-		t.Errorf("stop returned in %v, before the 150ms drain deadline", took)
-	}
-	st := s.Status()[0]
-	if !st.Stopped {
-		t.Error("child not marked stopped")
-	}
-	// The process must actually be dead.
-	if st.Pid > 0 {
-		if err := syscall.Kill(st.Pid, 0); err == nil {
-			// Zombies answer signal 0 until reaped; monitor reaps via
-			// Wait, so give it a beat.
-			waitFor(t, time.Second, "process death", func() bool {
-				return syscall.Kill(st.Pid, 0) != nil
-			})
-		}
-	}
-}
-
-// TestGracefulStopNoKill: a cooperative child exits on SIGTERM inside
-// the deadline — no hard kill, no respawn.
-func TestGracefulStopNoKill(t *testing.T) {
-	rec := &recorder{}
-	s := New(rec.record)
-	err := s.Add(ChildSpec{
-		Name: "polite", Path: "/bin/sh",
-		Args:         []string{"-c", `trap "exit 0" TERM; while :; do sleep 0.05; done`},
-		DrainTimeout: 5 * time.Second,
-	})
-	if err != nil {
-		t.Fatalf("Add: %v", err)
-	}
-	time.Sleep(100 * time.Millisecond) // let sh install the trap
+	pid := s.Status()[0].Pid
 	s.Stop()
-	if n := rec.count(EventDrainKilled); n != 0 {
-		t.Errorf("drain-killed events = %d, want 0", n)
+	if err := syscall.Kill(pid, 0); err == nil {
+		t.Errorf("pid %d is still alive after Stop", pid)
 	}
+	time.Sleep(50 * time.Millisecond) // ten backoffs: a respawn would show
 	if n := rec.count(EventStarted); n != 1 {
 		t.Errorf("started events = %d, want 1 (no respawn after deliberate stop)", n)
+	}
+	if st := s.Status()[0]; !st.Stopped {
+		t.Error("child not marked stopped")
 	}
 }
 
@@ -193,7 +157,7 @@ func TestRestartDeliberate(t *testing.T) {
 	}
 	defer s.Stop()
 
-	down, err := s.Restart("steady", false)
+	down, err := s.Restart("steady")
 	if err != nil {
 		t.Fatalf("Restart: %v", err)
 	}

@@ -2,7 +2,6 @@ package httpfront
 
 import (
 	"bufio"
-	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -73,7 +72,6 @@ type Server struct {
 	mu        sync.Mutex
 	listeners map[net.Listener]struct{}
 	conns     map[*conn]struct{}
-	drained   chan struct{} // made by Shutdown; closed once closing and no connection is left
 }
 
 const (
@@ -96,17 +94,9 @@ const (
 	lingerTimeout = 500 * time.Millisecond
 )
 
-// Connection states, for Shutdown: an idle connection is between requests
-// and is closed at once; an active one finishes its response first.
-const (
-	stateActive int32 = iota
-	stateIdle
-	stateClosed
-)
-
 // Serve accepts connections on l and serves each on its own goroutine. It
-// returns http.ErrServerClosed after Shutdown or Close, and otherwise the
-// error that ended the listener.
+// returns http.ErrServerClosed after Close, and otherwise the error that
+// ended the listener.
 func (s *Server) Serve(l net.Listener) error {
 	s.mu.Lock()
 	if s.closing.Load() {
@@ -148,36 +138,9 @@ func (s *Server) Serve(l net.Listener) error {
 	}
 }
 
-// Shutdown stops accepting, closes idle connections at once and waits for
-// the active ones to finish their current response. It returns nil once
-// every connection is closed, or ctx.Err() if ctx ends first; the
-// connections still open are then left to Close.
-func (s *Server) Shutdown(ctx context.Context) error {
-	s.closing.Store(true)
-	s.mu.Lock()
-	for l := range s.listeners {
-		l.Close()
-	}
-	for c := range s.conns {
-		if c.state.CompareAndSwap(stateIdle, stateClosed) {
-			c.nc.Close()
-		}
-	}
-	if s.drained == nil {
-		s.drained = make(chan struct{})
-	}
-	s.signalDrainedLocked()
-	drained := s.drained
-	s.mu.Unlock()
-	select {
-	case <-drained:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
-// Close stops accepting and closes every connection, whatever it is doing.
+// Close stops accepting and closes every connection, whatever it is doing:
+// the in-process crash. There is no graceful stop; a binary serving on a
+// Server stops by dying, and its clients see what a crash shows them.
 func (s *Server) Close() error {
 	s.closing.Store(true)
 	s.mu.Lock()
@@ -192,19 +155,6 @@ func (s *Server) Close() error {
 		c.nc.Close()
 	}
 	return err
-}
-
-// signalDrainedLocked closes s.drained when Shutdown waits on it and the
-// last connection is gone.
-func (s *Server) signalDrainedLocked() {
-	if s.drained == nil || len(s.conns) > 0 {
-		return
-	}
-	select {
-	case <-s.drained:
-	default:
-		close(s.drained)
-	}
 }
 
 // newConn registers nc, or closes it and returns nil once the server is
@@ -235,7 +185,6 @@ func (s *Server) forget(c *conn) {
 	c.nc.Close()
 	s.mu.Lock()
 	delete(s.conns, c)
-	s.signalDrainedLocked()
 	s.mu.Unlock()
 }
 
@@ -245,7 +194,6 @@ type conn struct {
 	srv    *Server
 	nc     net.Conn
 	remote string
-	state  atomic.Int32 // stateActive until the first request is awaited
 	lr     io.LimitedReader
 	br     *bufio.Reader // reads through lr
 	simple simpleRequest // the request the fast path fills
@@ -261,12 +209,9 @@ func (c *conn) serve() {
 // serveRequest waits for a request, reads it, runs the handler and writes
 // the response. It reports whether the connection stays open for another.
 func (c *conn) serveRequest() bool {
-	if !c.state.CompareAndSwap(stateActive, stateIdle) || c.srv.closing.Load() {
-		return false
-	}
 	c.lr.N = maxHeadBytes
-	if _, err := c.br.Peek(1); err != nil || !c.state.CompareAndSwap(stateIdle, stateActive) {
-		return false // the client left, or Shutdown closed the idle connection
+	if _, err := c.br.Peek(1); err != nil {
+		return false // the client left, or Close closed the connection
 	}
 	req := c.simple.read(c.br)
 	if req == nil {
@@ -305,7 +250,7 @@ func (c *conn) serveRequest() bool {
 	if !c.runHandler(w, req) {
 		return false
 	}
-	closeAfter := req.Close || w.closeConn || c.srv.closing.Load()
+	closeAfter := req.Close || w.closeConn
 	linger := false
 	if req.Body != http.NoBody {
 		if expectContinue {

@@ -3,7 +3,6 @@ package httpfront
 import (
 	"bufio"
 	"bytes"
-	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -376,80 +375,36 @@ func (b *syncBuffer) String() string {
 	return b.buf.String()
 }
 
-// TestServerShutdown: Shutdown closes idle keep-alive connections at once,
-// lets an in-flight request finish its response, and returns the deadline
-// error while a request stays wedged.
-func TestServerShutdown(t *testing.T) {
-	entered := make(chan struct{}, 1)
+// TestServerClose: Close is the in-process crash. It ends idle and
+// in-flight connections alike, without a response to the one in flight,
+// and Serve returns http.ErrServerClosed.
+func TestServerClose(t *testing.T) {
+	entered := make(chan struct{})
 	release := make(chan struct{})
-	h := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	defer close(release)
+	ts := newServer(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path == "/slow" {
-			entered <- struct{}{}
+			close(entered)
 			<-release
 		}
 		okHandler(w, r)
-	})
+	}))
+	idle, idleBR := ts.dial(t)
+	send(t, idle, "GET /warm HTTP/1.1\r\nHost: x\r\n\r\n")
+	readResponse(t, idleBR, "GET")
+	busy, busyBR := ts.dial(t)
+	send(t, busy, "GET /slow HTTP/1.1\r\nHost: x\r\n\r\n")
+	<-entered
 
-	t.Run("idle", func(t *testing.T) {
-		ts := newServer(t, h)
-		nc, br := ts.dial(t)
-		send(t, nc, "GET /warm HTTP/1.1\r\nHost: x\r\n\r\n")
-		readResponse(t, br, "GET")
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		began := time.Now()
-		if err := ts.Shutdown(ctx); err != nil {
-			t.Fatalf("Shutdown with one idle connection: %v", err)
-		}
-		if took := time.Since(began); took > time.Second {
-			t.Errorf("Shutdown took %v with only an idle connection", took)
-		}
-		expectEOF(t, br)
-		if err := <-ts.done; err != http.ErrServerClosed {
-			t.Errorf("Serve returned %v, want http.ErrServerClosed", err)
-		}
-		if _, err := net.Dial("tcp", ts.addr); err == nil {
-			t.Error("the listener still accepts after Shutdown")
-		}
-	})
-
-	t.Run("in-flight", func(t *testing.T) {
-		ts := newServer(t, h)
-		nc, br := ts.dial(t)
-		send(t, nc, "GET /slow HTTP/1.1\r\nHost: x\r\n\r\n")
-		<-entered
-		shut := make(chan error, 1)
-		go func() { shut <- ts.Shutdown(context.Background()) }()
-		select {
-		case err := <-shut:
-			t.Fatalf("Shutdown returned %v with a request in flight", err)
-		case <-time.After(50 * time.Millisecond):
-		}
-		release <- struct{}{}
-		resp, body := readResponse(t, br, "GET")
-		if body != "GET /slow" || !resp.Close {
-			t.Fatalf("in-flight response during Shutdown: %q close=%v", body, resp.Close)
-		}
-		if err := <-shut; err != nil {
-			t.Fatalf("Shutdown: %v", err)
-		}
-		expectEOF(t, br)
-	})
-
-	t.Run("deadline", func(t *testing.T) {
-		ts := newServer(t, h)
-		nc, br := ts.dial(t)
-		send(t, nc, "GET /slow HTTP/1.1\r\nHost: x\r\n\r\n")
-		<-entered
-		defer func() { release <- struct{}{} }()
-		ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
-		defer cancel()
-		if err := ts.Shutdown(ctx); !errors.Is(err, context.DeadlineExceeded) {
-			t.Fatalf("Shutdown with a wedged request: %v, want the deadline error", err)
-		}
-		ts.Close()
-		expectEOF(t, br)
-	})
+	ts.Close()
+	expectEOF(t, idleBR)
+	expectEOF(t, busyBR)
+	if err := <-ts.done; err != http.ErrServerClosed {
+		t.Errorf("Serve returned %v, want http.ErrServerClosed", err)
+	}
+	if _, err := net.Dial("tcp", ts.addr); err == nil {
+		t.Error("the listener still accepts after Close")
+	}
 }
 
 // memConn is a net.Conn over memory. Reads come from in and end in io.EOF,

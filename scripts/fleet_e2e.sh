@@ -8,7 +8,7 @@
 #   * no established session ever sees a plain 5xx (loadgen -fail-established-5xx)
 #   * no session is lost by the router (lost_sessions == 0); lapses surface
 #     as 401 + re-login, which the client absorbs transparently
-#   * the proxy drains the whole fleet cleanly on SIGTERM (exit 0)
+#   * the proxy stops the whole fleet on SIGTERM (exit 0)
 #
 # Usage: scripts/fleet_e2e.sh [bindir]   (default bindir: ./bin)
 set -euo pipefail
@@ -54,7 +54,7 @@ echo "== starting proxy + 3-backend fleet (WALs in $WALDIR)"
 "$BIN/ebid-proxy" \
   -addr "127.0.0.1:$PROXY_PORT" -base-port $((PROXY_PORT + 1)) \
   -backends 3 -policy shed -server-bin "$BIN/ebid-server" \
-  -wal-dir "$WALDIR" -drain-timeout 5s \
+  -wal-dir "$WALDIR" \
   -server-flags "-users 100 -items 300" >"$PROXY_LOG" 2>&1 &
 PROXY_PID=$!
 
@@ -103,7 +103,7 @@ if [[ $LOST != 0 ]]; then
   exit 1
 fi
 
-echo "== draining fleet"
+echo "== stopping fleet"
 kill -TERM "$PROXY_PID"
 if ! wait "$PROXY_PID"; then
   echo "fleet_e2e: proxy did not exit cleanly" >&2
