@@ -101,20 +101,12 @@ func main() {
 		log.Fatalf("ebid-proxy: unknown policy %q", *policyName)
 	}
 
-	sup := fleet.New(func(e fleet.Event) {
-		switch e.Kind {
-		case fleet.EventCrashLoop:
-			log.Printf("supervisor: %s is CRASH-LOOPING (%d crashes in window) — escalate beyond process restarts", e.Child, e.Crashes)
-		case fleet.EventRespawn:
-			log.Printf("supervisor: respawning %s in %v", e.Child, e.Backoff)
-		default:
-			log.Printf("supervisor: %s %s (pid %d, gen %d)", e.Child, e.Kind, e.Pid, e.Gen)
-		}
-	})
-
+	// The router exists before the children do: it hears each one come up
+	// from the supervisor, not from its next poll.
 	extra := strings.Fields(*serverFlags)
 	fleetBackends := make([]*fleet.Backend, *backends)
-	for i := 0; i < *backends; i++ {
+	specs := make([]fleet.ChildSpec, *backends)
+	for i := range specs {
 		name := fmt.Sprintf("node%d", i)
 		port := *basePort + i
 		url := fmt.Sprintf("http://127.0.0.1:%d", port)
@@ -123,15 +115,17 @@ func main() {
 			"-node", name,
 			"-wal", filepath.Join(dir, name+".wal"),
 		}, extra...)
-		err := sup.Add(fleet.ChildSpec{Name: name, Path: bin, Args: args, ReadyURL: url + "/healthz"})
-		if err != nil {
+		specs[i] = fleet.ChildSpec{Name: name, Path: bin, Args: args, ReadyURL: url + "/healthz"}
+		fleetBackends[i] = &fleet.Backend{Name: name, URL: url}
+	}
+	router := fleet.NewRouter(policy, fleetBackends, *pollInterval)
+	sup := fleet.New(supervisorEvents(router))
+	for _, spec := range specs {
+		if err := sup.Add(spec); err != nil {
 			sup.Stop()
 			log.Fatalf("ebid-proxy: %v", err)
 		}
-		fleetBackends[i] = &fleet.Backend{Name: name, URL: url}
 	}
-
-	router := fleet.NewRouter(policy, fleetBackends, *pollInterval)
 	router.Start()
 
 	start := time.Now()
@@ -173,6 +167,23 @@ func main() {
 	router.Stop()
 	sup.Stop()
 	log.Printf("ebid-proxy: fleet stopped")
+}
+
+// supervisorEvents logs the supervisor's lifecycle events and passes each
+// to the router, which marks a backend up when it is ready and down when
+// it exits.
+func supervisorEvents(router *fleet.Router) func(fleet.Event) {
+	return func(e fleet.Event) {
+		switch e.Kind {
+		case fleet.EventCrashLoop:
+			log.Printf("supervisor: %s is CRASH-LOOPING (%d crashes in window) — escalate beyond process restarts", e.Child, e.Crashes)
+		case fleet.EventRespawn:
+			log.Printf("supervisor: respawning %s in %v", e.Child, e.Backoff)
+		default:
+			log.Printf("supervisor: %s %s (pid %d, gen %d)", e.Child, e.Kind, e.Pid, e.Gen)
+		}
+		router.Observe(e)
+	}
 }
 
 // newHandler is everything the proxy serves: the router for /ebid/, the

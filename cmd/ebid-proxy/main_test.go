@@ -66,6 +66,16 @@ func listenCounting(t *testing.T) *countingListener {
 	return cl
 }
 
+// hangUp closes every connection l has accepted, as the death of the
+// process serving them would.
+func (l *countingListener) hangUp() {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for _, c := range l.conns {
+		c.Close()
+	}
+}
+
 // accepted is how many connections l has accepted.
 func (l *countingListener) accepted() int {
 	l.mu.Lock()
@@ -159,7 +169,7 @@ func newProxy(t *testing.T) *proxy {
 		[]*fleet.Backend{{Name: "node0", URL: "http://" + p.backend.Addr().String()}}, time.Hour)
 	p.router.Start()
 	t.Cleanup(p.router.Stop)
-	p.sup = fleet.New(nil)
+	p.sup = fleet.New(supervisorEvents(p.router))
 	if err := p.sup.Add(fleet.ChildSpec{Name: "node0", Path: "/bin/sh", Args: []string{"-c", "sleep 60"}}); err != nil {
 		t.Fatal(err)
 	}
@@ -183,10 +193,16 @@ func newProxy(t *testing.T) *proxy {
 
 var viewItem = []byte("GET /ebid/ViewItem?item=7 HTTP/1.1\r\nHost: 127.0.0.1:8080\r\nUser-Agent: bench\r\nCookie: EBIDSESSION=http-0123456789abcdef0123456789abcdef\r\nX-Bench-Req: 1\r\n\r\n")
 
+var commitBid = []byte("GET /ebid/CommitBid?amount=10 HTTP/1.1\r\nHost: 127.0.0.1:8080\r\nCookie: EBIDSESSION=http-0123456789abcdef0123456789abcdef\r\n\r\n")
+
 // view sends one ViewItem of an established session, as the bench client
 // does, and reads the whole response. It allocates nothing.
-func (p *proxy) view(t *testing.T) {
-	if _, err := p.client.Write(viewItem); err != nil {
+func (p *proxy) view(t *testing.T) { p.send(t, viewItem) }
+
+// send sends one request on the client connection and reads the whole
+// response, which must be the raw backend's 200.
+func (p *proxy) send(t *testing.T, req []byte) {
+	if _, err := p.client.Write(req); err != nil {
 		t.Fatal(err)
 	}
 	line, err := p.br.ReadSlice('\n')
@@ -294,5 +310,29 @@ func TestProxyRebootWaitsForInFlight(t *testing.T) {
 	p.view(t)
 	if p.backend.accepted() == dialed {
 		t.Error("the first request after the reboot reused a connection from before it")
+	}
+}
+
+// TestProxyHardRebootDropsIdlePool: a hard reboot kills node0 with a
+// connection to it idle in the router's pool. The next commit point must
+// travel on a new connection and be answered, not be sent on the dead
+// one and answered 502 "outcome unknown".
+func TestProxyHardRebootDropsIdlePool(t *testing.T) {
+	p := newProxy(t)
+	base := "http://" + p.front.Addr().String()
+	p.view(t) // leaves its backend connection idle in the pool
+	p.backend.hangUp()
+	if code := <-status(func() (*http.Response, error) {
+		return http.Post(base+"/admin/proxy/reboot?backend=node0&hard=1", "", nil)
+	}); code != http.StatusOK {
+		t.Fatalf("the hard reboot answered %d, want 200", code)
+	}
+	dialed := p.backend.accepted()
+	p.send(t, commitBid)
+	if p.backend.accepted() == dialed {
+		t.Error("the commit point after the reboot did not travel on a new connection")
+	}
+	if n := p.router.Status()["unknown_outcome"]; n != int64(0) {
+		t.Errorf("unknown_outcome = %v after the reboot, want 0", n)
 	}
 }

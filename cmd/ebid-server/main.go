@@ -202,9 +202,11 @@ func main() {
 // openWAL opens the WAL file at path, creating it if need be, and
 // returns a database that logs to it. It replays what the file's valid
 // prefix committed; recovered reports whether that prefix held any
-// record. Whatever follows the prefix (a torn or damaged record) is cut
-// off and the file is positioned at its end, so new records never land
-// inside garbage that the next LoadWAL would stop at.
+// record. Whatever follows the prefix (a torn or damaged frame) is cut
+// off and the file is positioned at its end, so new frames continue the
+// chain instead of landing behind garbage that the next LoadWAL would
+// stop at. A file that is not a framed log (db.ErrNotWAL: an old
+// JSON-line log, say) is refused as it is, not truncated.
 func openWAL(path string) (d *db.DB, fh *os.File, recovered bool, err error) {
 	fh, err = os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
@@ -223,17 +225,16 @@ func openWAL(path string) (d *db.DB, fh *os.File, recovered bool, err error) {
 		fh.Close()
 		return nil, nil, false, err
 	}
-	if loaded.Len() == 0 {
-		return db.New(db.NewWALWithSink(fh)), fh, false, nil
+	if recovered = loaded.Len() > 0; recovered {
+		log.Printf("wal: recovering %d records from %s", loaded.Len(), path)
 	}
-	log.Printf("wal: recovering %d records from %s", loaded.Len(), path)
 	d = db.New(loaded)
 	if err := d.Recover(); err != nil {
 		fh.Close()
 		return nil, nil, false, fmt.Errorf("recovering %s: %w", path, err)
 	}
 	loaded.AttachSink(fh) // after Recover: it releases the loaded history
-	return d, fh, true, nil
+	return d, fh, recovered, nil
 }
 
 // clusterOrNil avoids the typed-nil interface trap when no brick cluster

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -9,12 +11,12 @@ import (
 )
 
 // TestOpenWALRecoversAfterATornFirstRecord starts twice against a WAL
-// file whose only record is torn. The first start must cut the garbage
-// off and log its commits from the start of the file, so the second
-// start recovers them instead of loading the seed dataset again.
+// file whose only frame is torn. The first start must cut the garbage
+// off and log its commits right after the magic, so the second start
+// recovers them instead of loading the seed dataset again.
 func TestOpenWALRecoversAfterATornFirstRecord(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "node.wal")
-	if err := os.WriteFile(path, []byte(`{"kind":0,"tab`), 0o644); err != nil {
+	if err := os.WriteFile(path, []byte("EBIDWAL1\x40\x01\x02"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -59,5 +61,22 @@ func TestOpenWALRecoversAfterATornFirstRecord(t *testing.T) {
 	row, err := tx2.Get("kv", 7)
 	if err != nil || row["v"] != int64(42) {
 		t.Fatalf("recovered row = %v, %v; want v=42", row, err)
+	}
+}
+
+// TestOpenWALRefusesAnOldLog starts against a JSON-line log of the kind
+// older builds wrote. The start must fail with db.ErrNotWAL and leave the
+// file as it was: truncating it to its "valid prefix" would erase it.
+func TestOpenWALRefusesAnOldLog(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "node.wal")
+	old := []byte(`{"kind":0,"table":"kv","schema":{"Name":"kv"}}` + "\n" + `{"kind":4,"tx":1}` + "\n")
+	if err := os.WriteFile(path, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, err := openWAL(path); !errors.Is(err, db.ErrNotWAL) {
+		t.Fatalf("openWAL on a JSON-line log: %v, want db.ErrNotWAL", err)
+	}
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, old) {
+		t.Fatalf("the refused log now holds %q (%v), want it untouched", got, err)
 	}
 }

@@ -104,6 +104,12 @@ func (s *sessionComponent) Serve(ctx context.Context, call *core.Call) (any, err
 	return s.op(ctx, s.env, call)
 }
 
+// ErrNoItemSelected is a commit point (CommitBid, CommitBuyNow) reached by
+// a session that holds no MakeBid or BuyNow: the client's state, not a
+// fault of the server. It is what a user sees whose session moved to
+// another backend between the two steps, or who replays a commit.
+var ErrNoItemSelected = errors.New("no item selected")
+
 // Pre-built hot-path errors: these branches fire on every faulty or
 // misrouted request under injection campaigns, so they must not allocate
 // (fmt.Errorf/errors.New with no dynamic operands build the same string
@@ -113,8 +119,8 @@ var (
 	errNoSessionStore   = errors.New("ebid: no session store resource")
 	errTxAbortedInRecov = errors.New("ebid: transaction aborted during recovery")
 	errAuthBadUserID    = errors.New("ebid: Authenticate: bad user id")
-	errBidNoItem        = errors.New("ebid: CommitBid: no item selected")
-	errBuyNowNoItem     = errors.New("ebid: CommitBuyNow: no item selected")
+	errBidNoItem        = fmt.Errorf("ebid: CommitBid: %w", ErrNoItemSelected)
+	errBuyNowNoItem     = fmt.Errorf("ebid: CommitBuyNow: %w", ErrNoItemSelected)
 	errFeedbackNoTarget = errors.New("ebid: CommitUserFeedback: no feedback target")
 )
 

@@ -80,8 +80,9 @@ func (b *Backend) putConn(c *backendConn) {
 	}
 }
 
-// markDown records a failed poll or exchange: no new traffic, and the
-// idle connections — to a process that is gone or wedged — are dropped.
+// markDown records a failed poll or exchange, or the process's exit: no
+// new traffic, and the idle connections — to a process that is gone or
+// wedged — are dropped.
 func (b *Backend) markDown() {
 	b.healthy.Store(false)
 	b.dropIdle()

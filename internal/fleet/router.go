@@ -36,6 +36,15 @@ type Backend struct {
 	completed  atomic.Int64
 	failed     atomic.Int64
 
+	// healthMu orders healthy's two sources, the supervisor's events
+	// (Observe) and the poll. epoch counts the events: a poll's verdict is
+	// applied only if none arrived while it was out. exitedGen is the last
+	// incarnation seen to exit, so that its ready event, delivered late,
+	// is ignored.
+	healthMu  sync.Mutex
+	epoch     uint64
+	exitedGen int
+
 	addr   string // host:port the forwarder dials, from URL
 	poolMu sync.Mutex
 	idle   []*backendConn // most recently used last
@@ -47,7 +56,8 @@ func (b *Backend) QueueDepth() int { return int(b.inflight.Load()) }
 // Busy implements cluster.Endpoint.
 func (b *Backend) Busy() int { return int(b.remoteBusy.Load()) }
 
-// Healthy reports the last health poll's verdict.
+// Healthy reports whether the backend is up, by the latest of its health
+// poll and the supervisor's events.
 func (b *Backend) Healthy() bool { return b.healthy.Load() }
 
 // Draining reports whether the backend is excluded from new sessions.
@@ -123,7 +133,9 @@ func NewRouter(policy cluster.RoutingPolicy, backends []*Backend, pollEvery time
 }
 
 // Start launches the health/load poll loop. An initial synchronous
-// sweep seeds health before the first request.
+// sweep seeds health before the first request. The poll finds a process
+// that is alive but wedged, and reads the busy gauge; that a process
+// started or exited, Observe learns at once.
 func (r *Router) Start() {
 	r.pollOnce()
 	go func() {
@@ -152,35 +164,74 @@ func (r *Router) Stop() {
 // pollOnce refreshes every backend's health and load concurrently. One
 // failed poll marks a backend unhealthy — for process fleets behind a
 // local supervisor, a refused connection means the process is down, and
-// optimism here turns into user-visible errors.
+// optimism here turns into user-visible errors. A verdict is dropped if
+// the supervisor reported on the backend while the poll was out: the
+// event is newer.
 func (r *Router) pollOnce() {
 	var wg sync.WaitGroup
 	for _, b := range r.backends {
 		wg.Add(1)
 		go func(b *Backend) {
 			defer wg.Done()
-			resp, err := r.poll.Get(b.URL + "/admin/fleet/status")
-			if err != nil {
+			b.healthMu.Lock()
+			epoch := b.epoch
+			b.healthMu.Unlock()
+			up := r.pollStatus(b)
+			b.healthMu.Lock()
+			defer b.healthMu.Unlock()
+			switch {
+			case b.epoch != epoch:
+			case up:
+				b.healthy.Store(true)
+			default:
 				b.markDown()
-				return
 			}
-			defer resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				b.markDown()
-				return
-			}
-			var st struct {
-				InFlight int64 `json:"in_flight"`
-			}
-			if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-				b.markDown()
-				return
-			}
-			b.remoteBusy.Store(st.InFlight)
-			b.healthy.Store(true)
 		}(b)
 	}
 	wg.Wait()
+}
+
+// pollStatus asks b for its in-flight gauge and stores it. It reports
+// whether b answered.
+func (r *Router) pollStatus(b *Backend) bool {
+	resp, err := r.poll.Get(b.URL + "/admin/fleet/status")
+	if err != nil {
+		return false
+	}
+	defer resp.Body.Close()
+	var st struct {
+		InFlight int64 `json:"in_flight"`
+	}
+	if resp.StatusCode != http.StatusOK || json.NewDecoder(resp.Body).Decode(&st) != nil {
+		return false
+	}
+	b.remoteBusy.Store(st.InFlight)
+	return true
+}
+
+// Observe takes the supervisor's word on a backend, passed on from the
+// Supervisor's event callback. EventReady marks the backend healthy at
+// once, without waiting for the next poll. EventExited marks it down,
+// which also closes its idle connections: they lead to the incarnation
+// that died, and a commit point sent on one would be answered 502. Other
+// events, and events about no backend of r, are ignored.
+func (r *Router) Observe(e Event) {
+	if e.Kind != EventReady && e.Kind != EventExited {
+		return
+	}
+	b := r.backend(e.Child)
+	if b == nil {
+		return
+	}
+	b.healthMu.Lock()
+	defer b.healthMu.Unlock()
+	if e.Kind == EventExited {
+		b.exitedGen = max(b.exitedGen, e.Gen)
+		b.markDown()
+	} else if e.Gen > b.exitedGen {
+		b.healthy.Store(true)
+	}
+	b.epoch++
 }
 
 // SetDrain implements half of controlplane.FleetActuator (see Actuator):
@@ -198,11 +249,9 @@ func (r *Router) SetDrain(node string, drain bool) bool {
 // new and pinned sessions go to healthy peers if it has any, and waits
 // until no request this router forwarded to it is still unanswered; the
 // wait is bounded by exchangeTimeout, past which any such request has been
-// answered anyway. Then it closes the backend's idle connections, which
-// lead to the incarnation about to die: reused after the restart, each
-// would cost a commit point a 502. It returns the drain state the backend
-// had before, for the caller to restore, and ok false for an unknown
-// backend.
+// answered anyway. The kill's EventExited (Observe) then closes the
+// connections left idle. It returns the drain state the backend had
+// before, for the caller to restore, and ok false for an unknown backend.
 func (r *Router) Quiesce(node string) (wasDraining, ok bool) {
 	b := r.backend(node)
 	if b == nil {
@@ -214,7 +263,6 @@ func (r *Router) Quiesce(node string) (wasDraining, ok bool) {
 			break
 		}
 	}
-	b.dropIdle()
 	return wasDraining, true
 }
 
@@ -274,8 +322,8 @@ func (r *Router) Status() map[string]any {
 	}
 }
 
-// AllHealthy reports whether every backend passed its last poll — the
-// /admin/proxy/ready gate.
+// AllHealthy reports whether every backend is up — the /admin/proxy/ready
+// gate.
 func (r *Router) AllHealthy() bool {
 	for _, b := range r.backends {
 		if !b.Healthy() {

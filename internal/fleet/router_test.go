@@ -931,3 +931,59 @@ func BenchmarkProxyForwardParallel(b *testing.B) {
 	}
 	wg.Wait()
 }
+
+// TestRouterObservesSupervisor: the supervisor's events reach the router
+// without its poll, which runs once an hour here. EventReady makes the
+// fleet healthy at once, and the failed answer of a poll sent before it
+// does not undo it. EventExited marks the backend down and closes its idle
+// connections, and a late ready event of the incarnation that exited is
+// ignored.
+func TestRouterObservesSupervisor(t *testing.T) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	r := NewRouter(cluster.LeastLoadedPolicy{}, []*Backend{{Name: "node0", URL: "http://" + l.Addr().String()}}, time.Hour)
+	t.Cleanup(r.Stop)
+	started := make(chan struct{})
+	go func() {
+		defer close(started)
+		r.Start() // its first poll is held below, then fails
+	}()
+	c, err := l.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.AllHealthy() {
+		t.Fatal("healthy before any poll or event")
+	}
+	r.Observe(Event{Kind: EventStarted, Child: "node0", Gen: 1})
+	if r.AllHealthy() {
+		t.Fatal("EventStarted made the backend healthy before it was ready")
+	}
+	r.Observe(Event{Kind: EventReady, Child: "node0", Gen: 1})
+	if !r.AllHealthy() {
+		t.Fatal("EventReady did not make the backend healthy at once")
+	}
+	c.Close() // the poll sent before the event fails
+	<-started
+	if !r.AllHealthy() {
+		t.Fatal("a poll sent before EventReady undid it")
+	}
+
+	b := r.backends[0]
+	b.putConn(&backendConn{nc: c})
+	r.Observe(Event{Kind: EventExited, Child: "node0", Gen: 1})
+	if r.AllHealthy() || idleConns(b) != 0 {
+		t.Fatalf("after EventExited: healthy %v, %d idle connections; want down, 0", r.AllHealthy(), idleConns(b))
+	}
+	r.Observe(Event{Kind: EventReady, Child: "node0", Gen: 1})
+	if r.AllHealthy() {
+		t.Fatal("a late EventReady of the exited incarnation marked the backend up")
+	}
+	r.Observe(Event{Kind: EventReady, Child: "node0", Gen: 2})
+	if !r.AllHealthy() {
+		t.Fatal("the next incarnation's EventReady did not mark the backend up")
+	}
+}

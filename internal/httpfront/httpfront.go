@@ -342,6 +342,8 @@ func failureKind(err error) string {
 		return "hang"
 	case errors.Is(err, ebid.ErrNotLoggedIn):
 		return "session-lapsed"
+	case errors.Is(err, ebid.ErrNoItemSelected):
+		return "client-state"
 	default:
 		return "http-error"
 	}
@@ -371,6 +373,10 @@ func (f *Front) writeOpError(w http.ResponseWriter, err error) {
 		// client-recoverable event, not a server error — 401 tells the
 		// client to log in again, and fleet routers unpin the session.
 		http.Error(w, "session lapsed: "+err.Error(), http.StatusUnauthorized)
+	case errors.Is(err, ebid.ErrNoItemSelected):
+		// A commit with nothing to commit: the session's state conflicts
+		// with the request, and no component is at fault.
+		http.Error(w, err.Error(), http.StatusConflict)
 	default:
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 	}

@@ -9,6 +9,7 @@ import (
 	"net/http/cookiejar"
 	"net/http/httptest"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -827,5 +828,63 @@ func TestOpDispatchMatchesMux(t *testing.T) {
 		if code != wantCode || loc != wantLoc || body != wantBody {
 			t.Errorf("%s: %d %q %q; the mux answers %d %q %q", target, code, loc, body, wantCode, wantLoc, wantBody)
 		}
+	}
+}
+
+// signalLog is a controller that keeps the failure kinds it is sent.
+type signalLog struct {
+	mu    sync.Mutex
+	kinds []string
+}
+
+func (l *signalLog) Name() string                    { return "signal-log" }
+func (l *signalLog) Tick(time.Duration) (act func()) { return nil }
+func (l *signalLog) Status() any                     { return nil }
+func (l *signalLog) OnSignal(s controlplane.Signal) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.kinds = append(l.kinds, s.FailureKind)
+}
+
+// TestCommitWithNoItemIs409: a commit point reached by a logged-in session
+// that selected nothing (its MakeBid or BuyNow went to another backend, or
+// it committed already) is the client's state, not a server fault. Both
+// CommitBid and CommitBuyNow answer 409, and the plane hears of it as a
+// client-state failure, which no recovery policy reboots a component for.
+func TestCommitWithNoItemIs409(t *testing.T) {
+	f := newFront(t)
+	log := &signalLog{}
+	f.Plane = controlplane.New(controlplane.Config{Clock: func() time.Duration { return 0 }})
+	f.Plane.Use(log)
+	srv := newServer(t, f.Handler())
+
+	resp, err := http.Get(srv.URL + "/ebid/Authenticate?user=3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	cookies := resp.Cookies()
+	for _, op := range []string{ebid.CommitBid, ebid.CommitBuyNow} {
+		req, err := http.NewRequest(http.MethodGet, srv.URL+"/ebid/"+op, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range cookies {
+			req.AddCookie(c)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusConflict || !strings.Contains(string(body), "no item selected") {
+			t.Errorf("%s with no item selected: %d %q, want 409", op, resp.StatusCode, body)
+		}
+	}
+	log.mu.Lock()
+	defer log.mu.Unlock()
+	if !slices.Equal(log.kinds, []string{"client-state", "client-state"}) {
+		t.Errorf("the plane heard failure kinds %q, want two client-state", log.kinds)
 	}
 }

@@ -80,15 +80,6 @@ type Schema struct {
 	Indexes []string
 }
 
-func (s Schema) column(name string) (Column, bool) {
-	for _, c := range s.Columns {
-		if c.Name == name {
-			return c, true
-		}
-	}
-	return Column{}, false
-}
-
 // Row is a single record: column name to value. Values must be int64,
 // string, float64, bool, or nil (for nullable columns).
 //
@@ -224,12 +215,19 @@ func listRemove(s []int64, id int64) []int64 {
 	return slices.Concat(s[:i], s[i+1:])
 }
 
-// validate checks r against the schema. Corrupted writes bypass this via
-// the fault-injection entry points.
+// validate checks r against the schema: every column it holds is one of
+// the schema's, of the column's type, and its strings total at most
+// maxRowText bytes, so that its log frame stays under the cap that
+// LoadWAL reads. Corrupted writes bypass this via the fault-injection
+// entry points.
 func (t *table) validate(r Row) error {
+	present, text := 0, 0
 	for _, col := range t.schema.Columns {
-		v, present := r[col.Name]
-		if !present || v == nil {
+		v, ok := r[col.Name]
+		if ok {
+			present++
+		}
+		if v == nil {
 			if col.Nullable {
 				continue
 			}
@@ -245,16 +243,18 @@ func (t *table) validate(r Row) error {
 				return fmt.Errorf("%w: column %s value %d outside [%d,%d]", ErrBadValue, col.Name, iv, col.MinInt, col.MaxInt)
 			}
 		case Str:
-			if _, ok := v.(string); !ok {
+			sv, ok := v.(string)
+			if !ok {
 				return fmt.Errorf("%w: column %s wants string, got %T", ErrBadValue, col.Name, v)
 			}
+			text += len(sv)
 		case Float:
 			fv, ok := v.(float64)
 			if !ok {
 				return fmt.Errorf("%w: column %s wants float64, got %T", ErrBadValue, col.Name, v)
 			}
-			// The WAL's JSON encoding has no NaN or ±Inf: such a row
-			// could commit but never be logged.
+			// No amount is infinite, and a NaN never equals itself: an
+			// index could never find it again.
 			if math.IsNaN(fv) || math.IsInf(fv, 0) {
 				return fmt.Errorf("%w: column %s value %v is not finite", ErrBadValue, col.Name, fv)
 			}
@@ -263,6 +263,12 @@ func (t *table) validate(r Row) error {
 				return fmt.Errorf("%w: column %s wants bool, got %T", ErrBadValue, col.Name, v)
 			}
 		}
+	}
+	if present != len(r) {
+		return fmt.Errorf("%w: a row of %s holds a column outside its schema", ErrBadValue, t.schema.Name)
+	}
+	if text > maxRowText {
+		return fmt.Errorf("%w: a row of %s holds %d bytes of strings, more than %d", ErrBadValue, t.schema.Name, text, maxRowText)
 	}
 	return nil
 }
@@ -392,6 +398,10 @@ func (d *DB) CreateTable(s Schema) error {
 	if _, ok := d.tables[s.Name]; ok {
 		d.mu.Unlock()
 		return fmt.Errorf("%w: %s", ErrDupTable, s.Name)
+	}
+	if schemaLen(&s)+nameLen(s.Name) > maxSchemaBytes {
+		d.mu.Unlock()
+		return fmt.Errorf("%w: the schema of %s encodes to more than %d bytes", ErrBadValue, s.Name, maxSchemaBytes)
 	}
 	d.tables[s.Name] = newTable(s)
 	wait := d.wal.append(walRecord{Kind: recCreateTable, Table: s.Name, Schema: &s})

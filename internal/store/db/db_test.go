@@ -155,16 +155,23 @@ func TestSchemaValidation(t *testing.T) {
 	tx := mustBegin(t, d)
 	defer tx.Abort()
 	cases := []Row{
-		{"name": nil, "rating": int64(0), "region": int64(1)},     // null non-nullable
-		{"name": "x", "rating": int64(101), "region": int64(1)},   // out of range
-		{"name": "x", "rating": "not-an-int", "region": int64(1)}, // wrong type
-		{"name": 42, "rating": int64(0), "region": int64(1)},      // wrong type for str
-		{"rating": int64(0), "region": int64(1)},                  // missing non-nullable
+		{"name": nil, "rating": int64(0), "region": int64(1)},                  // null non-nullable
+		{"name": "x", "rating": int64(101), "region": int64(1)},                // out of range
+		{"name": "x", "rating": "not-an-int", "region": int64(1)},              // wrong type
+		{"name": 42, "rating": int64(0), "region": int64(1)},                   // wrong type for str
+		{"rating": int64(0), "region": int64(1)},                               // missing non-nullable
+		{"name": "x", "rating": int64(0), "region": int64(1), "age": int64(3)}, // outside the schema
+		{"name": strings.Repeat("x", maxRowText/2), "rating": int64(0), "region": int64(1),
+			"email": strings.Repeat("y", maxRowText/2+1)}, // past the log frame's text cap
 	}
 	for i, r := range cases {
 		if _, err := tx.Insert("users", r); !errors.Is(err, ErrBadValue) {
 			t.Fatalf("case %d: err = %v, want ErrBadValue", i, err)
 		}
+	}
+	huge := Schema{Name: "huge", Columns: []Column{{Name: strings.Repeat("c", maxSchemaBytes), Type: Int}}}
+	if err := d.CreateTable(huge); !errors.Is(err, ErrBadValue) {
+		t.Fatalf("CreateTable of a schema past the log frame's cap: %v, want ErrBadValue", err)
 	}
 	// Nullable column may be omitted.
 	if _, err := tx.Insert("users", Row{"name": "ok", "rating": int64(0), "region": int64(1)}); err != nil {
@@ -509,12 +516,9 @@ func TestWALSinkMirrors(t *testing.T) {
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	out := buf.String()
-	if !strings.Contains(out, `"users"`) {
-		t.Fatalf("WAL sink missing table record: %q", out)
-	}
-	if strings.Count(out, "\n") < 3 { // create + insert + commit mark
-		t.Fatalf("WAL sink too short: %q", out)
+	recs := sinkRecords(t, buf.Bytes())
+	if len(recs) != 3 || recs[0].Table != "users" { // create + insert + commit mark
+		t.Fatalf("WAL sink holds %+v, want the table's creation, the insert and its mark", recs)
 	}
 }
 

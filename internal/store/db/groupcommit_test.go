@@ -2,7 +2,6 @@ package db
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 	"sync"
@@ -55,21 +54,6 @@ func runConcurrentCommits(t *testing.T, d *DB, workers, per int) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-}
-
-// sinkRecords decodes every JSON-line record a WAL wrote to its sink.
-func sinkRecords(t *testing.T, sink []byte) []walRecord {
-	t.Helper()
-	var recs []walRecord
-	dec := json.NewDecoder(bytes.NewReader(sink))
-	for dec.More() {
-		var rec walRecord
-		if err := dec.Decode(&rec); err != nil {
-			t.Fatalf("sink decode: %v", err)
-		}
-		recs = append(recs, rec)
-	}
-	return recs
 }
 
 // TestGroupCommitBatchesAndPreservesOrder checks the two core properties
@@ -163,10 +147,11 @@ func TestGroupCommitCrashMidBatchReplaysOnlyCommitted(t *testing.T) {
 	runConcurrentCommits(t, d, workers, per)
 
 	// The sink always ends with a commit mark (writes+mark stage
-	// atomically); dropping its line leaves that transaction's two
+	// atomically); dropping its frame leaves that transaction's two
 	// inserts mark-less — the crash-mid-batch shape.
-	file := bytes.TrimSuffix(sunk.Bytes(), []byte("\n"))
-	cut := bytes.LastIndexByte(file, '\n') + 1
+	file := sunk.Bytes()
+	ends := frameEnds(t, file)
+	cut := ends[len(ends)-2]
 	recs := sinkRecords(t, file)
 	last := recs[len(recs)-1]
 	if last.Kind != recCommitMark {

@@ -1,15 +1,16 @@
 package db
 
 import (
-	"bytes"
-	"encoding/json"
+	"bufio"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"io"
 	"sync"
 )
 
 // recKind enumerates WAL record kinds.
-type recKind int
+type recKind uint8
 
 const (
 	recCreateTable recKind = iota
@@ -21,14 +22,15 @@ const (
 
 // walRecord is one logical log entry. Table mutations are grouped under a
 // commit mark; only marked groups are replayed by Recover, so a crash
-// mid-commit never exposes partial transactions.
+// mid-commit never exposes partial transactions. walframe.go gives its
+// encoding in a log file.
 type walRecord struct {
-	Kind   recKind `json:"kind"`
-	Table  string  `json:"table,omitempty"`
-	Key    int64   `json:"key,omitempty"`
-	Row    Row     `json:"row,omitempty"`
-	Schema *Schema `json:"schema,omitempty"`
-	TxID   uint64  `json:"tx,omitempty"`
+	Kind   recKind
+	Table  string
+	Key    int64
+	Row    Row
+	Schema *Schema
+	TxID   uint64
 }
 
 // WAL is an append-only write-ahead log. It holds its history in exactly
@@ -39,7 +41,7 @@ type walRecord struct {
 //     Recover and RepairTable replay it.
 //   - With a sink (NewWALWithSink, AttachSink) the sink is the record of
 //     truth. A record is held in memory only from staging until the group
-//     commit flush that writes it as a JSON line, so memory does not grow
+//     commit flush that writes it as a frame, so memory does not grow
 //     with uptime. Such a WAL has no history to replay in-process; a
 //     restarted process recovers with LoadWAL + Recover.
 //
@@ -67,10 +69,15 @@ type WAL struct {
 	open bool
 	done chan struct{}
 
-	// flushMu serializes sink flushes; buf and enc belong to the flusher.
+	// flushMu serializes sink flushes; what follows belongs to the
+	// flusher. frame and names are reused from batch to batch. crc is the
+	// last frame's, which seeds the next; headed reports that the sink
+	// already holds the magic (LoadWAL read it, or a flush wrote it).
 	flushMu sync.Mutex
-	buf     bytes.Buffer
-	enc     *json.Encoder
+	frame   []byte
+	names   []string
+	crc     uint32
+	headed  bool
 
 	// group-commit stats, guarded by mu.
 	batches  uint64
@@ -86,128 +93,83 @@ var ErrNoHistory = errors.New("db: no in-memory log history to replay")
 // NewWAL returns a WAL that keeps its whole history in memory.
 func NewWAL() *WAL { return &WAL{} }
 
-// NewWALWithSink returns a WAL that writes every record to w and keeps
-// none of them in memory once written.
-func NewWALWithSink(w io.Writer) *WAL {
-	wal := &WAL{sink: w}
-	wal.enc = json.NewEncoder(&wal.buf)
-	return wal
-}
+// NewWALWithSink returns a WAL that writes a new log to w, magic first,
+// and keeps no record in memory once written. w should be empty; to
+// continue a log file, LoadWAL it and AttachSink.
+func NewWALWithSink(w io.Writer) *WAL { return &WAL{sink: w} }
 
-// LoadWAL reads a sink file's JSON-line records back into a fresh WAL
-// without a sink — the crash-safe startup path of a process whose
-// previous incarnation wrote its log to disk. Reading stops at the first
-// record that is damaged (a crash mid-write leaves a torn tail) or not
-// well-formed (see wellFormed); the returned offset is the byte position
-// just past the last good record, which the caller should truncate the
-// file to before appending new records. Commit-mark atomicity is
-// untouched: a transaction whose mark fell past the good prefix is simply
-// never replayed. Only a read error from r is returned as an error.
+// LoadWAL reads a log file back into a fresh WAL without a sink — the
+// crash-safe startup path of a process whose previous incarnation wrote
+// its log to disk. It never panics. It keeps the longest valid prefix of
+// frames: reading stops at a torn frame (a crash mid-write), at the first
+// crc that breaks the chain (damage, a splice, a reordering), and at the
+// first record Recover could not replay (see decodeRecord). The returned
+// offset is the byte position just past the last good frame, which the
+// caller should truncate the file to before appending; commit-mark
+// atomicity is untouched, since a transaction whose mark fell past the
+// prefix is never replayed.
+//
+// An empty file, or a proper prefix of the magic (a torn first write),
+// loads nothing, at offset 0. A non-empty file that does not start with
+// the magic is refused with ErrNotWAL. Otherwise only a read error from r
+// is returned as an error.
 func LoadWAL(r io.Reader) (w *WAL, offset int64, err error) {
 	w = &WAL{}
-	dec := json.NewDecoder(r)
-	dec.UseNumber()
+	br := bufio.NewReaderSize(r, 64<<10)
+	if w.headed, err = readHead(br); !w.headed {
+		return w, 0, err
+	}
+	w.crc = magicCRC
+	offset = int64(len(walMagic))
 	schemas := map[string]*Schema{}
+	var big []byte
 	for {
-		var rec walRecord
-		if derr := dec.Decode(&rec); derr != nil {
-			if errors.Is(derr, io.EOF) {
-				return w, offset, nil
-			}
-			var syn *json.SyntaxError
-			var typ *json.UnmarshalTypeError
-			if errors.As(derr, &syn) || errors.As(derr, &typ) || errors.Is(derr, io.ErrUnexpectedEOF) {
-				// Torn or damaged: keep what decoded cleanly.
-				return w, offset, nil
-			}
-			return w, offset, derr
+		head, err := br.Peek(frameHeadMax)
+		if err != nil && err != io.EOF {
+			return w, offset, err
 		}
-		if rec.Kind == recCreateTable && rec.Schema != nil {
-			schemas[rec.Table] = rec.Schema
+		size, n := binary.Uvarint(head)
+		if n <= 0 || size > maxPayload || len(head) < n+4 {
+			return w, offset, nil // the end, a torn head, or damage
 		}
-		restoreRowTypes(rec.Row, schemas[rec.Table])
-		if !rec.wellFormed() {
+		sum := binary.LittleEndian.Uint32(head[n:])
+		_, _ = br.Discard(n + 4)
+		p, err := readPayload(br, int(size), &big)
+		if err != nil {
+			if err == io.EOF {
+				err = nil // torn payload
+			}
+			return w, offset, err
+		}
+		crc := crc32.Update(w.crc, castagnoli, p)
+		if crc != sum {
 			return w, offset, nil
+		}
+		rec, ok := decodeRecord(p, schemas)
+		if !ok {
+			return w, offset, nil
+		}
+		if rec.Kind == recCreateTable {
+			schemas[rec.Table] = rec.Schema
 		}
 		w.records = append(w.records, rec)
 		w.n++
-		offset = dec.InputOffset()
-	}
-}
-
-// wellFormed reports whether a decoded record is one Recover can replay:
-// a known kind, a schema on a table creation, a table on a mutation, and
-// a row of scalar values on an insert or update.
-func (rec *walRecord) wellFormed() bool {
-	switch rec.Kind {
-	case recCreateTable:
-		return rec.Schema != nil
-	case recInsert, recUpdate:
-		if rec.Table == "" || rec.Row == nil {
-			return false
-		}
-		for _, v := range rec.Row {
-			switch v.(type) {
-			case nil, int64, float64, string, bool:
-			default:
-				return false
-			}
-		}
-		return true
-	case recDelete:
-		return rec.Table != ""
-	case recCommitMark:
-		return true
-	}
-	return false
-}
-
-// restoreRowTypes converts json.Number values decoded from a sink file
-// back to the Row contract's native Go types. encoding/json alone would
-// hand every number back as float64, so an Int column recovered after a
-// crash would no longer satisfy the int64 assertions the live code makes.
-// The table's schema (logged by CreateTable, so always earlier in the WAL
-// than any row touching it) decides; unknown columns fall back to
-// int-then-float parsing.
-func restoreRowTypes(r Row, s *Schema) {
-	for k, v := range r {
-		n, ok := v.(json.Number)
-		if !ok {
-			continue
-		}
-		if s != nil {
-			if col, ok := s.column(k); ok {
-				switch col.Type {
-				case Int:
-					if i, err := n.Int64(); err == nil {
-						r[k] = i
-						continue
-					}
-				case Float:
-					if f, err := n.Float64(); err == nil {
-						r[k] = f
-						continue
-					}
-				}
-			}
-		}
-		if i, err := n.Int64(); err == nil {
-			r[k] = i
-		} else if f, err := n.Float64(); err == nil {
-			r[k] = f
-		}
+		w.crc = crc
+		offset += int64(n + 4 + int(size))
 	}
 }
 
 // AttachSink makes sink the record of truth for a WAL that has none:
 // records appended from here on are written to it, and the history
-// already in memory (what LoadWAL read) is released, not rewritten. Call
-// Recover before AttachSink; afterwards there is nothing left to replay.
+// already in memory (what LoadWAL read) is released, not rewritten. The
+// frames continue the chain of the ones LoadWAL read, so sink must be
+// that file, positioned at the returned offset; after a load that found
+// no magic, the first flush writes it. Call Recover before AttachSink;
+// afterwards there is nothing left to replay.
 func (w *WAL) AttachSink(sink io.Writer) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.sink = sink
-	w.enc = json.NewEncoder(&w.buf)
 	w.records = nil
 }
 
@@ -308,11 +270,16 @@ func (w *WAL) flushBatch() {
 	recs := w.records
 	w.records, w.spare = w.spare, nil
 	w.mu.Unlock()
-	for i := range recs {
-		_ = w.enc.Encode(recs[i]) // best-effort, like the write below
+	b := w.frame[:0]
+	if !w.headed {
+		b = append(b, walMagic...)
+		w.crc, w.headed = magicCRC, true
 	}
-	_, _ = w.sink.Write(w.buf.Bytes()) // best-effort, as a crash mid-write would be
-	w.buf.Reset()
+	for i := range recs {
+		b, w.crc, w.names = appendFrame(b, w.crc, &recs[i], w.names)
+	}
+	_, _ = w.sink.Write(b) // best-effort, as a crash mid-write would be
+	w.frame = b
 	w.mu.Lock()
 	w.flushed += uint64(len(recs))
 	w.maxBatch = max(w.maxBatch, len(recs))
