@@ -26,19 +26,22 @@
 //	curl -X POST 'localhost:8080/admin/proxy/reboot?backend=node2' # drain, wait for in-flight, SIGKILL, respawn
 //	curl -X POST 'localhost:8080/admin/proxy/reboot?backend=node2&hard=1' # SIGKILL + respawn at once
 //	curl -X POST 'localhost:8080/admin/proxy/drain?backend=node0'  # exclude from new sessions
+//	curl -X POST 'localhost:8080/admin/proxy/rejuvenate'           # one rolling pass now
 //
-// A control plane ticks every 100 ms alongside: its fleet probe samples
-// each backend through the router, and with -rejuvenate-every the fleet
-// controller runs rolling drain→reboot→restore passes over the real
-// processes. Inspect it at /admin/controlplane/status.
+// Rolling rejuvenation is that drained reboot run over the backends in
+// rotation, one backend per pass: a pass starts every -rejuvenate-every
+// and at each POST to /admin/proxy/rejuvenate (answered once any pass in
+// progress ends), passes never overlap, and /admin/proxy/status counts
+// the completed ones.
 //
-// Every stop is a crash. SIGTERM or SIGINT stops the control plane and the
-// router, SIGKILLs every backend and exits 0; the backends' WALs hold
-// everything they acknowledged.
+// Every stop is a crash. SIGTERM or SIGINT stops the router, SIGKILLs
+// every backend and exits 0; the backends' WALs hold everything they
+// acknowledged.
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -49,18 +52,15 @@ import (
 	"os/signal"
 	"path/filepath"
 	"strings"
+	"sync"
 	"syscall"
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/controlplane"
 	"repro/internal/ebid"
 	"repro/internal/fleet"
 	"repro/internal/httpfront"
 )
-
-// tickInterval is the control plane's cadence.
-const tickInterval = 100 * time.Millisecond
 
 func main() {
 	addr := flag.String("addr", ":8080", "proxy listen address")
@@ -70,7 +70,7 @@ func main() {
 	policyName := flag.String("policy", "least-loaded", "routing policy: round-robin, least-loaded or shed")
 	pollInterval := flag.Duration("poll-interval", 250*time.Millisecond, "backend health/load poll cadence")
 	rejuvenateEvery := flag.Duration("rejuvenate-every", 0,
-		"rolling drain→reboot→restore of one backend this often (0 disables)")
+		"drained reboot of the next backend in rotation this often (0 disables)")
 	walDir := flag.String("wal-dir", "", "directory for per-backend WAL files (default: a temp dir; survives respawns, not proxy restarts)")
 	serverFlags := flag.String("server-flags", "", "extra flags passed to every ebid-server child (space-separated)")
 	flag.Parse()
@@ -128,27 +128,12 @@ func main() {
 	}
 	router.Start()
 
-	start := time.Now()
-	plane := controlplane.New(controlplane.Config{
-		Clock: func() time.Duration { return time.Since(start) },
-		Fleet: router,
-	})
-	fc := controlplane.NewFleetController(
-		&fleet.Actuator{Router: router, Sup: sup},
-		controlplane.FleetConfig{RejuvenateEvery: *rejuvenateEvery},
-	)
-	plane.Use(fc)
-	tick := time.NewTicker(tickInterval) // stopped before the fleet is
-	go func() {
-		for range tick.C {
-			plane.Tick()
-		}
-	}()
+	rejuv := newRejuvenator(router, sup, fleetBackends, *rejuvenateEvery)
 	if *rejuvenateEvery > 0 {
 		log.Printf("rejuvenation: rolling reboot of one backend every %v", *rejuvenateEvery)
 	}
 
-	srv := &httpfront.Server{Handler: newHandler(router, sup, plane, fc, *backends)}
+	srv := &httpfront.Server{Handler: newHandler(router, sup, rejuv, *backends)}
 	sigCh := make(chan os.Signal, 1)
 	signal.Notify(sigCh, syscall.SIGTERM, syscall.SIGINT)
 	l, err := net.Listen("tcp", *addr)
@@ -163,7 +148,6 @@ func main() {
 	}()
 	log.Printf("ebid-proxy: %d × %s behind %s (policy %s, WALs in %s)", *backends, bin, *addr, policy.Name(), dir)
 	log.Printf("ebid-proxy: %v: killing the fleet", <-sigCh)
-	tick.Stop()
 	router.Stop()
 	sup.Stop()
 	log.Printf("ebid-proxy: fleet stopped")
@@ -186,17 +170,86 @@ func supervisorEvents(router *fleet.Router) func(fleet.Event) {
 	}
 }
 
+// errUnknownBackend is reboot's error for a backend the router does not
+// know.
+var errUnknownBackend = errors.New("unknown backend")
+
+// reboot restarts the named backend and returns how long it was down.
+// Unless hard, it first sends the backend nothing more and waits for what
+// it has (Router.Quiesce), so the kill cuts no request of ours, and once
+// the backend is back it restores the drain state it had before.
+// /admin/proxy/reboot and the rolling pass both reboot through it.
+func reboot(router *fleet.Router, sup *fleet.Supervisor, name string, hard bool) (time.Duration, error) {
+	if !hard {
+		wasDraining, ok := router.Quiesce(name)
+		if !ok {
+			return 0, fmt.Errorf("%w %s", errUnknownBackend, name)
+		}
+		defer router.SetDrain(name, wasDraining)
+	}
+	return sup.Restart(name)
+}
+
+// rejuvenator is the rolling pass: one goroutine that gives the next
+// backend in rotation a drained reboot every period (if positive) and
+// once for each value sent on requests. Passes run one at a time: a
+// request made during a pass waits for it to end, then starts the next.
+// The loop runs for the life of the process.
+type rejuvenator struct {
+	backends []*fleet.Backend
+	requests chan struct{}
+
+	mu      sync.Mutex
+	passes  int64 // completed passes
+	lastErr string
+}
+
+func newRejuvenator(router *fleet.Router, sup *fleet.Supervisor, backends []*fleet.Backend, every time.Duration) *rejuvenator {
+	j := &rejuvenator{backends: backends, requests: make(chan struct{})}
+	var tick <-chan time.Time
+	if every > 0 {
+		tick = time.NewTicker(every).C
+	}
+	go func() {
+		for next := 0; ; next++ {
+			select {
+			case <-tick:
+			case <-j.requests:
+			}
+			name := j.backends[next%len(j.backends)].Name
+			_, err := reboot(router, sup, name, false)
+			j.mu.Lock()
+			if err != nil {
+				j.lastErr = err.Error()
+				log.Printf("rejuvenation: %s: %v", name, err)
+			} else {
+				j.passes++
+			}
+			j.mu.Unlock()
+		}
+	}()
+	return j
+}
+
+// status is the rolling pass's part of /admin/proxy/status.
+func (j *rejuvenator) status() map[string]any {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return map[string]any{"passes": j.passes, "last_error": j.lastErr}
+}
+
 // newHandler is everything the proxy serves: the router for /ebid/, the
 // admin surface and pprof. A known eBid operation skips the ServeMux match
 // (three allocations), as in Front.Handler. backends is the fleet size
 // /admin/proxy/ready reports.
-func newHandler(router *fleet.Router, sup *fleet.Supervisor, plane *controlplane.Plane, fc *controlplane.FleetController, backends int) http.Handler {
+func newHandler(router *fleet.Router, sup *fleet.Supervisor, rejuv *rejuvenator, backends int) http.Handler {
 	mux := http.NewServeMux()
 	mux.Handle("/ebid/", router)
 	mux.HandleFunc("/admin/proxy/status", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, map[string]any{
-			"router":     router.Status(),
-			"supervisor": sup.Status(),
+			"router":       router.Status(),
+			"supervisor":   sup.Status(),
+			"rejuvenation": rejuv.status(),
 		})
 	})
 	mux.HandleFunc("/admin/proxy/ready", func(w http.ResponseWriter, r *http.Request) {
@@ -217,23 +270,16 @@ func newHandler(router *fleet.Router, sup *fleet.Supervisor, plane *controlplane
 	})
 	mux.HandleFunc("/admin/proxy/reboot", func(w http.ResponseWriter, r *http.Request) {
 		name := r.URL.Query().Get("backend")
-		drained := r.URL.Query().Get("hard") == ""
-		if drained {
-			// Send the backend nothing more and wait for what it has, so
-			// the kill cuts no request of ours; then restore its drain.
-			wasDraining, ok := router.Quiesce(name)
-			if !ok {
-				http.Error(w, "unknown backend "+name, http.StatusNotFound)
-				return
-			}
-			defer router.SetDrain(name, wasDraining)
-		}
-		down, err := sup.Restart(name)
-		if err != nil {
+		hard := r.URL.Query().Get("hard") != ""
+		down, err := reboot(router, sup, name, hard)
+		switch {
+		case errors.Is(err, errUnknownBackend):
+			http.Error(w, err.Error(), http.StatusNotFound)
+		case err != nil:
 			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
+		default:
+			writeJSON(w, map[string]any{"backend": name, "drained": !hard, "downtime_ms": down.Milliseconds()})
 		}
-		writeJSON(w, map[string]any{"backend": name, "drained": drained, "downtime_ms": down.Milliseconds()})
 	})
 	mux.HandleFunc("/admin/proxy/kill", func(w http.ResponseWriter, r *http.Request) {
 		name := r.URL.Query().Get("backend")
@@ -244,11 +290,8 @@ func newHandler(router *fleet.Router, sup *fleet.Supervisor, plane *controlplane
 		writeJSON(w, map[string]any{"backend": name, "killed": true})
 	})
 	mux.HandleFunc("/admin/proxy/rejuvenate", func(w http.ResponseWriter, r *http.Request) {
-		fc.RequestRejuvenation()
+		rejuv.requests <- struct{}{}
 		writeJSON(w, map[string]any{"requested": true})
-	})
-	mux.HandleFunc("/admin/controlplane/status", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, plane.Status())
 	})
 	httpfront.MountPprof(mux)
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {

@@ -3,6 +3,7 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"net"
 	"net/http"
@@ -14,7 +15,6 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/controlplane"
 	"repro/internal/fleet"
 	"repro/internal/httpfront"
 )
@@ -158,6 +158,7 @@ type proxy struct {
 	br             *bufio.Reader
 	router         *fleet.Router
 	sup            *fleet.Supervisor
+	rejuv          *rejuvenator
 	held, release  chan struct{} // see heldRequest
 }
 
@@ -165,8 +166,8 @@ func newProxy(t *testing.T) *proxy {
 	t.Helper()
 	p := &proxy{front: listenCounting(t), backend: listenCounting(t), held: make(chan struct{}), release: make(chan struct{})}
 	go serveRawBackend(p.backend, p.held, p.release)
-	p.router = fleet.NewRouter(cluster.LeastLoadedPolicy{},
-		[]*fleet.Backend{{Name: "node0", URL: "http://" + p.backend.Addr().String()}}, time.Hour)
+	backends := []*fleet.Backend{{Name: "node0", URL: "http://" + p.backend.Addr().String()}}
+	p.router = fleet.NewRouter(cluster.LeastLoadedPolicy{}, backends, time.Hour)
 	p.router.Start()
 	t.Cleanup(p.router.Stop)
 	p.sup = fleet.New(supervisorEvents(p.router))
@@ -174,10 +175,8 @@ func newProxy(t *testing.T) *proxy {
 		t.Fatal(err)
 	}
 	t.Cleanup(p.sup.Stop)
-	plane := controlplane.New(controlplane.Config{Clock: func() time.Duration { return 0 }, Fleet: p.router})
-	fc := controlplane.NewFleetController(&fleet.Actuator{Router: p.router, Sup: p.sup}, controlplane.FleetConfig{})
-	plane.Use(fc)
-	srv := &httpfront.Server{Handler: newHandler(p.router, p.sup, plane, fc, 1)}
+	p.rejuv = newRejuvenator(p.router, p.sup, backends, 0)
+	srv := &httpfront.Server{Handler: newHandler(p.router, p.sup, p.rejuv, 1)}
 	go srv.Serve(p.front) // returns once the cleanup closes srv
 	t.Cleanup(func() { srv.Close() })
 
@@ -301,7 +300,7 @@ func TestProxyRebootWaitsForInFlight(t *testing.T) {
 	if gen := p.sup.Status()[0].Gen; gen != 2 {
 		t.Errorf("node0 is at gen %d after the reboot, want 2", gen)
 	}
-	if st := p.router.FleetStats()[0]; st.Draining {
+	if p.draining(t) {
 		t.Error("node0 is still draining after the reboot")
 	}
 	// The held request's pooled connection led to the incarnation that was
@@ -310,6 +309,102 @@ func TestProxyRebootWaitsForInFlight(t *testing.T) {
 	p.view(t)
 	if p.backend.accepted() == dialed {
 		t.Error("the first request after the reboot reused a connection from before it")
+	}
+}
+
+// draining reports whether the router has node0 draining.
+func (p *proxy) draining(t *testing.T) bool {
+	t.Helper()
+	return p.router.Status()["backends"].([]fleet.BackendStatus)[0].Draining
+}
+
+// TestProxyRejuvenationWaitsForInFlight: a rolling pass is the drained
+// reboot. It kills node0 only once the request the router has out on it is
+// answered, and then puts back the drain node0 had before the pass.
+func TestProxyRejuvenationWaitsForInFlight(t *testing.T) {
+	p := newProxy(t)
+	base := "http://" + p.front.Addr().String()
+	p.router.SetDrain("node0", true) // a fleet of one still routes to it
+	answered := status(func() (*http.Response, error) { return http.Get(base + "/ebid/ViewBidHistory?item=7") })
+	<-p.held
+	p.rejuvenate(t)
+	time.Sleep(200 * time.Millisecond)
+	if gen := p.sup.Status()[0].Gen; gen != 1 {
+		t.Fatalf("node0 is at gen %d while a request was in flight on it, want 1", gen)
+	}
+	close(p.release)
+	if code := <-answered; code != http.StatusOK {
+		t.Fatalf("the in-flight request was answered %d, want 200", code)
+	}
+	if st := p.awaitPass(t); st.Passes != 1 || st.LastError != "" {
+		t.Fatalf("rejuvenation status %+v, want one pass and no error", st)
+	}
+	if gen := p.sup.Status()[0].Gen; gen != 2 {
+		t.Errorf("node0 is at gen %d after the pass, want 2", gen)
+	}
+	if !p.draining(t) {
+		t.Error("node0 lost the drain it had before the pass")
+	}
+	dialed := p.backend.accepted()
+	p.view(t)
+	if p.backend.accepted() == dialed {
+		t.Error("the first request after the pass reused a connection from before it")
+	}
+}
+
+// passReport is the rolling pass's part of /admin/proxy/status.
+type passReport struct {
+	Passes    int64  `json:"passes"`
+	LastError string `json:"last_error"`
+}
+
+// rejuvenate asks the proxy for one rolling pass.
+func (p *proxy) rejuvenate(t *testing.T) {
+	t.Helper()
+	resp, err := http.Post("http://"+p.front.Addr().String()+"/admin/proxy/rejuvenate", "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("the rejuvenation request answered %d, want 200", resp.StatusCode)
+	}
+}
+
+// awaitPass polls /admin/proxy/status until the rolling pass reports a
+// pass done or an error, and returns its report.
+func (p *proxy) awaitPass(t *testing.T) passReport {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		resp, err := http.Get("http://" + p.front.Addr().String() + "/admin/proxy/status")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var body struct {
+			Rejuvenation *passReport `json:"rejuvenation"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&body)
+		resp.Body.Close()
+		if err != nil || body.Rejuvenation == nil {
+			t.Fatalf("/admin/proxy/status has no rejuvenation report: %v", err)
+		}
+		if st := *body.Rejuvenation; st.Passes > 0 || st.LastError != "" {
+			return st
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("no rolling pass ended")
+		}
+	}
+}
+
+// TestRejuvenationReportsItsError: a pass that cannot reboot its backend
+// is not counted, and /admin/proxy/status says why.
+func TestRejuvenationReportsItsError(t *testing.T) {
+	p := newProxy(t)
+	p.rejuv.backends = []*fleet.Backend{{Name: "node9"}}
+	p.rejuvenate(t)
+	if st := p.awaitPass(t); st.Passes != 0 || !strings.Contains(st.LastError, "node9") {
+		t.Errorf("rejuvenation status %+v, want no pass and node9's error", st)
 	}
 }
 

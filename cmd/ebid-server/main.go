@@ -15,13 +15,12 @@
 // With -store ssm-cluster sessions live on a fixed ring of S shards × N
 // replica bricks, set at start by -shards and -replicas.
 //
-// A control plane ticks every 100 ms: its probes sample the front's
-// in-flight load and (with a brick cluster) brick heartbeats, and every
-// failed request is reported on its bus. Inspect it at
-// /admin/controlplane/status and /admin/fleet/status. With
-// -shed-watermark N the front sheds session-starting requests (503 +
-// Retry-After) past N in-flight requests; with -detect-sample N one in
-// N idempotent operations is
+// A control plane ticks every 100 ms: every failed request is reported on
+// its bus, and with a brick cluster its probe reports dead bricks. Inspect
+// it at /admin/controlplane/status; /admin/fleet/status serves the front's
+// in-flight and shed counters. With -shed-watermark N the front sheds
+// session-starting requests (503 + Retry-After) past N in-flight
+// requests; with -detect-sample N one in N idempotent operations is
 // replayed against a known-good shadow instance and any discrepancy is
 // published on the bus. With a brick cluster a lease reaper
 // garbage-collects lapsed sessions every minute.
@@ -39,6 +38,7 @@
 package main
 
 import (
+	"cmp"
 	"flag"
 	"fmt"
 	"io"
@@ -56,8 +56,7 @@ import (
 )
 
 const (
-	// tickInterval is the control plane's cadence: load and brick
-	// heartbeat probes.
+	// tickInterval is the control plane's cadence.
 	tickInterval = 100 * time.Millisecond
 	// reapInterval is how often the lease reaper garbage-collects
 	// expired SSM sessions.
@@ -159,13 +158,9 @@ func main() {
 	}
 
 	// The control plane: every failed request feeds its bus through the
-	// HTTP front end, and the front's own in-flight count is probed as a
-	// one-node fleet (visible at /admin/fleet/status). With an SSM brick
-	// cluster the probes also report dead bricks.
-	plane := controlplane.New(controlplane.Config{Clock: clock, Cluster: clusterOrNil(cl), Fleet: front})
-	// An observe-only fleet controller (no balancer to actuate on a
-	// single node) keeps the per-node samples for the status surface.
-	plane.Use(controlplane.NewFleetController(nil, controlplane.FleetConfig{}))
+	// HTTP front end. With an SSM brick cluster its probe reports dead
+	// bricks.
+	plane := controlplane.New(controlplane.Config{Clock: clock, Cluster: clusterOrNil(cl)})
 	if *detectSample > 0 {
 		// The known-good shadow instance shares the database (so data
 		// evolution matches) but nothing else; only idempotent,
@@ -195,7 +190,7 @@ func main() {
 	if err != nil {
 		log.Fatalf("listen: %v", err)
 	}
-	log.Printf("serving on %s (node %s, pid %d)", *addr, front.FleetStats()[0].Node, os.Getpid())
+	log.Printf("serving on %s (node %s, pid %d)", *addr, cmp.Or(*nodeName, httpfront.NodeName), os.Getpid())
 	log.Fatalf("serve: %v", (&httpfront.Server{Handler: front.Handler()}).Serve(l))
 }
 

@@ -8,7 +8,9 @@
 // in again and repeats the operation; a 503 + Retry-After is admission
 // control, honored by waiting. Neither is a failure. A plain 5xx to an
 // established session IS a failure — with -fail-established-5xx the
-// exit code makes that a CI-enforceable contract.
+// exit code makes that a CI-enforceable contract. A 502 to an op that is
+// not idempotent is ebid-proxy's "outcome unknown, not re-sent": it is
+// counted as unknown_outcome instead, to hold against the router's count.
 //
 // Usage:
 //
@@ -39,6 +41,13 @@ type counters struct {
 	retried  atomic.Int64 // 503 + Retry-After honored (admission control)
 	relogins atomic.Int64 // 401 session lapses answered by logging in again
 	estab5xx atomic.Int64 // 5xx (not shedding) on an established session — the fleet contract violation
+	unknown  atomic.Int64 // 502 to an established session's non-idempotent op: outcome unknown
+}
+
+// String is the counters' progress line.
+func (c *counters) String() string {
+	return fmt.Sprintf("good=%d bad=%d retried=%d relogins=%d estab5xx=%d unknown_outcome=%d",
+		c.good.Load(), c.bad.Load(), c.retried.Load(), c.relogins.Load(), c.estab5xx.Load(), c.unknown.Load())
 }
 
 func main() {
@@ -49,7 +58,7 @@ func main() {
 	users := flag.Int64("users", 250, "dataset user-id range")
 	items := flag.Int64("items", 3300, "dataset item-id range")
 	failEstab := flag.Bool("fail-established-5xx", false,
-		"exit 1 if any established session receives a 5xx other than admission-control shedding")
+		"exit 1 if any established session receives a 5xx other than admission-control shedding or an unknown outcome (502 to a non-idempotent op)")
 	flag.Parse()
 
 	var c counters
@@ -69,11 +78,9 @@ func main() {
 	for {
 		select {
 		case <-tick.C:
-			log.Printf("good=%d bad=%d retried=%d relogins=%d estab5xx=%d",
-				c.good.Load(), c.bad.Load(), c.retried.Load(), c.relogins.Load(), c.estab5xx.Load())
+			log.Print(&c)
 		case <-done:
-			fmt.Printf("final: good=%d bad=%d retried=%d relogins=%d estab5xx=%d\n",
-				c.good.Load(), c.bad.Load(), c.retried.Load(), c.relogins.Load(), c.estab5xx.Load())
+			fmt.Printf("final: %v\n", &c)
 			if *failEstab && c.estab5xx.Load() > 0 {
 				fmt.Printf("FAIL: %d established sessions saw 5xx\n", c.estab5xx.Load())
 				os.Exit(1)
@@ -146,7 +153,11 @@ func runClient(id int, base string, deadline time.Time, think time.Duration,
 				return false
 			}
 			if resp.StatusCode >= 500 {
-				if established {
+				switch info, _ := ebid.Info(op); {
+				case !established:
+				case resp.StatusCode == http.StatusBadGateway && !info.Idempotent:
+					c.unknown.Add(1)
+				default:
 					c.estab5xx.Add(1)
 				}
 				c.bad.Add(1)

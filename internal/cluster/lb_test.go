@@ -220,10 +220,7 @@ func TestFleetControllerRollingReboot(t *testing.T) {
 	nodes := newTestCluster(t, k, 2, func() session.Store { return session.NewFastS() }, NodeConfig{})
 	lb := NewLoadBalancer(nodes)
 	plane := controlplane.New(controlplane.Config{Clock: k.Now, Fleet: lb})
-	fleet := controlplane.NewFleetController(lb, controlplane.FleetConfig{
-		RejuvenateEvery: 30 * time.Second,
-		DrainTimeout:    5 * time.Second,
-	})
+	fleet := controlplane.NewFleetController(lb, controlplane.FleetConfig{RejuvenateEvery: 30 * time.Second})
 	plane.Use(fleet)
 	var tick func()
 	tick = func() {

@@ -324,16 +324,3 @@ func (p *Plane) Status() Status {
 	}
 	return st
 }
-
-// ControllerStatus snapshots one controller by name (status surfaces
-// that want a single controller's view, e.g. /admin/fleet/status).
-func (p *Plane) ControllerStatus(name string) (any, bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for _, c := range p.controllers {
-		if c.Name() == name {
-			return c.Status(), true
-		}
-	}
-	return nil, false
-}

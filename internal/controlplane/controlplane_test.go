@@ -156,13 +156,12 @@ func TestFleetControllerDrainsOnRecoverySignals(t *testing.T) {
 
 func TestFleetControllerRollingPassWaitsForDrain(t *testing.T) {
 	fa := &fakeFleet{duration: 20 * time.Second}
-	fc := NewFleetController(fa, FleetConfig{DrainTimeout: 10 * time.Second})
+	fc := NewFleetController(fa, FleetConfig{RejuvenateEvery: time.Second})
 	fc.OnSignal(nodeLoad(time.Second, "node0", 0, 2))
 	fc.OnSignal(nodeLoad(time.Second, "node1", 0, 0))
 	tickFleet(fc, time.Second) // arms the schedule; nothing due
 
-	fc.RequestRejuvenation()
-	tickFleet(fc, 2*time.Second)
+	tickFleet(fc, 2*time.Second) // the first pass is due
 	if len(fa.drains) != 1 || fa.drains[0] != "+node0" {
 		t.Fatalf("drains = %v, want node0 drained first", fa.drains)
 	}
@@ -193,7 +192,7 @@ func TestFleetControllerRollingPassWaitsForDrain(t *testing.T) {
 
 func TestFleetControllerDrainTimeoutForcesReboot(t *testing.T) {
 	fa := &fakeFleet{duration: time.Second}
-	fc := NewFleetController(fa, FleetConfig{RejuvenateEvery: 10 * time.Second, DrainTimeout: 5 * time.Second})
+	fc := NewFleetController(fa, FleetConfig{RejuvenateEvery: 10 * time.Second})
 	fc.OnSignal(nodeLoad(time.Second, "node0", 3, 4))
 	tickFleet(fc, time.Second)
 	tickFleet(fc, 11*time.Second) // schedule due: drain starts
@@ -203,11 +202,11 @@ func TestFleetControllerDrainTimeoutForcesReboot(t *testing.T) {
 	// The node never empties — a wedged request holds a worker — but the
 	// drain timeout bounds the wait.
 	fc.OnSignal(nodeLoad(12*time.Second, "node0", 0, 1))
-	tickFleet(fc, 12*time.Second)
+	tickFleet(fc, 11*time.Second+drainTimeout-time.Millisecond)
 	if len(fa.reboots) != 0 {
 		t.Fatal("rebooted before the timeout")
 	}
-	tickFleet(fc, 16*time.Second+time.Millisecond)
+	tickFleet(fc, 11*time.Second+drainTimeout)
 	if len(fa.reboots) != 1 {
 		t.Fatalf("reboots = %v, want the timeout to force it", fa.reboots)
 	}
@@ -215,10 +214,9 @@ func TestFleetControllerDrainTimeoutForcesReboot(t *testing.T) {
 
 func TestFleetControllerKeepsVictimDrainedThroughRecoverySignals(t *testing.T) {
 	fa := &fakeFleet{duration: 10 * time.Second}
-	fc := NewFleetController(fa, FleetConfig{DrainTimeout: 5 * time.Second})
+	fc := NewFleetController(fa, FleetConfig{RejuvenateEvery: time.Second})
 	fc.OnSignal(nodeLoad(time.Second, "node0", 0, 0))
 	tickFleet(fc, time.Second)
-	fc.RequestRejuvenation()
 	tickFleet(fc, 2*time.Second) // pass starts: node0 drained
 
 	// A component recovery on the victim completes mid-pass: its
@@ -241,10 +239,9 @@ func TestFleetControllerKeepsVictimDrainedThroughRecoverySignals(t *testing.T) {
 
 func TestFleetControllerFailedRebootIsNotARejuvenation(t *testing.T) {
 	fa := &fakeFleet{err: errors.New("node vanished")}
-	fc := NewFleetController(fa, FleetConfig{DrainTimeout: time.Second})
+	fc := NewFleetController(fa, FleetConfig{RejuvenateEvery: time.Second})
 	fc.OnSignal(nodeLoad(time.Second, "node0", 0, 0))
 	tickFleet(fc, time.Second)
-	fc.RequestRejuvenation()
 	tickFleet(fc, 2*time.Second) // drain
 	fc.OnSignal(nodeLoad(3*time.Second, "node0", 0, 0))
 	tickFleet(fc, 3*time.Second) // reboot attempt fails
@@ -263,13 +260,12 @@ func TestFleetControllerFailedRebootIsNotARejuvenation(t *testing.T) {
 
 func TestFleetControllerHoldsWhileRecoveryDrains(t *testing.T) {
 	fa := &fakeFleet{duration: time.Second}
-	fc := NewFleetController(fa, FleetConfig{DrainTimeout: 5 * time.Second})
+	fc := NewFleetController(fa, FleetConfig{RejuvenateEvery: time.Second})
 	fc.OnSignal(nodeLoad(time.Second, "node0", 0, 0))
 	tickFleet(fc, time.Second)
-	// A recovery is in flight: rejuvenation must not stack a second
+	// A recovery is in flight: the pass due now must not stack a second
 	// drain on the fleet.
 	fc.OnSignal(Signal{Kind: SignalNodeRecovery, Node: "node0", Recovering: true})
-	fc.RequestRejuvenation()
 	tickFleet(fc, 2*time.Second)
 	if len(fa.reboots) != 0 || len(fa.drains) != 1 {
 		t.Fatalf("rolling pass started during recovery: drains=%v reboots=%v", fa.drains, fa.reboots)
@@ -307,11 +303,8 @@ func TestPlaneFleetProbePublishesNodeLoad(t *testing.T) {
 	if st := p.Status(); st.Signals["node-load"] != 4 {
 		t.Fatalf("status counts = %v", st.Signals)
 	}
-	if _, ok := p.ControllerStatus("watch"); !ok {
-		t.Fatal("ControllerStatus lookup failed")
-	}
-	if _, ok := p.ControllerStatus("ghost"); ok {
-		t.Fatal("ControllerStatus invented a controller")
+	if ctrls := p.Status().Controllers; len(ctrls) != 1 || ctrls["watch"] == nil {
+		t.Fatalf("controllers = %v, want only watch", ctrls)
 	}
 }
 

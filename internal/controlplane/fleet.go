@@ -6,18 +6,16 @@ import (
 	"time"
 )
 
-// FleetActuator is the load-balancer side the fleet controller drives.
-// *cluster.LoadBalancer implements it over simulated nodes, and
-// fleet.Actuator over real ebid-server processes.
+// FleetActuator is the load-balancer side the fleet controller drives;
+// *cluster.LoadBalancer implements it over simulated nodes.
 type FleetActuator interface {
 	// SetDrain moves the named node into (true) or out of (false) the
 	// drained state: new sessions avoid it and, with failover on,
 	// established sessions are redirected. Unknown nodes report false.
 	SetDrain(node string, drain bool) bool
 	// RebootNode performs a node-scope (process) reboot of the named
-	// node and returns how long it was down: the modeled recovery
-	// duration in the simulator, the measured SIGKILL-to-ready time for
-	// a real process.
+	// node and returns how long it was down (the modeled recovery
+	// duration).
 	RebootNode(node string) (time.Duration, error)
 }
 
@@ -26,19 +24,13 @@ type FleetConfig struct {
 	// RejuvenateEvery, when positive, starts one rolling
 	// drain→reboot→restore of the next node in rotation this often —
 	// software rejuvenation as a control-plane decision rather than a
-	// per-node service. Zero disables the schedule;
-	// RequestRejuvenation still triggers single passes.
+	// per-node service. Zero disables it.
 	RejuvenateEvery time.Duration
-	// DrainTimeout bounds how long a draining node may hold the rolling
-	// reboot while its in-flight requests finish (default 15 s).
-	DrainTimeout time.Duration
 }
 
-func (c *FleetConfig) fill() {
-	if c.DrainTimeout == 0 {
-		c.DrainTimeout = 15 * time.Second
-	}
-}
+// drainTimeout bounds how long a draining node may hold the rolling
+// reboot while its in-flight requests finish.
+const drainTimeout = 15 * time.Second
 
 // rollState is where the rolling-reboot state machine stands.
 type rollState int
@@ -101,12 +93,11 @@ type FleetController struct {
 	drains     int64
 	restores   int64
 	rejuvDone  int64
-	requested  atomic.Int64
 	recovering int // nodes currently in recovery-driven drain
 
-	// Reboot bookkeeping is written by act closures outside the plane
-	// lock (a live server's ticker goroutine) while Status reads under
-	// it — hence its own mutex.
+	// Reboot bookkeeping is written by act closures, which the plane runs
+	// outside its lock, while Status reads under it — hence its own
+	// mutex.
 	rmu         sync.Mutex
 	rebootArmed bool
 	rebootDone  time.Duration
@@ -115,20 +106,12 @@ type FleetController struct {
 }
 
 // NewFleetController builds the controller driving the given actuator.
-// act may be nil for an observe-only fleet view (single-node servers):
-// load samples are tracked, but recovery signals and the rejuvenation
-// schedule actuate nothing.
 func NewFleetController(act FleetActuator, cfg FleetConfig) *FleetController {
-	cfg.fill()
 	return &FleetController{cfg: cfg, act: act, nodes: map[string]*fleetNode{}}
 }
 
 // Name implements Controller.
 func (f *FleetController) Name() string { return "fleet" }
-
-// RequestRejuvenation queues one rolling drain→reboot→restore pass,
-// started at the next tick. Safe to call from any goroutine.
-func (f *FleetController) RequestRejuvenation() { f.requested.Add(1) }
 
 // Rejuvenations reports completed rolling-reboot passes.
 func (f *FleetController) Rejuvenations() int64 { return atomic.LoadInt64(&f.rejuvDone) }
@@ -172,9 +155,7 @@ func (f *FleetController) OnSignal(s Signal) {
 		if s.Node == f.victim && f.state != rollIdle && !s.Recovering {
 			return
 		}
-		if f.act != nil {
-			f.act.SetDrain(s.Node, s.Recovering)
-		}
+		f.act.SetDrain(s.Node, s.Recovering)
 	}
 }
 
@@ -188,22 +169,16 @@ func (f *FleetController) Tick(now time.Duration) func() {
 		f.started = true
 		f.lastPass = now
 	}
-	if f.act == nil {
-		return nil
-	}
 	switch f.state {
 	case rollIdle:
 		due := f.cfg.RejuvenateEvery > 0 && now-f.lastPass >= f.cfg.RejuvenateEvery
-		if (f.requested.Load() > 0 || due) && len(f.order) > 0 && f.recovering == 0 {
-			if f.requested.Load() > 0 {
-				f.requested.Add(-1)
-			}
+		if due && len(f.order) > 0 && f.recovering == 0 {
 			f.victim = f.order[f.next%len(f.order)]
 			f.next++
 			f.lastPass = now
 			f.state = rollDraining
 			f.drainFrom = now
-			f.deadline = now + f.cfg.DrainTimeout
+			f.deadline = now + drainTimeout
 			f.drains++
 			victim := f.victim
 			return func() { f.act.SetDrain(victim, true) }

@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/controlplane"
 	"repro/internal/ebid"
 	"repro/internal/httpfront"
 	"repro/internal/store/session"
@@ -82,10 +81,7 @@ type BackendStatus struct {
 // draining backends (transparent failover: a request is re-sent to a peer
 // after a connection-level failure only if its operation is idempotent or
 // the backend never received it), and answers policy shed decisions with
-// 503 + Retry-After. It implements
-// controlplane.FleetProbe so the control plane's fleet controller
-// observes real processes through the same NodeStat samples it sees in
-// simulation.
+// 503 + Retry-After.
 type Router struct {
 	policy   cluster.RoutingPolicy
 	backends []*Backend
@@ -234,9 +230,9 @@ func (r *Router) Observe(e Event) {
 	b.epoch++
 }
 
-// SetDrain implements half of controlplane.FleetActuator (see Actuator):
-// a draining backend stops receiving new sessions; its established
-// sessions spill to peers.
+// SetDrain moves the named backend into or out of the drained state: a
+// draining backend stops receiving new sessions; its established sessions
+// spill to peers. It reports false for an unknown backend.
 func (r *Router) SetDrain(node string, drain bool) bool {
 	b := r.backend(node)
 	if b != nil {
@@ -277,23 +273,6 @@ func (r *Router) backend(name string) *Backend {
 		}
 	}
 	return nil
-}
-
-// FleetStats implements controlplane.FleetProbe over the polled state.
-func (r *Router) FleetStats() []controlplane.NodeStat {
-	out := make([]controlplane.NodeStat, 0, len(r.backends))
-	for _, b := range r.backends {
-		out = append(out, controlplane.NodeStat{
-			Node:      b.Name,
-			Queue:     b.QueueDepth(),
-			Busy:      b.Busy(),
-			Down:      !b.Healthy(),
-			Draining:  b.Draining(),
-			Completed: b.completed.Load(),
-			Failed:    b.failed.Load(),
-		})
-	}
-	return out
 }
 
 // Status is the /admin/proxy/status payload.
@@ -588,25 +567,4 @@ func (r *Router) forward(w http.ResponseWriter, req *http.Request, b *Backend, o
 		b.completed.Add(1)
 	}
 	return true
-}
-
-// Actuator glues the Router and Supervisor into the control plane's
-// FleetActuator: drains act on routing, reboots act on processes. With
-// this in place controlplane.FleetController's rolling
-// drain→reboot→restore cycle operates a real OS-process fleet.
-type Actuator struct {
-	Router *Router
-	Sup    *Supervisor
-}
-
-// SetDrain implements controlplane.FleetActuator.
-func (a *Actuator) SetDrain(node string, drain bool) bool {
-	return a.Router.SetDrain(node, drain)
-}
-
-// RebootNode implements controlplane.FleetActuator: a hard node reboot —
-// SIGKILL and wait for the supervisor to bring the next incarnation up
-// ready, reporting the real downtime.
-func (a *Actuator) RebootNode(node string) (time.Duration, error) {
-	return a.Sup.Restart(node)
 }

@@ -318,8 +318,8 @@ func TestRouterUnpinsOn401(t *testing.T) {
 	}
 }
 
-// TestRouterProbeStats: the FleetProbe view reflects health and drain
-// state, so the control plane sees the real fleet.
+// TestRouterProbeStats: /admin/proxy/status's backend view reflects what
+// the poll found and the drain state.
 func TestRouterProbeStats(t *testing.T) {
 	b0, b1 := newFakeBackend("node0"), newFakeBackend("node1")
 	defer b1.srv.Close()
@@ -329,21 +329,21 @@ func TestRouterProbeStats(t *testing.T) {
 	b0.srv.Close()
 	time.Sleep(100 * time.Millisecond) // a few poll cycles
 
-	stats := r.FleetStats()
+	stats := r.Status()["backends"].([]BackendStatus)
 	if len(stats) != 2 {
-		t.Fatalf("got %d node stats, want 2", len(stats))
+		t.Fatalf("got %d backend stats, want 2", len(stats))
 	}
 	for _, st := range stats {
-		switch st.Node {
+		switch st.Name {
 		case "node0":
-			if !st.Down {
-				t.Error("node0 not reported down after its server closed")
+			if st.Healthy {
+				t.Error("node0 reported healthy after its server closed")
 			}
 		case "node1":
 			if !st.Draining {
 				t.Error("node1 not reported draining")
 			}
-			if st.Down {
+			if !st.Healthy {
 				t.Error("node1 reported down while healthy")
 			}
 		}

@@ -96,17 +96,6 @@ func (f *Front) nodeName() string {
 	return NodeName
 }
 
-// FleetStats implements controlplane.FleetProbe for the single-node
-// live server: in-flight requests stand in for busy workers so the
-// plane's node-load signals carry real backpressure.
-func (f *Front) FleetStats() []controlplane.NodeStat {
-	return []controlplane.NodeStat{{
-		Node:    f.nodeName(),
-		Busy:    int(f.inflight.Load()),
-		Workers: f.ShedWatermark,
-	}}
-}
-
 // InFlight reports the requests currently executing.
 func (f *Front) InFlight() int64 { return f.inflight.Load() }
 
@@ -192,8 +181,8 @@ func (f *Front) serveHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 // serveFleet handles GET /admin/fleet/status: the front's own admission
-// counters, the comparison sampler's, and — when a fleet controller runs
-// on the plane — its per-node view and rolling-reboot log.
+// counters and the comparison sampler's. The proxy's router polls its
+// in_flight gauge.
 func (f *Front) serveFleet(w http.ResponseWriter, r *http.Request) {
 	out := map[string]any{
 		"node":           f.nodeName(),
@@ -205,11 +194,6 @@ func (f *Front) serveFleet(w http.ResponseWriter, r *http.Request) {
 		seen, checked, flagged := f.Sampler.Stats()
 		out["comparison"] = map[string]int64{
 			"eligible": seen, "checked": checked, "discrepancies": flagged,
-		}
-	}
-	if f.Plane != nil {
-		if st, ok := f.Plane.ControllerStatus("fleet"); ok {
-			out["controller"] = st
 		}
 	}
 	writeJSON(w, out)

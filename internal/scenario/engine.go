@@ -129,10 +129,7 @@ func Run(spec *Spec, o experiments.Options) (*Outcome, error) {
 
 	var fleet *controlplane.FleetController
 	if c.Nodes > 1 || p.RejuvenateEvery > 0 {
-		fleet = controlplane.NewFleetController(h.LB, controlplane.FleetConfig{
-			RejuvenateEvery: o.Scaled(p.RejuvenateEvery),
-			DrainTimeout:    p.DrainTimeout,
-		})
+		fleet = controlplane.NewFleetController(h.LB, controlplane.FleetConfig{RejuvenateEvery: o.Scaled(p.RejuvenateEvery)})
 		plane.Use(fleet)
 	}
 

@@ -66,7 +66,6 @@ func (s *Spec) Marshal() string {
 		}
 		w.kvInt("recovery_threshold", p.RecoveryThreshold)
 		w.kvDur("rejuvenate_every", p.RejuvenateEvery)
-		w.kvDur("drain_timeout", p.DrainTimeout)
 	})
 
 	for _, f := range s.Faults {

@@ -81,7 +81,6 @@ type PlaneSpec struct {
 	RecoveryThreshold int
 
 	RejuvenateEvery time.Duration // fleet rolling rejuvenation period
-	DrainTimeout    time.Duration
 }
 
 // FaultSpec is one [[fault]] schedule entry.
@@ -277,7 +276,6 @@ func Parse(file, src string) (*Spec, error) {
 		p.Recovery = b.boolean(t, "recovery", false)
 		p.RecoveryThreshold = b.i(t, "recovery_threshold", 0)
 		p.RejuvenateEvery = b.dur(t, "rejuvenate_every", 0)
-		p.DrainTimeout = b.dur(t, "drain_timeout", 0)
 	}
 
 	// [[fault]]

@@ -403,13 +403,16 @@ func (d *DB) CreateTable(s Schema) error {
 		d.mu.Unlock()
 		return fmt.Errorf("%w: the schema of %s encodes to more than %d bytes", ErrBadValue, s.Name, maxSchemaBytes)
 	}
+	wait, err := d.wal.append(walRecord{Kind: recCreateTable, Table: s.Name, Schema: &s})
+	if err != nil {
+		d.mu.Unlock()
+		return err
+	}
 	d.tables[s.Name] = newTable(s)
-	wait := d.wal.append(walRecord{Kind: recCreateTable, Table: s.Name, Schema: &s})
 	d.mu.Unlock()
 	// Wait for the sink flush outside d.mu so concurrent commits can form
 	// a group behind this one.
-	wait.Wait()
-	return nil
+	return wait.Wait()
 }
 
 // Tables returns the sorted table names.

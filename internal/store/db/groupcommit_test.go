@@ -2,6 +2,7 @@ package db
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"sync"
@@ -191,6 +192,115 @@ func TestGroupCommitCrashMidBatchReplaysOnlyCommitted(t *testing.T) {
 	for _, k := range victimKeys {
 		if _, err := tx.Get("users", k); err == nil {
 			t.Fatalf("victim row %d survived recovery without its commit mark", k)
+		}
+	}
+}
+
+// failingSink writes to w, except that its fail-th Write (counting from 1)
+// writes nothing and fails. Its hold-th Write signals held and waits for
+// release first. The flusher's lock serializes Writes, so n needs no lock.
+type failingSink struct {
+	w             io.Writer
+	n, fail, hold int
+	held, release chan struct{}
+}
+
+func (s *failingSink) Write(p []byte) (int, error) {
+	s.n++
+	if s.n == s.hold {
+		s.held <- struct{}{}
+		<-s.release
+	}
+	if s.n == s.fail {
+		return 0, errors.New("disk full")
+	}
+	return s.w.Write(p)
+}
+
+// TestFailedWALWriteFailsItsCommits: once a sink write fails, the
+// committers of that batch and every later commit get the error, and a
+// later commit changes nothing. Every commit that returned nil is
+// recovered from what the sink holds, and none that returned an error.
+func TestFailedWALWriteFailsItsCommits(t *testing.T) {
+	var sunk bytes.Buffer
+	// Writes: 1 the creation, 2 commit a, 3 commit b (held while c0..c3
+	// stage behind it), 4 the batch of c0..c3 (fails).
+	sink := &failingSink{w: &sunk, fail: 4, hold: 3, held: make(chan struct{}), release: make(chan struct{})}
+	w := NewWALWithSink(sink)
+	d := New(w)
+	if err := d.CreateTable(userSchema()); err != nil {
+		t.Fatal(err)
+	}
+	commit := func(name string) error {
+		tx := mustBegin(t, d)
+		if _, err := tx.Insert("users", Row{"name": name, "rating": int64(0), "region": int64(0)}); err != nil {
+			t.Fatal(err)
+		}
+		return tx.Commit()
+	}
+	results := map[string]error{"a": commit("a")}
+	var mu sync.Mutex
+	var wg sync.WaitGroup
+	run := func(name string) {
+		defer wg.Done()
+		err := commit(name)
+		mu.Lock()
+		results[name] = err
+		mu.Unlock()
+	}
+	wg.Add(1)
+	go run("b")
+	<-sink.held
+	for i := range 4 {
+		wg.Add(1)
+		go run(fmt.Sprintf("c%d", i))
+	}
+	for deadline := time.Now().Add(10 * time.Second); w.Len() != 1+2*6; time.Sleep(time.Millisecond) {
+		// the creation, then an insert and a mark per commit
+		if time.Now().After(deadline) {
+			close(sink.release)
+			t.Fatalf("%d records staged, want 13", w.Len())
+		}
+	}
+	close(sink.release)
+	wg.Wait()
+	results["d"] = commit("d")
+
+	for name, want := range map[string]bool{"a": true, "b": true, "c0": false, "c1": false, "c2": false, "c3": false, "d": false} {
+		if err := results[name]; (err == nil) != want {
+			t.Errorf("commit %s returned %v, want success %v", name, err, want)
+		}
+	}
+	if err := d.CreateTable(Schema{Name: "late", Columns: []Column{{Name: "x", Type: Int}}}); err == nil {
+		t.Error("CreateTable succeeded after the WAL failed")
+	}
+	if sink.n != 4 {
+		t.Errorf("the sink saw %d writes, want none after the failed 4th", sink.n)
+	}
+	names := func(d *DB) map[string]bool {
+		got := map[string]bool{}
+		tx := mustBegin(t, d)
+		if err := tx.Scan("users", func(_ int64, r Row) bool { got[r["name"].(string)] = true; return true }); err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+	if names(d)["d"] {
+		t.Error("the commit after the failure changed the table")
+	}
+
+	loaded, _, err := LoadWAL(bytes.NewReader(sunk.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rd := New(loaded)
+	if err := rd.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	got := names(rd)
+	for name, err := range results {
+		if got[name] != (err == nil) {
+			t.Errorf("commit %s returned %v, recovered %v", name, err, got[name])
 		}
 	}
 }

@@ -490,8 +490,14 @@ func (t *Tx) Commit() error {
 	// Durability first: the WAL records the commit before tables mutate.
 	// The records are staged (or, without a sink, appended to the
 	// history) synchronously here; only the sink flush is deferred to the
-	// group.
-	wait := d.wal.appendCommit(id, t.writes)
+	// group. A WAL whose sink failed takes nothing more, and the commit
+	// changes nothing.
+	wait, err := d.wal.appendCommit(id, t.writes)
+	if err != nil {
+		t.releaseLocks()
+		d.mu.Unlock()
+		return err
+	}
 	for _, w := range t.writes {
 		tbl := d.tables[w.Table]
 		switch w.Kind {
@@ -511,8 +517,7 @@ func (t *Tx) Commit() error {
 	t.releaseLocks()
 	d.commits.Add(1)
 	d.mu.Unlock()
-	wait.Wait()
-	return nil
+	return wait.Wait()
 }
 
 // Abort discards the transaction's writes and releases all locks. The

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"io"
 	"sync"
@@ -50,6 +51,11 @@ type walRecord struct {
 // the sink with a single Write — one flush per batch instead of one per
 // transaction. Staging is done under w.mu in commit order, so the sink's
 // record order always equals commit order.
+//
+// A failed sink write is sticky: the committers of its batch and of every
+// later one get the error, nothing more is written (a next frame would
+// chain from a crc the file lacks), and a commit that starts afterwards
+// changes nothing. A restart recovers what the file holds.
 type WAL struct {
 	mu sync.Mutex
 	// records is the whole history when there is no sink, and only the
@@ -68,6 +74,10 @@ type WAL struct {
 	// Both guarded by mu.
 	open bool
 	done chan struct{}
+	// err is the first failed sink write, and failed the number of the
+	// batch it failed (batches counts them); guarded by mu.
+	err    error
+	failed uint64
 
 	// flushMu serializes sink flushes; what follows belongs to the
 	// flusher. frame and names are reused from batch to batch. crc is the
@@ -182,57 +192,71 @@ func (w *WAL) GroupCommitStats() (batches, records uint64, maxBatch int) {
 }
 
 // walWait is a pending sink flush: this stager's role in its batch. The
-// batch leader performs the flush; a follower waits on the batch's done
-// channel. The zero value waits for nothing, so the no-sink path needs
-// no branch at the call sites. A value type — handing it back costs no
-// allocation, unlike a wait closure.
+// batch leader (done nil) performs the flush; a follower waits on the
+// batch's done channel. The zero value waits for nothing, so the no-sink
+// path needs no branch at the call sites. A value type — handing it back
+// costs no allocation, unlike a wait closure.
 type walWait struct {
-	leader *WAL
-	done   chan struct{}
+	w     *WAL
+	done  chan struct{}
+	batch uint64
 }
 
-// Wait blocks until the staged records reach the sink. Callers must not
-// hold database locks (that is what lets concurrent commits pile into
-// the batch).
-func (ww walWait) Wait() {
-	if ww.leader != nil {
-		ww.leader.flushBatch()
-		return
+// Wait blocks until the staged records reach the sink, and returns the
+// sink's error if they did not. Callers must not hold database locks
+// (that is what lets concurrent commits pile into the batch).
+func (ww walWait) Wait() error {
+	switch {
+	case ww.w == nil:
+		return nil
+	case ww.done == nil:
+		return ww.w.flushBatch()
 	}
-	if ww.done != nil {
-		<-ww.done
+	<-ww.done
+	ww.w.mu.Lock()
+	defer ww.w.mu.Unlock()
+	if ww.w.err != nil && ww.batch >= ww.w.failed {
+		return ww.w.err
 	}
+	return nil
 }
 
 // append logs one record. The returned walWait blocks until the record
 // reaches the sink (no-op when there is no sink, or no WAL at all);
-// callers must invoke it without holding database locks.
-func (w *WAL) append(rec walRecord) walWait {
+// callers must invoke it without holding database locks. After a failed
+// sink write it logs nothing and returns that error.
+func (w *WAL) append(rec walRecord) (walWait, error) {
 	if w == nil {
-		return walWait{}
+		return walWait{}, nil
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	if w.err != nil {
+		return walWait{}, w.err
+	}
 	w.records = append(w.records, rec)
 	w.n++
-	return w.stageLocked()
+	return w.stageLocked(), nil
 }
 
 // appendCommit writes a transaction's mutations followed by a commit mark,
-// as one atomic group. The returned walWait is as for append.
-func (w *WAL) appendCommit(txID uint64, writes []walRecord) walWait {
+// as one atomic group. It returns as append does.
+func (w *WAL) appendCommit(txID uint64, writes []walRecord) (walWait, error) {
 	if w == nil {
-		return walWait{}
+		return walWait{}, nil
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	if w.err != nil {
+		return walWait{}, w.err
+	}
 	for _, rec := range writes {
 		rec.TxID = txID
 		w.records = append(w.records, rec)
 	}
 	w.records = append(w.records, walRecord{Kind: recCommitMark, TxID: txID})
 	w.n += len(writes) + 1
-	return w.stageLocked()
+	return w.stageLocked(), nil
 }
 
 // stageLocked queues the records just appended for the sink, if there is
@@ -247,18 +271,19 @@ func (w *WAL) stageLocked() walWait {
 		if w.done == nil {
 			w.done = make(chan struct{})
 		}
-		return walWait{done: w.done}
+		return walWait{w: w, done: w.done, batch: w.batches}
 	}
 	w.open = true
 	w.batches++
-	return walWait{leader: w}
+	return walWait{w: w, batch: w.batches}
 }
 
 // flushBatch is the leader's wait: seal the batch and push it to the
-// sink in one write. Commits staged while an earlier flush holds flushMu
-// join this batch. flushMu makes flushes strictly sequential, so a new
-// leader formed during this flush cannot overtake it.
-func (w *WAL) flushBatch() {
+// sink in one write, and return the error that kept it off the sink.
+// Commits staged while an earlier flush holds flushMu join this batch.
+// flushMu makes flushes strictly sequential, so a new leader formed
+// during this flush cannot overtake it.
+func (w *WAL) flushBatch() error {
 	w.flushMu.Lock()
 	// Seal: stagers from here on lead the next batch. Only one batch is
 	// open at a time and only its leader seals it, so every staged record
@@ -267,8 +292,10 @@ func (w *WAL) flushBatch() {
 	w.open = false
 	done := w.done
 	w.done = nil
+	batch := w.batches
 	recs := w.records
 	w.records, w.spare = w.spare, nil
+	err := w.err
 	w.mu.Unlock()
 	b := w.frame[:0]
 	if !w.headed {
@@ -278,12 +305,21 @@ func (w *WAL) flushBatch() {
 	for i := range recs {
 		b, w.crc, w.names = appendFrame(b, w.crc, &recs[i], w.names)
 	}
-	_, _ = w.sink.Write(b) // best-effort, as a crash mid-write would be
+	if err == nil { // after a failed write, nothing more is written
+		if _, werr := w.sink.Write(b); werr != nil {
+			err = fmt.Errorf("db: writing the WAL: %w", werr)
+		}
+	}
 	w.frame = b
 	w.mu.Lock()
-	w.flushed += uint64(len(recs))
-	w.maxBatch = max(w.maxBatch, len(recs))
-	// The batch is written: drop it, keeping its capacity as the spare.
+	switch {
+	case err == nil:
+		w.flushed += uint64(len(recs))
+		w.maxBatch = max(w.maxBatch, len(recs))
+	case w.err == nil:
+		w.err, w.failed = err, batch
+	}
+	// The batch is done with: drop it, keeping its capacity as the spare.
 	clear(recs)
 	w.spare = recs[:0]
 	w.mu.Unlock()
@@ -291,6 +327,7 @@ func (w *WAL) flushBatch() {
 	if done != nil {
 		close(done)
 	}
+	return err
 }
 
 // Len returns the number of records logged or loaded, whether or not

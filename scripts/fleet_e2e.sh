@@ -5,7 +5,10 @@
 # workload through loadgen, SIGKILLs one backend mid-load, and asserts the
 # crash-only contract:
 #   * the supervisor respawns the killed backend (restarts >= 1, ready again)
-#   * no established session ever sees a plain 5xx (loadgen -fail-established-5xx)
+#   * no established session ever sees a plain 5xx (loadgen -fail-established-5xx);
+#     a 502 "outcome unknown" to a non-idempotent op (the router's at-most-once
+#     rule for a request in flight on the killed backend) is allowed only as
+#     often as the router itself declared one (.router.unknown_outcome)
 #   * no session is lost by the router (lost_sessions == 0); lapses surface
 #     as 401 + re-login, which the client absorbs transparently
 #   * the proxy stops the whole fleet on SIGTERM (exit 0)
@@ -27,6 +30,7 @@ command -v jq >/dev/null || { echo "fleet_e2e: jq required" >&2; exit 2; }
 
 WALDIR=$(mktemp -d)
 PROXY_LOG=$WALDIR/proxy.log
+LOADGEN_OUT=$WALDIR/loadgen.out
 PROXY_PID=
 LOADGEN_PID=
 
@@ -68,7 +72,7 @@ echo "== fleet ready"
 
 echo "== driving load ($CLIENTS clients for $DURATION)"
 "$BIN/loadgen" -url "$BASE" -clients "$CLIENTS" -duration "$DURATION" -think 50ms \
-  -users 100 -items 300 -fail-established-5xx &
+  -users 100 -items 300 -fail-established-5xx >"$LOADGEN_OUT" &
 LOADGEN_PID=$!
 
 sleep 5
@@ -87,19 +91,32 @@ done
 echo "== $VICTIM respawned and healthy again"
 
 if ! wait "$LOADGEN_PID"; then
+  cat "$LOADGEN_OUT"
   echo "fleet_e2e: loadgen FAILED (established session saw a 5xx)" >&2
   LOADGEN_PID=
   exit 1
 fi
 LOADGEN_PID=
+cat "$LOADGEN_OUT"
 
 FINAL=$(status)
 echo "$FINAL" | jq '{lost: .router.lost_sessions, spilled: .router.spilled,
                      shed: .router.shed, retried: .router.retried,
+                     unknown_outcome: .router.unknown_outcome,
                      restarts: [.supervisor[] | {(.name): .restarts}] | add}'
 LOST=$(echo "$FINAL" | jq '.router.lost_sessions')
 if [[ $LOST != 0 ]]; then
   echo "fleet_e2e: $LOST sessions lost by the router" >&2
+  exit 1
+fi
+SEEN=$(sed -n 's/^final: .*unknown_outcome=\([0-9][0-9]*\).*/\1/p' "$LOADGEN_OUT")
+DECLARED=$(echo "$FINAL" | jq '.router.unknown_outcome')
+if [[ -z $SEEN ]]; then
+  echo "fleet_e2e: loadgen printed no unknown_outcome count" >&2
+  exit 1
+fi
+if (( SEEN > DECLARED )); then
+  echo "fleet_e2e: loadgen saw $SEEN unknown-outcome 502s, the router declared $DECLARED" >&2
   exit 1
 fi
 
@@ -111,4 +128,4 @@ if ! wait "$PROXY_PID"; then
   exit 1
 fi
 PROXY_PID=
-echo "fleet_e2e: PASS (zero lost sessions, zero established-session 5xx, $VICTIM respawned under load)"
+echo "fleet_e2e: PASS (zero lost sessions, zero established-session 5xx, $SEEN unknown outcomes all declared by the router, $VICTIM respawned under load)"
